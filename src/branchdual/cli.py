@@ -26,7 +26,7 @@ from .expressions import (
     format_diffop,
     format_rational,
     format_series,
-    parse_diffop,
+    parse_operators,
     parse_series,
 )
 from .inverse_system import (
@@ -47,7 +47,6 @@ from .semigroup import (
     is_symmetric,
     saturation_from_characteristic,
 )
-from .series import order
 from .subalgebra import (
     DEFAULT_TRUNC_CEILING,
     AlgebraInput,
@@ -94,11 +93,16 @@ def _parse_ops(job: JobSpec):
     text = job.options.get("v")
     if not text:
         raise ExpressionError("this command requires operators (--v)")
-    return [parse_diffop(p) for p in text.split(";")]
+    return parse_operators(text)
 
 
 def _ceiling(job: JobSpec) -> int:
-    return int(job.options.get("trunc", DEFAULT_TRUNC_CEILING))
+    trunc = job.options.get("trunc", DEFAULT_TRUNC_CEILING)
+    if isinstance(trunc, str) and trunc.strip().removeprefix("-").isdecimal():
+        trunc = int(trunc)
+    if type(trunc) is not int or trunc < 1:
+        raise ExpressionError(f"trunc must be an integer >= 1, got {trunc!r}")
+    return trunc
 
 
 def _algebra(job: JobSpec) -> AlgebraInput:
@@ -259,8 +263,6 @@ def _run_transport(job):
     if not text:
         raise ExpressionError("this command requires a reparametrization (--h)")
     h = parse_series(text)
-    if order(h) != 1:
-        raise ValueError("reparametrization series is not a uniformizer")
     V2 = inverse_system(A, S)
     M, V1 = transport_dual(h, S.conductor, V2)
     return {
@@ -442,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--v", help="semicolon-separated operator expressions in u")
     parser.add_argument("--h", dest="h_expr", help="reparametrization series in t")
     parser.add_argument("--char", help="characteristic exponents, e.g. '6;8,11'")
-    parser.add_argument("--trunc", type=int, help="truncation ceiling (default 512)")
+    parser.add_argument("--trunc", help="truncation ceiling, an integer >= 1 (default 512)")
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
     return parser
 

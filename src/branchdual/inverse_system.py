@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, NotAlgebraForming, PrecisionExhausted
-from .linalg import QMatrix, _rref_rows, nullspace, solve
+from .linalg import Echelon, QMatrix, nullspace, solve
 from .series import DiffOp, Series, mul, order, perp, truncate
 from .subalgebra import (
     AlgebraInput,
-    Echelon,
     Staircase,
     _positive_gens,
     closure,
@@ -85,6 +84,24 @@ class CuttingDerivation:
     operator: DiffOp
 
 
+def _op_row(g: DiffOp, width: int):
+    return [g.coeff(width - 1 - k) for k in range(width)]
+
+
+def _op_echelon(ops, width: int) -> Echelon:
+    """Echelon of operators of degree < width, one column per degree.
+
+    Columns run from degree width-1 down to 0, so a row's pivot is its
+    leading (highest) degree.
+    """
+    ech = Echelon(width - 1)
+    for g in ops:
+        if g.degree >= width:
+            raise ValueError(f"operator degree {g.degree} exceeds bound {width - 1}")
+        ech.insert_coeffs(_op_row(g, width))
+    return ech
+
+
 def _reduce_ops(ops, width: int):
     """Canonical reduced basis of an operator list.
 
@@ -93,29 +110,29 @@ def _reduce_ops(ops, width: int):
     increasing degree.  ``width`` bounds degrees: all input degrees must
     be < width.
     """
-    rows = []
-    for g in ops:
-        if g.degree >= width:
-            raise ValueError(f"operator degree {g.degree} exceeds bound {width - 1}")
-        if not g.is_zero():
-            rows.append([g.coeff(width - 1 - k) for k in range(width)])
-    _rref_rows(rows)
+    ech = _op_echelon(ops, width)
     out = []
-    for r in rows:
-        if any(x != 0 for x in r):
-            g = DiffOp.make([r[width - 1 - i] for i in range(width)])
-            out.append(g.scale(Fraction(1) / g.coeffs[min(g.support())]))
+    for p in ech.pivots():
+        r = ech.reduce_fully(p)
+        g = DiffOp.make(r[::-1])
+        out.append(g.scale(Fraction(1) / g.coeffs[min(g.support())]))
     out.sort(key=lambda g: g.degree)
     return out
 
 
 def _op_span_contains(basis, g: DiffOp, width: int) -> bool:
-    """Whether g lies in the span of an already-reduced operator basis."""
-    rows = [[b.coeff(width - 1 - k) for k in range(width)] for b in basis]
-    before = len(_rref_rows([list(r) for r in rows])) if rows else 0
-    rows.append([g.coeff(width - 1 - k) for k in range(width)])
-    after = len(_rref_rows(rows))
-    return after == before
+    """Whether g lies in the span of an operator basis."""
+    return _op_echelon(basis, width).reduce(_op_row(g, width))[1] is None
+
+
+def _pairing_nullspace(elems, lo: int, hi: int):
+    """Nullspace of the rows (i! e_i for i in [lo, hi)), one row per element.
+
+    With no elements the matrix still has hi - lo columns, so the
+    nullspace is the identity basis.
+    """
+    entries = tuple(math.factorial(i) * e.coeff(i) for e in elems for i in range(lo, hi))
+    return nullspace(QMatrix(len(elems), hi - lo, entries))
 
 
 def natural_set(A: AlgebraInput, d: int):
@@ -160,11 +177,7 @@ def inverse_system(A: AlgebraInput, S: Staircase) -> InverseSystem:
     if c == 0:
         return InverseSystem((), 0, 0)
     nat = natural_set(A, c - 1)
-    rows = [[math.factorial(i) * h.coeff(i) for i in range(1, c)] for h in nat]
-    if rows:
-        vecs = nullspace(QMatrix.from_rows(rows))
-    else:
-        vecs = [[Fraction(int(i == k)) for i in range(c - 1)] for k in range(c - 1)]
+    vecs = _pairing_nullspace(nat, 1, c)
     basis = _reduce_ops([DiffOp.make([0] + list(v)) for v in vecs], c)
     if len(basis) != S.delta:
         raise InternalError(
@@ -271,7 +284,7 @@ def annihilator(V, S: Staircase) -> Staircase:
     if not cert.verdict:
         raise NotAlgebraForming(cert)
     dmax = max(g.degree for g in ops)
-    dim_v = len(_reduce_ops(ops, dmax + 1))
+    dim_v = len(_op_echelon(ops, dmax + 1).table)
     W = max(S.conductor, dmax + 1, 4 * (S.delta + dim_v) + 4)
     while True:
         sols = _annihilator_solutions(ops, S, W)
@@ -351,14 +364,7 @@ def cutting_derivation(C: Staircase, B: Staircase) -> CuttingDerivation:
         if not membership(b, B):
             raise ValueError("first algebra is not contained in the second")
     cc = C.conductor
-    cond = [
-        [math.factorial(i) * b.coeff(i) for i in range(1, cc)]
-        for b in C.positive_basis()
-    ]
-    if cond:
-        vecs = nullspace(QMatrix.from_rows(cond))
-    else:
-        vecs = [[Fraction(int(i == k)) for i in range(cc - 1)] for k in range(cc - 1)]
+    vecs = _pairing_nullspace(C.positive_basis(), 1, cc)
     span_b = B.maximal_ideal_spanning(cc - 1)
     chosen = None
     for require_derivation in (True, False):
@@ -427,7 +433,7 @@ def transport_dual(h: Series, c: int, V2: InverseSystem):
             raise InternalError("transport matrix is singular")
         x = res[0]
         new_ops.append(DiffOp.make([x[i] / math.factorial(i) for i in range(c)]))
-    basis = _reduce_ops(new_ops, c) if c > 0 else []
+    basis = _reduce_ops(new_ops, c)
     return M, InverseSystem(tuple(basis), len(basis), c)
 
 
@@ -446,11 +452,7 @@ def verify_duality(A: AlgebraInput) -> bool:
         return False
     if V.basis and max(g.degree for g in V.basis) != c - 1:
         return False
-    rows = [[math.factorial(i) * g.coeff(i) for i in range(c)] for g in V.basis]
-    if rows:
-        sols = nullspace(QMatrix.from_rows(rows))
-    else:
-        sols = [[Fraction(int(i == k)) for i in range(c)] for k in range(c)]
+    sols = _pairing_nullspace(V.basis, 0, c)
     ech = Echelon(c - 1)
     for v in sols:
         ech.insert_coeffs(v)

@@ -108,6 +108,18 @@ def order(f: Series):
     return None
 
 
+def mul_coeffs(a, b, n: int) -> list:
+    """The first n coefficients of the product of two coefficient sequences."""
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a[:n]):
+        if x == 0:
+            continue
+        for j, y in enumerate(b[: n - i]):
+            if y != 0:
+                out[i + j] += x * y
+    return out
+
+
 def mul(f: Series, g: Series) -> Series:
     t = min(f.eff_trunc, g.eff_trunc)
     if t >= _BIG:
@@ -116,16 +128,7 @@ def mul(f: Series, g: Series) -> Series:
     else:
         t_out = t
         n = t + 1
-    out = [Fraction(0)] * max(n, 1)
-    for i, a in enumerate(f.coeffs):
-        if a == 0 or i >= n:
-            continue
-        for j, b in enumerate(g.coeffs):
-            if i + j >= n:
-                break
-            if b != 0:
-                out[i + j] += a * b
-    return Series.make(out, t_out)
+    return Series.make(mul_coeffs(f.coeffs, g.coeffs, max(n, 1)), t_out)
 
 
 def power(f: Series, n: int) -> Series:

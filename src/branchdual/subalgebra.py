@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfiniteCodimension, InternalError, PrecisionExhausted
-from .series import Series, divide_by_unit, order, truncate
+from .linalg import Echelon
+from .series import Series, divide_by_unit, mul_coeffs, order
 
 DEFAULT_TRUNC_CEILING = 512
 
@@ -28,57 +29,6 @@ class AlgebraInput:
     @staticmethod
     def make(gens, label="") -> "AlgebraInput":
         return AlgebraInput(tuple(gens), label)
-
-
-class Echelon:
-    """Row echelon accumulator for series mod t^(trunc+1).
-
-    Rows are stored monic, keyed by pivot order.  ``missing`` tracks the
-    orders in [0, trunc] with no pivot yet, which lets callers skip
-    products that can only reduce to zero.
-    """
-
-    def __init__(self, trunc: int):
-        self.trunc = trunc
-        self.table = {}
-        self.missing = set(range(trunc + 1))
-
-    def pivots(self):
-        return sorted(self.table)
-
-    def complete_from(self, s: int) -> bool:
-        """True when every order in [s, trunc] already has a pivot."""
-        return all(m < s for m in self.missing)
-
-    def insert_coeffs(self, coeffs):
-        """Reduce a coefficient list; returns the new pivot order or None."""
-        row = list(coeffs[: self.trunc + 1])
-        row += [Fraction(0)] * (self.trunc + 1 - len(row))
-        while True:
-            o = next((i for i, c in enumerate(row) if c != 0), None)
-            if o is None:
-                return None
-            if o in self.table:
-                other = self.table[o]
-                f = row[o]
-                row = [a - f * b for a, b in zip(row, other)]
-            else:
-                inv = Fraction(1) / row[o]
-                self.table[o] = tuple(x * inv for x in row)
-                self.missing.discard(o)
-                return o
-
-    def insert(self, f: Series):
-        return self.insert_coeffs(f.coeffs)
-
-    def reduce_fully(self, o: int):
-        """Row at pivot o with every other pivot coordinate eliminated."""
-        row = list(self.table[o])
-        for j in range(o + 1, self.trunc + 1):
-            if row[j] != 0 and j in self.table:
-                f = row[j]
-                row = [a - f * b for a, b in zip(row, self.table[j])]
-        return row
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,12 +178,12 @@ def _closure_at(gens, w: int, label: str, gcd_window: int) -> Staircase:
             continue
         a = ech.table[o1]
         for o2 in ech.pivots():
-            if o2 == 0 or o1 + o2 > w or o1 + o2 > ech.trunc:
+            if o2 == 0 or o1 + o2 > w:
                 continue
             if ech.complete_from(o1 + o2):
                 continue
             b = ech.table[o2]
-            prod = _mul_coeffs(a, b, w)
+            prod = mul_coeffs(a, b, w + 1)
             p = ech.insert_coeffs(prod)
             if p is not None:
                 queue.append(p)
@@ -241,7 +191,8 @@ def _closure_at(gens, w: int, label: str, gcd_window: int) -> Staircase:
     pivots = set(ech.table)
     positive = sorted(p for p in pivots if p > 0)
     if not positive:
-        raise InfiniteCodimension(0, [])
+        # The window lies below every generator's order: nothing seen yet.
+        raise _Inconclusive(max(order(g) for g in gens))
     g = 0
     for p in positive:
         g = math.gcd(g, p)
@@ -285,37 +236,21 @@ def _closure_at(gens, w: int, label: str, gcd_window: int) -> Staircase:
     )
 
 
-def _mul_coeffs(a, b, trunc):
-    out = [Fraction(0)] * (trunc + 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        if i > trunc:
-            break
-        for j, y in enumerate(b):
-            if i + j > trunc:
-                break
-            if y != 0:
-                out[i + j] += x * y
-    return out
-
-
 def membership(f: Series, S: Staircase) -> bool:
-    """Whether f lies in the algebra (decided mod t^c, since t^c k[[t]] is inside)."""
+    """Whether f lies in the algebra (decided mod t^c, since t^c k[[t]] is inside).
+
+    f is reduced against the staircase basis, which is monic with one row
+    per value and so is a pivot table as it stands.
+    """
     c = S.conductor
     if c == 0:
         return True
     if f.eff_trunc < c - 1:
         raise PrecisionExhausted(c - 1)
-    g = truncate(f, c - 1)
-    table = S.basis_by_order()
-    while True:
-        o = order(g)
-        if o is None or o >= c:
-            return True
-        if o not in table:
-            return False
-        g = g - truncate(table[o].extended(c - 1), c - 1).scale(g.coeffs[o])
+    ech = Echelon(c - 1)
+    for b in S.basis:
+        ech.insert(b)
+    return ech.reduce(f.coeffs)[1] is None
 
 
 def hilbert(A: AlgebraInput, S: Staircase) -> HilbertData:
@@ -349,18 +284,17 @@ def _hilbert_window(S: Staircase, T: int, i_cap: int):
     m1 = Echelon(T - 1)
     for s in span:
         m1.insert(s.extended(T - 1))
-    m1_rows = [m1.table[o] for o in m1.pivots()]
+    m1_rows = sorted(m1.table.items())
     cur = m1
     hf1 = [dim_b - len(cur.table)]
     for _ in range(i_cap):
         nxt = Echelon(T - 1)
         for o1 in cur.pivots():
             a = cur.table[o1]
-            for row in m1_rows:
-                o2 = next(i for i, x in enumerate(row) if x != 0)
+            for o2, row in m1_rows:
                 if o1 + o2 > T - 1 or nxt.complete_from(o1 + o2):
                     continue
-                nxt.insert_coeffs(_mul_coeffs(a, row, T - 1))
+                nxt.insert_coeffs(mul_coeffs(a, row, T))
         cur = nxt
         hf1.append(dim_b - len(cur.table))
     return hf1

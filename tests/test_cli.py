@@ -112,6 +112,30 @@ def test_precision_ceiling_exit_5():
     assert report["error"]["required"] > 8
 
 
+def test_trunc_below_generator_orders_exit_5():
+    # the window t^0..t^1 holds no value of the algebra yet, which is a
+    # precision problem, not infinite codimension: the algebra has delta 4
+    report, code = run_checked(JobSpec("analyze", ["t^3+t^4", "t^5"], {"trunc": 1}))
+    assert code == 5
+    assert report["error"]["type"] == "PrecisionExhausted"
+    assert report["error"]["required"] == 5
+
+
+@pytest.mark.parametrize("trunc", ["abc", 0, -3])
+def test_bad_trunc_exit_3(trunc):
+    report, code = run_checked(JobSpec("analyze", ["t^3+t^4", "t^5"], {"trunc": trunc}))
+    assert code == 3
+    assert report["error"]["type"] == "ExpressionError"
+
+
+def test_bad_trunc_flag_exit_3(capsys):
+    # validated with the job's options, not by argparse, whose exit 2
+    # would read as infinite codimension
+    code = main(["analyze", "--gens", "t^3+t^4,t^5", "--trunc", "abc", "--json"])
+    assert code == 3
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ExpressionError"
+
+
 def test_filtration_report():
     report, code = run_checked(JobSpec("filtration", ["t^3+t^4", "t^5"]))
     assert code == 0
