@@ -1,7 +1,8 @@
 """Command-line surface: job parsing, dispatch, and JSON/text reports.
 
 Exit codes: 0 success, 2 infinite codimension, 3 expression/job parse
-error, 4 not algebra-forming, 5 precision ceiling reached, 1 for any
+error or a generator list with no positive-order element or one of
+order 0, 4 not algebra-forming, 5 precision ceiling reached, 1 for any
 other error.  All rationals in JSON output are exact "p" or "p/q"
 strings; no floating point appears anywhere.
 """
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from .errors import (
     BranchDualError,
     ExpressionError,
+    GeneratorError,
     InfiniteCodimension,
     NonCoprime,
     NotAlgebraForming,
@@ -351,9 +353,9 @@ def run(job: JobSpec):
         return _finish(3)
     try:
         result, work_trunc = _DISPATCH[job.command](job)
-    except ExpressionError as ex:
+    except (ExpressionError, GeneratorError) as ex:
         report["status"] = "error"
-        report["error"] = {"type": "ExpressionError", "message": str(ex)}
+        report["error"] = {"type": type(ex).__name__, "message": str(ex)}
         return _finish(3)
     except InfiniteCodimension as ex:
         report["status"] = "error"

@@ -48,6 +48,14 @@ class NonCoprime(BranchDualError):
     """Semigroup generators with gcd > 1 define no numerical semigroup."""
 
 
+class GeneratorError(BranchDualError, ValueError):
+    """Generators that define no subalgebra of positive-order series.
+
+    Raised for a generator of order 0 (a unit) and for a list whose
+    generators are all zero; an input error, like ExpressionError.
+    """
+
+
 class ExpressionError(BranchDualError):
     """Malformed expression text; ``position`` points at the offending token."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, NotAlgebraForming, PrecisionExhausted
-from .linalg import Echelon, QMatrix, nullspace, solve
+from .linalg import Echelon, QMatrix, nullspace, rref
 from .series import DiffOp, Series, mul, order, perp, truncate
 from .subalgebra import (
     AlgebraInput,
@@ -131,7 +131,7 @@ def _pairing_nullspace(elems, lo: int, hi: int):
     With no elements the matrix still has hi - lo columns, so the
     nullspace is the identity basis.
     """
-    entries = tuple(math.factorial(i) * e.coeff(i) for e in elems for i in range(lo, hi))
+    entries = tuple([math.factorial(i) * e.coeff(i) for e in elems for i in range(lo, hi)])
     return nullspace(QMatrix(len(elems), hi - lo, entries))
 
 
@@ -424,15 +424,16 @@ def transport_dual(h: Series, c: int, V2: InverseSystem):
         cols.append([p.coeff(i) for i in range(c)])
         p = mul(p, hc)
     M = QMatrix.from_rows([[cols[j][i] for j in range(c)] for i in range(c)])
-    Mt = M.transpose()
-    new_ops = []
-    for g in V2.basis:
-        d = [g.coeff(i) * math.factorial(i) for i in range(c)]
-        res = solve(Mt, d)
-        if res is None:
-            raise InternalError("transport matrix is singular")
-        x = res[0]
-        new_ops.append(DiffOp.make([x[i] / math.factorial(i) for i in range(c)]))
+    # One elimination of [M^T | D], D holding every basis element's
+    # divided-power coefficients as a column: its rref is [I | X].
+    rhs = [[g.coeff(i) * math.factorial(i) for g in V2.basis] for i in range(c)]
+    R, pivots = rref(QMatrix.from_rows([cols[i] + rhs[i] for i in range(c)]))
+    if pivots != list(range(c)):
+        raise InternalError("transport matrix is singular")
+    new_ops = [
+        DiffOp.make([R.at(i, c + j) / math.factorial(i) for i in range(c)])
+        for j in range(len(V2.basis))
+    ]
     basis = _reduce_ops(new_ops, c)
     return M, InverseSystem(tuple(basis), len(basis), c)
 

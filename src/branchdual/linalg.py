@@ -2,13 +2,23 @@
 
 :class:`Echelon` is the package's one elimination kernel: every row
 reduction (staircases of subalgebras, operator spans, nullspaces and
-linear solving) runs through it.  Dense matrices hold
-``fractions.Fraction`` entries.  Everything is exact; no floating point
-is used anywhere.
+linear solving) runs through it.  Elimination is fraction-free: a
+rational row has its denominators cleared once on entry, and from then on
+rows are Python ints, reduced by integer combinations (Bareiss) with the
+content divided out.  Results leave the kernel as exact rationals
+(``fractions.Fraction``), and dense matrices (:class:`QMatrix`) hold
+``Fraction`` entries.  No floating point is used anywhere.
+
+Tuples built on hot paths come from lists, not generators.  CPython
+builds a tuple from a generator by resizing a 10-slot one, and frees the
+result onto the free list of its final size, so those free lists fill up
+to 2,000 tuples each and keep them until a full garbage collection,
+which integer rows, unlike ``Fraction`` rows, almost never trigger.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,51 +28,77 @@ QZERO = Fraction(0)
 QONE = Fraction(1)
 
 
+def _integer_row(coeffs, n: int) -> list:
+    """``coeffs`` cut or zero-padded to n entries, times the lcm of its denominators."""
+    row = list(coeffs[:n])
+    row += [0] * (n - len(row))
+    if all(type(x) is int for x in row):
+        return row
+    den = math.lcm(*[x.denominator for x in row if x])
+    return [x.numerator * (den // x.denominator) if x else 0 for x in row]
+
+
 class Echelon:
     """Row echelon accumulator for rows with columns 0..trunc.
 
-    Rows are stored monic, keyed by pivot column: the first nonzero
-    column of the row (for series mod t^(trunc+1), its order).
-    ``missing`` tracks the columns with no pivot yet, which lets callers
-    skip products that can only reduce to zero.
+    Rows are stored as primitive integer tuples (gcd 1, positive leading
+    entry), keyed by pivot column: the first nonzero column of the row
+    (for series mod t^(trunc+1), its order).  The highest column with no
+    pivot yet is kept, which lets callers skip products that can only
+    reduce to zero.
     """
 
     def __init__(self, trunc: int):
         self.trunc = trunc
         self.table = {}
-        self.missing = set(range(trunc + 1))
+        self._free_top = trunc
 
     def pivots(self):
         return sorted(self.table)
 
     def complete_from(self, s: int) -> bool:
         """True when every column in [s, trunc] already has a pivot."""
-        return all(m < s for m in self.missing)
+        return self._free_top < s
 
     def reduce(self, coeffs, start: int = 0, full: bool = False):
-        """Reduce a copy of ``coeffs``, cut or zero-padded to trunc+1 entries.
+        """Reduce ``coeffs``, cut or zero-padded to trunc+1 entries, to an int row.
 
-        Table rows are subtracted to clear pivot columns from ``start`` on,
-        up to the first nonzero entry in a column without a pivot.  Returns
-        (row, that column), or (row, None) when the row is zero from
-        ``start`` on.  With ``full`` the scan goes on and clears every
+        Integer combinations with table rows clear pivot columns from
+        ``start`` on, up to the first nonzero entry in a column without a
+        pivot.  Returns (row, that column), or (row, None) when the row is
+        zero from ``start`` on; the row is a rational multiple of the
+        reduced input.  With ``full`` the scan goes on and clears every
         later pivot column too: the reduced row echelon step.
         """
         n = self.trunc + 1
-        row = list(coeffs[:n])
-        row += [QZERO] * (n - len(row))
+        row = _integer_row(coeffs, n)
+        lo = next((i for i, x in enumerate(row) if x), n)  # row is zero before lo
         lead = None
-        for j in range(start, n):
-            f = row[j]
-            if f == 0:
+        for j in range(max(start, lo), n):
+            r = row[j]
+            if not r:
                 continue
             pivot_row = self.table.get(j)
-            if pivot_row is not None:
-                row[j:] = [a - f * b for a, b in zip(row[j:], pivot_row[j:])]
-            elif lead is None:
-                lead = j
-                if not full:
-                    break
+            if pivot_row is None:
+                if lead is None:
+                    lead = j
+                    if not full:
+                        break
+                continue
+            p = pivot_row[j]
+            g = math.gcd(p, r)
+            p //= g
+            r //= g
+            if p == 1:
+                row[j:] = [a - r * b for a, b in zip(row[j:], pivot_row[j:])]
+            else:
+                # pivot_row is zero before j, so this also scales row[lo:j]
+                row[lo:] = [p * a - r * b for a, b in zip(row[lo:], pivot_row[lo:])]
+                content = math.gcd(*row)
+                if content > 1:
+                    row = [a // content for a in row]
+            if lo == j:
+                lo = j + 1
         return row, lead
 
     def insert_coeffs(self, coeffs):
@@ -70,9 +106,14 @@ class Echelon:
         row, o = self.reduce(coeffs)
         if o is None:
             return None
-        inv = QONE / row[o]
-        self.table[o] = tuple(x * inv for x in row)
-        self.missing.discard(o)
+        content = math.gcd(*row)
+        if row[o] < 0:
+            content = -content
+        if content != 1:
+            row = [a // content for a in row]
+        self.table[o] = tuple(row)
+        while self._free_top in self.table:
+            self._free_top -= 1
         return o
 
     def insert(self, f):
@@ -80,8 +121,10 @@ class Echelon:
         return self.insert_coeffs(f.coeffs)
 
     def reduce_fully(self, o: int):
-        """Row at pivot o with every other pivot column eliminated."""
-        return self.reduce(self.table[o], o + 1, full=True)[0]
+        """Monic rational row at pivot o with every other pivot column eliminated."""
+        row = self.reduce(self.table[o], o + 1, full=True)[0]
+        lead = row[o]
+        return [Fraction(a, lead) if a else QZERO for a in row]
 
 
 @dataclass(frozen=True)
@@ -103,7 +146,7 @@ class QMatrix:
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
             raise ValueError("ragged rows")
-        entries = tuple(Fraction(x) for r in rows for x in r)
+        entries = tuple([Fraction(x) for r in rows for x in r])
         return QMatrix(n, m, entries)
 
     @staticmethod
@@ -161,7 +204,7 @@ def rref(M: QMatrix):
     """Reduced row echelon form.  Returns (R, pivot column indices)."""
     reduced = _reduced_rows(M.to_rows(), M.cols)
     rows = list(reduced.values()) + [[QZERO] * M.cols] * (M.rows - len(reduced))
-    return QMatrix(M.rows, M.cols, tuple(x for r in rows for x in r)), list(reduced)
+    return QMatrix(M.rows, M.cols, tuple([x for r in rows for x in r])), list(reduced)
 
 
 def rank(M: QMatrix) -> int:

@@ -16,10 +16,13 @@ from fractions import Fraction
 from .errors import PrecisionExhausted
 
 _BIG = 10**9  # effective truncation of an exact polynomial
+_ZERO = Fraction(0)
 
 
 def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(x) if x else _ZERO
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ class Series:
 
     def scale(self, a) -> "Series":
         a = _q(a)
-        return Series(tuple(c * a for c in self.coeffs), self.trunc)
+        return Series(tuple([c * a for c in self.coeffs]), self.trunc)
 
 
 def order(f: Series):
@@ -109,14 +112,19 @@ def order(f: Series):
 
 
 def mul_coeffs(a, b, n: int) -> list:
-    """The first n coefficients of the product of two coefficient sequences."""
-    out = [Fraction(0)] * n
+    """The first n coefficients of the product of two coefficient sequences.
+
+    Int inputs give an int product; entries no term reaches stay int 0.
+    """
+    out = [0] * n
+    terms = [(j, y) for j, y in enumerate(b[:n]) if y]
     for i, x in enumerate(a[:n]):
         if x == 0:
             continue
-        for j, y in enumerate(b[: n - i]):
-            if y != 0:
-                out[i + j] += x * y
+        for j, y in terms:
+            if i + j >= n:
+                break
+            out[i + j] += x * y
     return out
 
 
@@ -211,7 +219,7 @@ class DiffOp:
         return not self.coeffs
 
     def support(self):
-        return tuple(i for i, c in enumerate(self.coeffs) if c != 0)
+        return tuple([i for i, c in enumerate(self.coeffs) if c != 0])
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
         n = max(len(self.coeffs), len(other.coeffs))

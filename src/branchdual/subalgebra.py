@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InfiniteCodimension, InternalError, PrecisionExhausted
+from .errors import GeneratorError, InfiniteCodimension, InternalError, PrecisionExhausted
 from .linalg import Echelon
 from .series import Series, divide_by_unit, mul_coeffs, order
 
@@ -65,7 +65,7 @@ class Staircase:
         return {order(b): b for b in self.basis}
 
     def positive_basis(self):
-        return tuple(b for b in self.basis if order(b) and order(b) > 0)
+        return tuple([b for b in self.basis if order(b) and order(b) > 0])
 
     def is_whole_ring(self) -> bool:
         return self.delta == 0
@@ -123,10 +123,10 @@ def _positive_gens(A: AlgebraInput):
         if o is None:
             continue
         if o == 0:
-            raise ValueError("generators must have positive order")
+            raise GeneratorError("generators must have positive order")
         gens.append(g)
     if not gens:
-        raise ValueError("no nonzero generators")
+        raise GeneratorError("no nonzero generators")
     return gens
 
 
@@ -213,13 +213,13 @@ def _closure_at(gens, w: int, label: str, gcd_window: int) -> Staircase:
             label=label,
         )
 
-    gaps = tuple(i for i in range(1, w + 1) if i not in pivots)
+    gaps = tuple([i for i in range(1, w + 1) if i not in pivots])
     c = gaps[-1] + 1
     e0 = positive[0]
     if c + e0 - 1 > w or any(j not in pivots for j in range(c, c + e0)):
         raise _Inconclusive(2 * w)
 
-    values = tuple(p for p in sorted(pivots) if p < c)
+    values = tuple([p for p in sorted(pivots) if p < c])
     basis = []
     for v in values:
         row = ech.reduce_fully(v)

@@ -136,6 +136,16 @@ def test_bad_trunc_flag_exit_3(capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ExpressionError"
 
 
+@pytest.mark.parametrize("gens", ["1+t", "0"])
+def test_generators_without_positive_order_exit_3(gens, capsys):
+    # a unit generator, or only zero ones, is an input error
+    code = main(["analyze", "--gens", gens, "--json"])
+    report = json.loads(capsys.readouterr().out)
+    VALIDATOR.validate(report)
+    assert code == 3
+    assert report["error"]["type"] == "GeneratorError"
+
+
 def test_filtration_report():
     report, code = run_checked(JobSpec("filtration", ["t^3+t^4", "t^5"]))
     assert code == 0

@@ -1,12 +1,13 @@
 """Exact rational linear algebra."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchdual.linalg import QMatrix, nullspace, rank, rref, solve
+from branchdual.linalg import Echelon, QMatrix, nullspace, rank, rref, solve
 
 from oracles import gauss_nullspace, span_rank
 
@@ -118,3 +119,32 @@ def test_solve_property(rows, x_true):
     assert res is not None
     x, _ = res
     assert M.mul_vec(x) == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.fractions(min_value=-50, max_value=50, max_denominator=60),
+            min_size=0,
+            max_size=9,
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_echelon_rows_are_primitive_integer_rows(rows):
+    ech = Echelon(6)
+    for r in rows:
+        ech.insert_coeffs(r)
+    for p, row in ech.table.items():
+        assert isinstance(row, tuple) and len(row) == 7
+        assert all(type(x) is int for x in row)
+        assert all(x == 0 for x in row[:p]) and row[p] > 0
+        assert math.gcd(*row) == 1
+    for s in range(8):
+        assert ech.complete_from(s) == all(j in ech.table for j in range(s, 7))
+    for p in ech.pivots():
+        full = ech.reduce_fully(p)
+        assert full[p] == 1 and all(type(x) is Fraction for x in full)
+        assert all(full[q] == 0 for q in ech.table if q != p)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from branchdual.errors import InfiniteCodimension, PrecisionExhausted
+from branchdual.expressions import parse_series
 from branchdual.series import Series, mul, order
 from branchdual.subalgebra import (
     AlgebraInput,
@@ -190,3 +191,25 @@ def test_staircase_equality_semantics():
     c = closure(alg({2: 1}, {5: 1}))
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        # dense rational coefficients, delta 27
+        "t^7+3/5 t^8-7/11 t^9+2/9 t^10, t^10+13/17 t^11-1/19 t^13",
+        # the delta 48 rung of the ladder, c = 96
+        "t^9+t^10, t^13+t^17",
+    ],
+    ids=["dense-rational-d27", "d48"],
+)
+def test_ladder_closure_matches_naive_span_oracle(gens):
+    series = [parse_series(g) for g in gens.split(",")]
+    st = closure(AlgebraInput.make(series))
+    T = st.conductor + st.e0 + 2
+    orders = span_orders([list(g.coeffs) for g in series], T)
+    gaps = tuple(sorted(set(range(1, T + 1)) - orders))
+    assert st.values == tuple(sorted(v for v in orders if v < st.conductor))
+    assert st.gaps == gaps
+    assert st.delta == len(gaps)
+    assert st.conductor == gaps[-1] + 1
