@@ -15,6 +15,12 @@ from fractions import Fraction
 from .errors import ExpressionError
 from .series import DiffOp, Series
 
+# Largest exponent an expression may carry.  Parsing builds a dense
+# coefficient list up to the highest exponent, so the bound caps that
+# allocation; it lies far above any degree the closure can certify within
+# its default truncation ceiling (512).
+MAX_EXPONENT = 10_000
+
 
 def parse_expression(text: str):
     """Parse one expression; returns a Series (variable t) or DiffOp (u).
@@ -105,7 +111,7 @@ def _parse_term(text: str, pos: int):
                 pos += 1
             if pos == n or not text[pos].isdigit():
                 raise ExpressionError("expected exponent after '^'", pos)
-            exp, pos = _parse_int(text, pos)
+            exp, pos = _parse_exponent(text, pos)
         return (coeff if coeff is not None else Fraction(1)), exp, term_var, pos
     if coeff is None:
         raise ExpressionError("expected a term", start)
@@ -117,6 +123,17 @@ def _parse_int(text: str, pos: int):
     while pos < len(text) and text[pos].isdigit():
         pos += 1
     return int(text[start:pos]), pos
+
+
+def _parse_exponent(text: str, pos: int):
+    """An exponent of at most MAX_EXPONENT; its digits are measured before int()."""
+    start = pos
+    while pos < len(text) and text[pos].isdigit():
+        pos += 1
+    digits = text[start:pos].lstrip("0") or "0"
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        raise ExpressionError(f"exponent above the limit {MAX_EXPONENT}", start)
+    return int(digits), pos
 
 
 def parse_series(text: str) -> Series:

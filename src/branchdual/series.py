@@ -70,7 +70,7 @@ class Series:
         if i < len(self.coeffs):
             return self.coeffs[i]
         if self.exact:
-            return Fraction(0)
+            return _ZERO
         raise PrecisionExhausted(i, f"coefficient of t^{i} is beyond truncation {self.trunc}")
 
     def extended(self, trunc: int) -> "Series":
@@ -163,6 +163,12 @@ def divide_by_unit(f: Series, v: Series, prec: int | None = None) -> Series:
 
     The quotient is an infinite series in general, so when both operands
     are exact a target precision ``prec`` is required.
+
+    Fraction-free: f and v are cleared of denominators by one common lcm
+    into ints a and b, so q = a/b.  With b0 = b[0], the recurrence
+    b0*q[n] = a[n] - sum_k b[k]*q[n-k] times b0^n becomes
+    Q[n] = b0^n*a[n] - sum_k b[k]*b0^(k-1)*Q[n-k] for Q[n] = b0^(n+1)*q[n],
+    all in ints, over the nonzero b[k], k >= 1 only.
     """
     if not v.coeffs or v.coeffs[0] == 0:
         raise ValueError("divisor is not a unit")
@@ -171,16 +177,28 @@ def divide_by_unit(f: Series, v: Series, prec: int | None = None) -> Series:
         t = min(t, prec)
     if t >= _BIG:
         raise ValueError("exact operands need an explicit quotient precision")
-    v0 = v.coeffs[0]
-    q = [Fraction(0)] * (t + 1)
+    fc, vc = f.coeffs[: t + 1], v.coeffs[: t + 1]
+    den = math.lcm(*[x.denominator for x in fc + vc if x])
+    a = [x.numerator * (den // x.denominator) for x in fc]
+    b0 = v.coeffs[0].numerator * (den // v.coeffs[0].denominator)
+    terms = [
+        (k, x.numerator * (den // x.denominator) * b0 ** (k - 1))
+        for k, x in enumerate(vc)
+        if k and x
+    ]
+    Q = []
+    out = []
+    scale = 1  # b0^n
     for n in range(t + 1):
-        s = f.coeff(n)
-        for k in range(1, n + 1):
-            vk = v.coeff(k) if k <= v.eff_trunc else Fraction(0)
-            if vk != 0:
-                s -= vk * q[n - k]
-        q[n] = s / v0
-    return Series.make(q, t)
+        s = scale * a[n] if n < len(a) else 0
+        for k, w in terms:
+            if k > n:
+                break
+            s -= w * Q[n - k]
+        Q.append(s)
+        scale *= b0
+        out.append(Fraction(s, scale) if s else _ZERO)
+    return Series.make(out, t)
 
 
 def truncate(f: Series, s: int) -> Series:
@@ -213,7 +231,7 @@ class DiffOp:
         return len(self.coeffs) - 1
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
+        return self.coeffs[i] if i < len(self.coeffs) else _ZERO
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import GeneratorError, InfiniteCodimension, InternalError, PrecisionExhausted
 from .linalg import Echelon
@@ -320,10 +319,9 @@ def blowup(A: AlgebraInput, S: Staircase, prec: int | None = None) -> AlgebraInp
         v = order(e)
         unit_e = Series.make(list(e.coeffs[v:]), None)
         q = divide_by_unit(unit_e, u0, prec=prec)
-        coeffs = [Fraction(0)] * (v - e0) + list(q.coeffs)
+        coeffs = [0] * (v - e0) + list(q.coeffs)
+        coeffs[0] = 0  # recenter: drop the constant term
         g = Series.make(coeffs, prec + (v - e0))
-        if order(g) == 0:
-            g = g - Series.make([g.coeffs[0]], g.trunc)
         if order(g) is not None:
             new_gens.append(g)
     return AlgebraInput(tuple(new_gens), label=(A.label + "'") if A.label else "blowup")

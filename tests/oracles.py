@@ -145,6 +145,40 @@ def span_rank(rows, ncols):
 
 
 # ---------------------------------------------------------------------------
+# naive series division
+
+
+def divide_by_unit_naive(f, v, prec=None):
+    """(coefficients, trunc) of the quotient q with q*v = f.
+
+    The schoolbook recurrence q[n] = (f[n] - sum_{k=1..n} v[k] q[n-k]) / v[0]
+    in Fraction arithmetic, over every k.  f and v are read only through
+    ``coeffs`` and ``trunc`` (None: an exact polynomial); the quotient is
+    known up to t^t with t the least of the operands' truncations and prec.
+    Raises ValueError for a non-unit v and for exact operands without prec.
+    """
+    if not v.coeffs or v.coeffs[0] == 0:
+        raise ValueError("divisor is not a unit")
+    known = [s.trunc for s in (f, v) if s.trunc is not None]
+    if prec is not None:
+        known.append(prec)
+    if not known:
+        raise ValueError("exact operands need an explicit quotient precision")
+    t = min(known)
+
+    def coeff(s, i):
+        return Fraction(s.coeffs[i]) if i < len(s.coeffs) else Fraction(0)
+
+    q = [Fraction(0)] * (t + 1)
+    for n in range(t + 1):
+        s = coeff(f, n)
+        for k in range(1, n + 1):
+            s -= coeff(v, k) * q[n - k]
+        q[n] = s / coeff(v, 0)
+    return q, t
+
+
+# ---------------------------------------------------------------------------
 # naive subalgebra span (coefficient lists mod t^(T+1))
 
 

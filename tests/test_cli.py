@@ -146,6 +146,20 @@ def test_generators_without_positive_order_exit_3(gens, capsys):
     assert report["error"]["type"] == "GeneratorError"
 
 
+@pytest.mark.parametrize(
+    "gens, position",
+    [("t^1000000,t^1000001", 2), ("t^3+t^10001", 6), ("t^5+u^" + "9" * 5000, 6)],
+)
+def test_exponent_above_limit_exit_3(gens, position, capsys):
+    # rejected while parsing, before a dense coefficient list is built
+    code = main(["analyze", "--gens", gens, "--json"])
+    report = json.loads(capsys.readouterr().out)
+    VALIDATOR.validate(report)
+    assert code == 3
+    assert report["error"]["type"] == "ExpressionError"
+    assert f"(at position {position})" in report["error"]["message"]
+
+
 def test_filtration_report():
     report, code = run_checked(JobSpec("filtration", ["t^3+t^4", "t^5"]))
     assert code == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from branchdual.errors import ExpressionError
 from branchdual.expressions import (
+    MAX_EXPONENT,
     format_diffop,
     format_rational,
     format_series,
@@ -64,6 +65,15 @@ def test_parse_errors():
     for bad in ["", "2 +", "t^", "3/", "x", "t^2 t^3", "^3"]:
         with pytest.raises(ExpressionError):
             parse_expression(bad)
+
+
+def test_exponent_limit():
+    assert parse_expression(f"t^{MAX_EXPONENT}").coeffs[-1] == 1
+    assert parse_expression("t^0003").coeffs == parse_expression("t^3").coeffs
+    for text, position in [(f"t^{MAX_EXPONENT + 1}", 2), (f"1 - 2 u^{10 * MAX_EXPONENT}", 8)]:
+        with pytest.raises(ExpressionError) as ex:
+            parse_expression(text)
+        assert ex.value.position == position
 
 
 def test_parse_series_rejects_operator():

@@ -1,6 +1,7 @@
 """Truncated series and differential-operator arithmetic."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from branchdual.series import (
     power,
     truncate,
 )
+from oracles import divide_by_unit_naive, poly_mul
 
 F = Fraction
 
@@ -102,6 +104,53 @@ def test_divide_by_unit_round_trip():
 def test_divide_by_unit_requires_precision_for_exact():
     with pytest.raises(ValueError):
         divide_by_unit(S({0: 1}), S({0: 1, 1: 1}))
+
+
+rational = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+truncs = st.none() | st.integers(min_value=0, max_value=12)
+
+
+@given(
+    f_coeffs=st.lists(rational, max_size=12),
+    v0=st.sampled_from([F(1), F(-1), F(3), F(2, 7), F(0)]) | rational,
+    v_tail=st.lists(rational, max_size=12),
+    f_trunc=truncs,
+    v_trunc=truncs,
+    prec=st.none() | st.integers(min_value=0, max_value=16),
+)
+@settings(max_examples=200, deadline=None)
+def test_divide_by_unit_matches_naive(f_coeffs, v0, v_tail, f_trunc, v_trunc, prec):
+    f = Series.make(f_coeffs, f_trunc)
+    v = Series.make([v0] + v_tail, v_trunc)
+    try:
+        expected, t = divide_by_unit_naive(f, v, prec)
+    except ValueError as ex:
+        with pytest.raises(ValueError, match=re.escape(str(ex))):
+            divide_by_unit(f, v, prec)
+        return
+    q = divide_by_unit(f, v, prec)
+    assert q.trunc == t
+    assert q.coeffs == tuple(expected)
+    assert all(type(c) is F for c in q.coeffs)
+    # q*v = f mod t^(t+1)
+    f_known = list(f.coeffs[: t + 1]) + [F(0)] * (t + 1 - len(f.coeffs))
+    assert poly_mul(q.coeffs, v.coeffs, t) == f_known[: t + 1]
+
+
+@pytest.mark.parametrize(
+    "f, v, prec",
+    [
+        (S({0: 1}), S({1: 1}), 5),  # v(0) = 0
+        (S({0: 1}), Series.zero(), 5),  # v = 0
+        (S({0: 1}), Series.make([0, 1], trunc=3), None),  # v(0) = 0, inexact
+        (S({0: 1, 2: F(1, 3)}), S({0: F(2, 7), 1: 1}), None),  # exact, no prec
+    ],
+)
+def test_divide_by_unit_value_errors(f, v, prec):
+    with pytest.raises(ValueError):
+        divide_by_unit_naive(f, v, prec)
+    with pytest.raises(ValueError):
+        divide_by_unit(f, v, prec)
 
 
 def test_truncate():

@@ -213,3 +213,29 @@ def test_ladder_closure_matches_naive_span_oracle(gens):
     assert st.gaps == gaps
     assert st.delta == len(gaps)
     assert st.conductor == gaps[-1] + 1
+
+
+@pytest.mark.parametrize(
+    "gens, delta",
+    [
+        ("t^3+t^4, t^5", 4),
+        ("t^4+t^5, t^6", 8),
+        ("t^4, t^6+t^7", 8),
+        ("t^6, t^8+t^11, t^10+t^13", 11),
+        ("t^5+t^6, t^7", 12),
+        ("t^4+1/2 t^5, t^6-2/3 t^7", 8),
+    ],
+    ids=["d4", "d8", "d8b", "d11", "d12", "rational-d8"],
+)
+def test_blowup_delta_matches_naive_span_oracle(gens, delta):
+    A = AlgebraInput.make([parse_series(g) for g in gens.split(",")])
+    st = closure(A)
+    assert st.delta == delta
+    B1 = blowup(A, st)
+    # B ⊆ B′, so the gaps of B′ lie below B's conductor
+    T = st.conductor
+    orders = span_orders([list(g.coeffs[: T + 1]) for g in B1.gens], T)
+    delta1 = len(set(range(1, T + 1)) - orders)
+    assert closure(B1).delta == delta1
+    # Northcott: e1 = ℓ(B′/B) = δ(B) − δ(B′)
+    assert blowup_chain(A).e1_sequence()[0] == st.delta - delta1
