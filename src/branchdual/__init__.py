@@ -49,7 +49,7 @@ from .inverse_system import (
     transport_dual,
     verify_duality,
 )
-from .linalg import QMatrix, Rational, nullspace, rank, rref, solve
+from .linalg import QMatrix, nullspace, rref, solve
 from .semigroup import (
     Characteristic,
     GorensteinCheck,
@@ -64,26 +64,21 @@ from .semigroup import (
 from .series import (
     DiffOp,
     Series,
-    apply,
-    compose,
     divide_by_unit,
     mul,
     order,
     perp,
-    power,
     truncate,
 )
 from .subalgebra import (
     AlgebraInput,
     BlowupChain,
     HilbertData,
-    InvariantsReport,
     Staircase,
     blowup,
     blowup_chain,
     closure,
     hilbert,
-    invariants_report,
     membership,
 )
 
@@ -105,22 +100,18 @@ __all__ = [
     "HilbertData",
     "InfiniteCodimension",
     "InternalError",
-    "InvariantsReport",
     "InverseSystem",
     "NonCoprime",
     "NotAlgebraForming",
     "NumericalSemigroup",
     "PrecisionExhausted",
     "QMatrix",
-    "Rational",
     "Series",
     "Staircase",
     "annihilator",
-    "apply",
     "blowup",
     "blowup_chain",
     "closure",
-    "compose",
     "cutting_derivation",
     "divide_by_unit",
     "format_diffop",
@@ -130,7 +121,6 @@ __all__ = [
     "from_staircase",
     "gorenstein_check",
     "hilbert",
-    "invariants_report",
     "inverse_system",
     "is_algebra_forming",
     "is_derivation",
@@ -147,8 +137,6 @@ __all__ = [
     "parse_operators",
     "parse_series",
     "perp",
-    "power",
-    "rank",
     "residue",
     "rosenlicht",
     "rref",

@@ -21,6 +21,10 @@ from .series import DiffOp, Series
 # its default truncation ceiling (512).
 MAX_EXPONENT = 10_000
 
+# Longest digit run of a coefficient's numerator or denominator, checked
+# before int(), which refuses more than 4,300 digits.
+MAX_COEFF_DIGITS = 1_000
+
 
 def parse_expression(text: str):
     """Parse one expression; returns a Series (variable t) or DiffOp (u).
@@ -77,7 +81,8 @@ def _parse_term(text: str, pos: int):
     n = len(text)
     start = pos
     coeff = None
-    if pos < n and text[pos].isdigit():
+    # ASCII digits only: str.isdigit also takes ones int() rejects, like "²"
+    if pos < n and "0" <= text[pos] <= "9":
         num, pos = _parse_int(text, pos)
         coeff = Fraction(num)
         while pos < n and text[pos].isspace():
@@ -87,7 +92,7 @@ def _parse_term(text: str, pos: int):
             pos += 1
             while pos < n and text[pos].isspace():
                 pos += 1
-            if pos == n or not text[pos].isdigit():
+            if pos == n or not "0" <= text[pos] <= "9":
                 raise ExpressionError("expected denominator after '/'", pos)
             den, pos = _parse_int(text, pos)
             if den == 0:
@@ -109,7 +114,7 @@ def _parse_term(text: str, pos: int):
             pos += 1
             while pos < n and text[pos].isspace():
                 pos += 1
-            if pos == n or not text[pos].isdigit():
+            if pos == n or not "0" <= text[pos] <= "9":
                 raise ExpressionError("expected exponent after '^'", pos)
             exp, pos = _parse_exponent(text, pos)
         return (coeff if coeff is not None else Fraction(1)), exp, term_var, pos
@@ -119,16 +124,19 @@ def _parse_term(text: str, pos: int):
 
 
 def _parse_int(text: str, pos: int):
+    """At most MAX_COEFF_DIGITS digits, measured before int()."""
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and "0" <= text[pos] <= "9":
         pos += 1
+    if pos - start > MAX_COEFF_DIGITS:
+        raise ExpressionError(f"number longer than {MAX_COEFF_DIGITS} digits", start)
     return int(text[start:pos]), pos
 
 
 def _parse_exponent(text: str, pos: int):
     """An exponent of at most MAX_EXPONENT; its digits are measured before int()."""
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and "0" <= text[pos] <= "9":
         pos += 1
     digits = text[start:pos].lstrip("0") or "0"
     if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:

@@ -84,10 +84,6 @@ class CuttingDerivation:
     operator: DiffOp
 
 
-def _op_row(g: DiffOp, width: int):
-    return [g.coeff(width - 1 - k) for k in range(width)]
-
-
 def _op_echelon(ops, width: int) -> Echelon:
     """Echelon of operators of degree < width, one column per degree.
 
@@ -98,8 +94,13 @@ def _op_echelon(ops, width: int) -> Echelon:
     for g in ops:
         if g.degree >= width:
             raise ValueError(f"operator degree {g.degree} exceeds bound {width - 1}")
-        ech.insert_coeffs(_op_row(g, width))
+        ech.insert_coeffs([g.coeff(width - 1 - k) for k in range(width)])
     return ech
+
+
+def _monic(g: DiffOp) -> DiffOp:
+    """g rescaled monic in its lowest-degree coefficient."""
+    return g.scale(Fraction(1) / g.coeffs[min(g.support())])
 
 
 def _reduce_ops(ops, width: int):
@@ -113,16 +114,9 @@ def _reduce_ops(ops, width: int):
     ech = _op_echelon(ops, width)
     out = []
     for p in ech.pivots():
-        r = ech.reduce_fully(p)
-        g = DiffOp.make(r[::-1])
-        out.append(g.scale(Fraction(1) / g.coeffs[min(g.support())]))
+        out.append(_monic(DiffOp.make(ech.reduce_fully(p)[::-1])))
     out.sort(key=lambda g: g.degree)
     return out
-
-
-def _op_span_contains(basis, g: DiffOp, width: int) -> bool:
-    """Whether g lies in the span of an operator basis."""
-    return _op_echelon(basis, width).reduce(_op_row(g, width))[1] is None
 
 
 def _pairing_nullspace(elems, lo: int, hi: int):
@@ -133,6 +127,41 @@ def _pairing_nullspace(elems, lo: int, hi: int):
     """
     entries = tuple([math.factorial(i) * e.coeff(i) for e in elems for i in range(lo, hi)])
     return nullspace(QMatrix(len(elems), hi - lo, entries))
+
+
+def _gap_functionals(S: Staircase):
+    """The inverse system read off the reduced staircase, one operator per gap.
+
+    For each gap j, in increasing order, returns j! phi_j with
+    phi_j = u^j/j! - sum_v (b_v)_j u^v/v!, summed over the positive values
+    v, b_v the staircase element of order v.  These are the vectors
+    ``_pairing_nullspace(S.positive_basis(), 1, c)`` yields, one per free
+    (gap) column, found without elimination.
+
+    Proof.  Under ``perp``, phi_j is the functional f -> f_j - sum_v (b_v)_j f_v.
+    The staircase is reduced: b_0 = 1 and each other b_w is t^w plus terms
+    on gaps, so phi_j(b_w) = (b_w)_j - (b_w)_j = 0; phi_j(1) = 0 and
+    phi_j(t^k) = 0 for k >= c since j and every v lie in [1, c).  So phi_j
+    kills the algebra.  phi_j has 1/j! at u^j and its other terms at
+    values, so the delta of them are independent.  An operator killing the
+    algebra kills 1 and every t^k, k >= c, so it lies in the nullspace of
+    the rows of the positive b_v over degrees 1..c-1; these rows have
+    distinct orders, so that nullspace has dimension c - #values = delta,
+    and the phi_j span it.  (b_v)_j != 0 needs v < j, so u^j leads phi_j and no phi_j
+    has a term at another gap: the list is in reduced echelon form by
+    leading degree.
+    """
+    fact = [math.factorial(i) for i in range(S.conductor)]
+    rows = [(order(b), b.coeffs) for b in S.positive_basis()]
+    out = []
+    for j in S.gaps:
+        coeffs = [0] * (j + 1)
+        coeffs[j] = 1
+        for v, bc in rows:
+            if j < len(bc) and bc[j]:
+                coeffs[v] = -fact[j] * bc[j] / fact[v]
+        out.append(DiffOp.make(coeffs))
+    return out
 
 
 def natural_set(A: AlgebraInput, d: int):
@@ -170,28 +199,13 @@ def natural_set(A: AlgebraInput, d: int):
 def inverse_system(A: AlgebraInput, S: Staircase) -> InverseSystem:
     """The space of operators g with perp(g, f) = 0 for all f in the algebra.
 
-    Solved as an exact linear system over the natural spanning set in
-    degrees up to c-1; the dimension must equal the delta invariant.
+    Read off the reduced staircase S of A (see ``_gap_functionals``): one
+    operator per gap, in reduced echelon form by leading degree, each made
+    monic in its lowest-degree coefficient.  ``verify_duality`` checks it
+    against an independent solve over the natural spanning set.
     """
-    c = S.conductor
-    if c == 0:
-        return InverseSystem((), 0, 0)
-    nat = natural_set(A, c - 1)
-    vecs = _pairing_nullspace(nat, 1, c)
-    basis = _reduce_ops([DiffOp.make([0] + list(v)) for v in vecs], c)
-    if len(basis) != S.delta:
-        raise InternalError(
-            f"inverse system dimension {len(basis)} differs from delta {S.delta}"
-        )
-    for g in basis:
-        if g.coeff(0) != 0:
-            raise InternalError("inverse system element with constant term")
-    if basis and max(g.degree for g in basis) != c - 1:
-        raise InternalError("inverse system misses the top degree c-1")
-    for i in range(1, S.e0):
-        if not _op_span_contains(basis, DiffOp.monomial(i), c):
-            raise InternalError(f"u^{i} missing from the inverse system")
-    return InverseSystem(tuple(basis), len(basis), c)
+    basis = tuple([_monic(g) for g in _gap_functionals(S)])
+    return InverseSystem(basis, len(basis), S.conductor)
 
 
 def is_algebra_forming(V, S: Staircase, A: AlgebraInput | None = None) -> AFCertificate:
@@ -363,13 +377,10 @@ def cutting_derivation(C: Staircase, B: Staircase) -> CuttingDerivation:
     for b in C.basis:
         if not membership(b, B):
             raise ValueError("first algebra is not contained in the second")
-    cc = C.conductor
-    vecs = _pairing_nullspace(C.positive_basis(), 1, cc)
-    span_b = B.maximal_ideal_spanning(cc - 1)
+    span_b = B.maximal_ideal_spanning(C.conductor - 1)
     chosen = None
     for require_derivation in (True, False):
-        for v in vecs:
-            g = DiffOp.make([0] + list(v))
+        for g in _gap_functionals(C):
             if all(perp(g, f) == 0 for f in span_b):
                 continue
             if require_derivation and not _kills_products(g, B):
@@ -380,8 +391,7 @@ def cutting_derivation(C: Staircase, B: Staircase) -> CuttingDerivation:
             break
     if chosen is None:
         raise InternalError("no cutting functional separates the two algebras")
-    lead = chosen.coeffs[min(chosen.support())]
-    chosen = chosen.scale(Fraction(1) / lead)
+    chosen = _monic(chosen)
     l = Series.make(list(chosen.coeffs), None)
     return CuttingDerivation(l, chosen)
 
@@ -439,19 +449,22 @@ def transport_dual(h: Series, c: int, V2: InverseSystem):
 
 
 def verify_duality(A: AlgebraInput) -> bool:
-    """Round trip: the annihilator of the inverse system is the algebra again.
+    """Check the inverse system independently, then its round trip.
 
-    Solves the dual linear system mod t^c and compares spans with the
-    staircase; also re-checks the dimension and top-degree facts.
+    Solves the pairing conditions over the natural spanning set of A in
+    degrees up to c-1, built from A's generators and not from the
+    staircase basis, and requires the reduced solution basis to equal
+    ``inverse_system(A, S).basis``.  Then solves the dual linear system
+    mod t^c and requires its span to be the staircase's: the annihilator
+    of the inverse system is the algebra again.
     """
     S = closure(A)
     V = inverse_system(A, S)
     c = S.conductor
     if c == 0:
         return V.dim == 0
-    if V.dim != S.delta:
-        return False
-    if V.basis and max(g.degree for g in V.basis) != c - 1:
+    vecs = _pairing_nullspace(natural_set(A, c - 1), 1, c)
+    if _reduce_ops([DiffOp.make([0] + list(v)) for v in vecs], c) != list(V.basis):
         return False
     sols = _pairing_nullspace(V.basis, 0, c)
     ech = Echelon(c - 1)

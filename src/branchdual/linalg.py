@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 QZERO = Fraction(0)
 QONE = Fraction(1)
 
@@ -149,12 +147,6 @@ class QMatrix:
         entries = tuple([Fraction(x) for r in rows for x in r])
         return QMatrix(n, m, entries)
 
-    @staticmethod
-    def identity(n: int) -> "QMatrix":
-        return QMatrix.from_rows(
-            [[QONE if i == j else QZERO for j in range(n)] for i in range(n)]
-        )
-
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
@@ -163,19 +155,6 @@ class QMatrix:
 
     def to_rows(self) -> list:
         return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix.from_rows(
-            [[self.at(i, j) for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def mul_vec(self, v) -> list:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [
-            sum((self.at(i, j) * v[j] for j in range(self.cols)), QZERO)
-            for i in range(self.rows)
-        ]
 
 
 def _reduced_rows(rows, width: int):
@@ -205,10 +184,6 @@ def rref(M: QMatrix):
     reduced = _reduced_rows(M.to_rows(), M.cols)
     rows = list(reduced.values()) + [[QZERO] * M.cols] * (M.rows - len(reduced))
     return QMatrix(M.rows, M.cols, tuple([x for r in rows for x in r])), list(reduced)
-
-
-def rank(M: QMatrix) -> int:
-    return len(rref(M)[1])
 
 
 def nullspace(M: QMatrix):

@@ -81,10 +81,6 @@ class Series:
             return self
         raise PrecisionExhausted(trunc)
 
-    def to_exact(self) -> "Series":
-        """Reinterpret the known coefficients as an exact polynomial."""
-        return Series.make(list(self.coeffs), None)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -137,25 +133,6 @@ def mul(f: Series, g: Series) -> Series:
         t_out = t
         n = t + 1
     return Series.make(mul_coeffs(f.coeffs, g.coeffs, max(n, 1)), t_out)
-
-
-def power(f: Series, n: int) -> Series:
-    r = Series.one(f.trunc)
-    for _ in range(n):
-        r = mul(r, f)
-    return r
-
-
-def compose(f: Series, h: Series) -> Series:
-    """Substitution f(h(t)); h must have zero constant term."""
-    if h.coeffs and h.coeffs[0] != 0:
-        raise ValueError("substitution series must have zero constant term")
-    t = min(f.eff_trunc, h.eff_trunc)
-    t_out = None if t >= _BIG else t
-    r = Series.zero(t_out)
-    for c in reversed(f.coeffs):
-        r = mul(r, h) + Series.make([c], t_out)
-    return r
 
 
 def divide_by_unit(f: Series, v: Series, prec: int | None = None) -> Series:
@@ -246,26 +223,6 @@ class DiffOp:
     def scale(self, a) -> "DiffOp":
         a = _q(a)
         return DiffOp.make([c * a for c in self.coeffs])
-
-
-def apply(g: DiffOp, f: Series) -> Series:
-    """g(d/dt) applied to f; loses deg(g) orders of precision."""
-    d = max(g.degree, 0)
-    if f.eff_trunc < d:
-        raise PrecisionExhausted(d)
-    t = f.eff_trunc - d
-    t_out = None if f.exact else t
-    n = len(f.coeffs)
-    out = [Fraction(0)] * max(n, 1)
-    for i, gi in enumerate(g.coeffs):
-        if gi == 0:
-            continue
-        # i-th derivative: coefficient of t^m picks up (m+i)!/m! f_{m+i}
-        for m in range(n - i):
-            fm = f.coeffs[m + i]
-            if fm != 0:
-                out[m] += gi * fm * (math.factorial(m + i) // math.factorial(m))
-    return Series.make(out, t_out)
 
 
 def perp(g: DiffOp, f: Series) -> Fraction:

@@ -356,25 +356,3 @@ def blowup_chain(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Blowu
         )
     return BlowupChain(tuple(steps), total)
 
-
-@dataclass(frozen=True)
-class InvariantsReport:
-    delta: int
-    conductor: int
-    e0: int
-    e1: int
-    mu: int
-    gorenstein_by_c: bool
-
-
-def invariants_report(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> InvariantsReport:
-    """All numerical invariants of the branch, with the classical bounds asserted."""
-    S = closure(A, ceiling)
-    h = hilbert(A, S)
-    delta, c, e0, e1 = S.delta, S.conductor, S.e0, h.e1
-    mu = 2 * delta
-    if not (e0 - 1 <= e1 <= delta <= mu or delta == 0):
-        raise InternalError("multiplicity/e1/delta inequalities violated")
-    if delta > 0 and not (delta + 1 <= c <= 2 * delta):
-        raise InternalError("conductor bounds violated")
-    return InvariantsReport(delta, c, e0, e1, mu, c == 2 * delta)

@@ -87,8 +87,8 @@ def gaps_to_generators(gaps, max_guess=64):
 # naive exact linear algebra (independent of branchdual.linalg)
 
 
-def gauss_nullspace(rows, ncols):
-    """Nullspace basis of a list-of-lists Fraction matrix, naive elimination."""
+def _gauss_jordan(rows, ncols):
+    """(reduced row echelon rows, pivot columns) by naive elimination."""
     mat = [[Fraction(x) for x in r] for r in rows]
     pivots = []
     r = 0
@@ -109,6 +109,12 @@ def gauss_nullspace(rows, ncols):
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
+    return mat[:r], pivots
+
+
+def gauss_nullspace(rows, ncols):
+    """Nullspace basis of a list-of-lists Fraction matrix, naive elimination."""
+    mat, pivots = _gauss_jordan(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -123,25 +129,25 @@ def gauss_nullspace(rows, ncols):
 
 
 def span_rank(rows, ncols):
-    mat = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(rank, len(mat)):
-            if mat[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[rank], mat[pr] = mat[pr], mat[rank]
-        inv = Fraction(1) / mat[rank][c]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+    return len(_gauss_jordan(rows, ncols)[1])
+
+
+def canonical_operator_basis(vectors, ncols):
+    """Canonical basis of the span of operator coefficient lists (index = degree).
+
+    Reduced row echelon form with pivots at the highest degrees, each row
+    then scaled monic in its lowest-degree coefficient; returned by
+    increasing degree as {degree: coefficient} dicts.  Entries at index
+    ncols or above must be zero.
+    """
+    rows = [[Fraction(v[i]) if i < len(v) else Fraction(0) for i in reversed(range(ncols))]
+            for v in vectors]
+    out = []
+    for r in _gauss_jordan(rows, ncols)[0]:
+        d = {ncols - 1 - k: x for k, x in enumerate(r) if x != 0}
+        low = d[min(d)]
+        out.append({i: x / low for i, x in sorted(d.items())})
+    return sorted(out, key=max)
 
 
 # ---------------------------------------------------------------------------

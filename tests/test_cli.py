@@ -160,6 +160,21 @@ def test_exponent_above_limit_exit_3(gens, position, capsys):
     assert f"(at position {position})" in report["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "gens, position",
+    [("t^\u00b2,t^3", 2), ("\u00b2t^3", 0), ("t^3+" + "7" * 5000 + " t^5", 4)],
+    ids=["superscript-exponent", "superscript-coefficient", "5000-digit-coefficient"],
+)
+def test_non_ascii_or_overlong_digits_exit_3(gens, position, capsys):
+    # int() would reject both; the parser does first, with the position
+    code = main(["analyze", "--gens", gens, "--json"])
+    report = json.loads(capsys.readouterr().out)
+    VALIDATOR.validate(report)
+    assert code == 3
+    assert report["error"]["type"] == "ExpressionError"
+    assert f"(at position {position})" in report["error"]["message"]
+
+
 def test_filtration_report():
     report, code = run_checked(JobSpec("filtration", ["t^3+t^4", "t^5"]))
     assert code == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from branchdual.errors import ExpressionError
 from branchdual.expressions import (
+    MAX_COEFF_DIGITS,
     MAX_EXPONENT,
     format_diffop,
     format_rational,
@@ -71,6 +72,15 @@ def test_exponent_limit():
     assert parse_expression(f"t^{MAX_EXPONENT}").coeffs[-1] == 1
     assert parse_expression("t^0003").coeffs == parse_expression("t^3").coeffs
     for text, position in [(f"t^{MAX_EXPONENT + 1}", 2), (f"1 - 2 u^{10 * MAX_EXPONENT}", 8)]:
+        with pytest.raises(ExpressionError) as ex:
+            parse_expression(text)
+        assert ex.value.position == position
+
+
+def test_coefficient_digit_limit():
+    big = "9" * MAX_COEFF_DIGITS
+    assert parse_expression(f"{big}/{big} t").coeffs[-1] == 1
+    for text, position in [(f"1{big} t", 0), (f"t + 1/1{big}", 6)]:
         with pytest.raises(ExpressionError) as ex:
             parse_expression(text)
         assert ex.value.position == position

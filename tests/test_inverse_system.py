@@ -1,5 +1,6 @@
 """Inverse systems, algebra-forming certificates, filtrations, transport."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchdual.errors import NotAlgebraForming
+from branchdual.expressions import parse_series
 from branchdual.inverse_system import (
+    InverseSystem,
     annihilator,
     cutting_derivation,
     inverse_system,
@@ -26,11 +29,16 @@ from branchdual.series import DiffOp, Series, mul, order, perp, truncate
 from branchdual.subalgebra import AlgebraInput, closure
 
 from oracles import (
+    algebra_span,
     brute_force_algebra_forming,
+    canonical_operator_basis,
     coeff_dict_to_list,
     enumerate_semigroups,
     gaps_to_generators,
+    gauss_nullspace,
+    perp_list,
     random_branch,
+    span_rank,
 )
 
 F = Fraction
@@ -56,6 +64,22 @@ def op_dict(g):
 
 TOY = alg({3: 1, 4: 1}, {5: 1})
 GAMMA = alg({1: 1})
+
+# Rungs of the benchmark ladder, named by delta.
+LADDER = {
+    "d4": "t^3+t^4, t^5",
+    "d11": "t^6, t^8+t^11, t^10+t^13",
+    "d27": "t^7+3/5 t^8-7/11 t^9+2/9 t^10, t^10+13/17 t^11-1/19 t^13",
+    "d30": "t^7+t^9, t^11+1/3 t^12",
+}
+
+
+def ladder_gens(name):
+    return [list(parse_series(g).coeffs) for g in LADDER[name].split(",")]
+
+
+def op_rows(ops, width):
+    return [[g.coeff(i) for i in range(width)] for g in ops]
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +172,42 @@ def test_inverse_system_annihilates_generators():
                 assert perp(g, f) == 0
             for b in Sx.basis:
                 assert perp(g, b) == 0
+
+
+def oracle_inverse_system(gens, c):
+    """Reduced operators killing the algebra mod t^c, from the oracles alone."""
+    rows = [
+        [math.factorial(i) * r[i] for i in range(1, c)] for r in algebra_span(gens, c - 1)
+    ]
+    vecs = gauss_nullspace(rows, c - 1)
+    return canonical_operator_basis([[0] + v for v in vecs], c)
+
+
+def check_inverse_system_against_oracle(gens):
+    A = AlgebraInput.make([Series.make(g) for g in gens])
+    Sx = closure(A)
+    c = Sx.conductor
+    V = inverse_system(A, Sx)
+    assert [op_dict(g) for g in V.basis] == oracle_inverse_system(gens, c)
+    # Facts that hold by construction, checked here against the oracles.
+    rows = op_rows(V.basis, c)
+    assert V.dim == len(V.basis) == span_rank(rows, c) == Sx.delta
+    assert all(g.coeff(0) == 0 for g in V.basis)
+    assert max(g.degree for g in V.basis) == c - 1
+    for i in range(1, Sx.e0):
+        assert span_rank(rows + op_rows([DiffOp.monomial(i)], c), c) == len(rows)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_inverse_system_matches_oracle_nullspace_on_random_branches(seed):
+    dicts = random_branch(random.Random(seed), max_delta=6)
+    check_inverse_system_against_oracle([coeff_dict_to_list(d) for d in dicts])
+
+
+@pytest.mark.parametrize("name", ["d4", "d11", "d27", "d30"])
+def test_ladder_inverse_system_matches_oracle_nullspace(name):
+    check_inverse_system_against_oracle(ladder_gens(name))
 
 
 def test_low_degree_monomials_always_present():
@@ -340,11 +400,27 @@ def test_inverse_systems_shrink_along_filtration():
         cur_V = inverse_system(cur_A, cur_S)
         # smaller algebra has the bigger inverse system; check span inclusion
         width = prev_S.conductor
-        from branchdual.inverse_system import _op_span_contains
-
+        prev_rows = op_rows(prev_V.basis, width)
         for g in cur_V.basis:
-            assert _op_span_contains(list(prev_V.basis), g, width)
+            rows = prev_rows + op_rows([g], width)
+            assert span_rank(rows, width) == span_rank(prev_rows, width)
         prev_S, prev_V = cur_S, cur_V
+
+
+@pytest.mark.parametrize("name", ["d4", "d11", "d30"])
+def test_cutting_elements_separate_each_filtration_step(name):
+    gens = ladder_gens(name)
+    filt = standard_filtration(AlgebraInput.make([Series.make(g) for g in gens]))
+    prev = list(gens)
+    for step in filt.steps:
+        l = list(step.cutting_element.coeffs)
+        monomial = [0] * step.gap_exponent + [1]
+        # zero on the previous algebra's maximal ideal, up to l's degree ...
+        for r in algebra_span(prev, len(l) - 1)[1:]:
+            assert perp_list(l, r) == 0
+        # ... and not on the adjoined gap monomial
+        assert perp_list(l, monomial) != 0
+        prev.append(monomial)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +517,25 @@ def test_verify_duality_examples():
     assert verify_duality(TOY)
     assert verify_duality(GAMMA)
     assert verify_duality(alg({2: 1, 3: 1}, {5: 1}))
+
+
+@pytest.mark.parametrize(
+    "A", [TOY, alg({4: 1}, {7: 1}, {9: 1}), alg({6: 1}, {8: 1, 11: 1}, {10: 1, 13: 1})]
+)
+def test_verify_duality_rejects_a_perturbed_inverse_system(A, monkeypatch):
+    exact = inverse_system
+
+    def perturbed(A, S):
+        V = exact(A, S)
+        g = V.basis[-1]
+        bumped = g + DiffOp.monomial(g.degree)
+        return InverseSystem(V.basis[:-1] + (bumped,), V.dim, V.conductor_bound)
+
+    assert verify_duality(A)
+    # the package's ``inverse_system`` attribute is the function, not the module
+    module = importlib.import_module("branchdual.inverse_system")
+    monkeypatch.setattr(module, "inverse_system", perturbed)
+    assert not verify_duality(A)
 
 
 def test_verify_duality_monomial_small_genus():

@@ -7,15 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchdual.linalg import Echelon, QMatrix, nullspace, rank, rref, solve
+from branchdual.linalg import Echelon, QMatrix, nullspace, rref, solve
 
 from oracles import gauss_nullspace, span_rank
 
 F = Fraction
 
 
+def identity(n):
+    return QMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def mat_vec(M, v):
+    return [sum((M.at(i, j) * v[j] for j in range(M.cols)), F(0)) for i in range(M.rows)]
+
+
 def test_rref_identity():
-    M = QMatrix.identity(3)
+    M = identity(3)
     R, pivots = rref(M)
     assert R == M
     assert pivots == [0, 1, 2]
@@ -31,7 +39,7 @@ def test_rref_simple():
 
 def test_rank_matches_oracle():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert rank(QMatrix.from_rows(rows)) == span_rank(rows, 3)
+    assert len(rref(QMatrix.from_rows(rows))[1]) == span_rank(rows, 3)
 
 
 def test_nullspace_simple():
@@ -43,7 +51,7 @@ def test_nullspace_simple():
 
 
 def test_nullspace_full_rank_is_empty():
-    assert nullspace(QMatrix.identity(4)) == []
+    assert nullspace(identity(4)) == []
 
 
 def test_solve_unique():
@@ -63,12 +71,6 @@ def test_solve_underdetermined():
     x, null = solve(M, [5])
     assert sum(a * b for a, b in zip(M.row(0), x)) == 5
     assert len(null) == 2
-
-
-def test_transpose_and_mul_vec():
-    M = QMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
-    assert M.transpose().to_rows() == [[1, 3, 5], [2, 4, 6]]
-    assert M.mul_vec([1, 1]) == [3, 7, 11]
 
 
 def test_ragged_rows_rejected():
@@ -114,11 +116,11 @@ def test_nullspace_property(rows):
 @settings(max_examples=60, deadline=None)
 def test_solve_property(rows, x_true):
     M = QMatrix.from_rows(rows)
-    b = M.mul_vec(x_true)
+    b = mat_vec(M, x_true)
     res = solve(M, b)
     assert res is not None
     x, _ = res
-    assert M.mul_vec(x) == b
+    assert mat_vec(M, x) == b
 
 
 @settings(max_examples=100, deadline=None)

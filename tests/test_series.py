@@ -12,13 +12,10 @@ from branchdual.errors import PrecisionExhausted
 from branchdual.series import (
     DiffOp,
     Series,
-    apply,
-    compose,
     divide_by_unit,
     mul,
     order,
     perp,
-    power,
     truncate,
 )
 from oracles import divide_by_unit_naive, poly_mul
@@ -74,24 +71,6 @@ def test_mul_truncation_rule():
     p = mul(f, g)
     assert p.trunc == 3
     assert p.coeffs == (F(0), F(0), F(1), F(0))
-
-
-def test_power():
-    assert power(S({1: 1, 2: 1}), 3).coeffs == tuple(
-        F(c) for c in [0, 0, 0, 1, 3, 3, 1]
-    )
-
-
-def test_compose():
-    # f(t) = t^2, h(t) = t + t^2: f(h) = t^2 + 2t^3 + t^4
-    f = S({2: 1})
-    h = S({1: 1, 2: 1})
-    assert compose(f, h).coeffs == (F(0), F(0), F(1), F(2), F(1))
-
-
-def test_compose_rejects_constant_term():
-    with pytest.raises(ValueError):
-        compose(S({1: 1}), S({0: 1, 1: 1}))
 
 
 def test_divide_by_unit_round_trip():
@@ -168,19 +147,6 @@ def test_diffop_normalization():
     assert DiffOp.make([]).degree == -1
     assert DiffOp.make([0, 0]).is_zero()
     assert DiffOp.make([0, 2, 0, 3]).support() == (1, 3)
-
-
-def test_apply_derivative():
-    # (d/dt) t^3 = 3 t^2
-    g = DiffOp.monomial(1)
-    f = S({3: 1})
-    assert apply(g, f).coeffs[:3] == (F(0), F(0), F(3))
-
-
-def test_apply_loses_precision():
-    g = DiffOp.monomial(2)
-    f = Series.make([0, 0, 0, 1], trunc=3)
-    assert apply(g, f).trunc == 1
 
 
 def test_perp_basic():

@@ -14,7 +14,6 @@ from branchdual.subalgebra import (
     blowup_chain,
     closure,
     hilbert,
-    invariants_report,
     membership,
 )
 
@@ -163,15 +162,6 @@ def test_three_generator_even_semigroup_with_tails():
     assert ch.multiplicities() == (6, 2, 2, 2, 1)
     assert ch.e1_sequence() == (8, 1, 1, 1, 0)
     assert hilbert(A, st).e1 == 8
-
-
-def test_invariants_report_bounds():
-    rep = invariants_report(TOY)
-    assert rep.delta == 4 and rep.conductor == 8 and rep.mu == 8
-    assert rep.gorenstein_by_c
-    rep2 = invariants_report(alg({4: 1}, {7: 1}, {9: 1}))
-    assert not rep2.gorenstein_by_c
-    assert rep2.e0 - 1 <= rep2.e1 <= rep2.delta <= rep2.mu
 
 
 def test_closure_values_match_naive_span_oracle():
