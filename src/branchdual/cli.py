@@ -1,10 +1,11 @@
 """Command-line surface: job parsing, dispatch, and JSON/text reports.
 
 Exit codes: 0 success, 2 infinite codimension, 3 expression/job parse
-error or a generator list with no positive-order element or one of
-order 0, 4 not algebra-forming, 5 precision ceiling reached, 1 for any
-other error.  All rationals in JSON output are exact "p" or "p/q"
-strings; no floating point appears anywhere.
+error (a ``trunc`` above ``MAX_TRUNC`` included) or a generator list
+with no positive-order element or one of order 0, 4 not algebra-forming,
+5 precision ceiling reached, 1 for any other error.  All rationals in
+JSON output are exact "p" or "p/q" strings; no floating point appears
+anywhere.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ from .subalgebra import (
 
 SCHEMA_VERSION = "1"
 
+MAX_TRUNC = 4096  # the largest truncation ceiling accepted: 8x the default
+
 COMMANDS = (
     "analyze",
     "inverse-system",
@@ -101,9 +104,14 @@ def _parse_ops(job: JobSpec):
 def _ceiling(job: JobSpec) -> int:
     trunc = job.options.get("trunc", DEFAULT_TRUNC_CEILING)
     if isinstance(trunc, str) and trunc.strip().removeprefix("-").isdecimal():
-        trunc = int(trunc)
+        try:
+            trunc = int(trunc)
+        except ValueError:  # int() refuses more than 4,300 digits
+            raise ExpressionError(f"trunc must be from 1 to {MAX_TRUNC}, got {len(trunc)} digits")
     if type(trunc) is not int or trunc < 1:
         raise ExpressionError(f"trunc must be an integer >= 1, got {trunc!r}")
+    if trunc > MAX_TRUNC:
+        raise ExpressionError(f"trunc must be at most {MAX_TRUNC}, got {trunc}")
     return trunc
 
 
@@ -283,7 +291,7 @@ def _run_blowup_chain(job):
     return {
         "multiplicities": list(chain.multiplicities()),
         "e1_sequence": list(chain.e1_sequence()),
-        "delta": chain.delta_check,
+        "delta": sum(chain.e1_sequence()),
     }, None
 
 
@@ -422,7 +430,7 @@ def _load_job_file(path: str) -> JobSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as ex:
+    except (OSError, ValueError) as ex:  # ValueError: bad JSON, or an int of > 4,300 digits
         raise ExpressionError(f"cannot read job file {path!r}: {ex}")
     if not isinstance(data, dict) or "command" not in data:
         raise ExpressionError("job file must be a JSON object with a 'command' field")
@@ -446,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--v", help="semicolon-separated operator expressions in u")
     parser.add_argument("--h", dest="h_expr", help="reparametrization series in t")
     parser.add_argument("--char", help="characteristic exponents, e.g. '6;8,11'")
-    parser.add_argument("--trunc", help="truncation ceiling, an integer >= 1 (default 512)")
+    parser.add_argument("--trunc", help="truncation ceiling, an integer from 1 to 4096 (default 512)")
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
     return parser
 

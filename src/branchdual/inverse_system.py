@@ -425,8 +425,6 @@ def transport_dual(h: Series, c: int, V2: InverseSystem):
     """
     if order(h) != 1:
         raise ValueError("reparametrization series is not a uniformizer")
-    if h.eff_trunc < c - 1:
-        raise PrecisionExhausted(c - 1)
     hc = truncate(h, c - 1)
     cols = []
     p = Series.one(c - 1)

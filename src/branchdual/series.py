@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .errors import PrecisionExhausted
 
-_BIG = 10**9  # effective truncation of an exact polynomial
 _ZERO = Fraction(0)
 
 
@@ -62,9 +61,9 @@ class Series:
     def exact(self) -> bool:
         return self.trunc is None
 
-    @property
-    def eff_trunc(self) -> int:
-        return _BIG if self.trunc is None else self.trunc
+    def known_to(self, d: int) -> bool:
+        """Whether every coefficient up to t^d is known."""
+        return self.trunc is None or self.trunc >= d
 
     def coeff(self, i: int) -> Fraction:
         if i < len(self.coeffs):
@@ -85,8 +84,7 @@ class Series:
         return all(c == 0 for c in self.coeffs)
 
     def __add__(self, other: "Series") -> "Series":
-        t = min(self.eff_trunc, other.eff_trunc)
-        t = None if t >= _BIG else t
+        t = _least_trunc(self.trunc, other.trunc)
         n = max(len(self.coeffs), len(other.coeffs)) if t is None else t + 1
         out = [self.coeff(i) + other.coeff(i) for i in range(n)]
         return Series.make(out, t)
@@ -97,6 +95,12 @@ class Series:
     def scale(self, a) -> "Series":
         a = _q(a)
         return Series(tuple([c * a for c in self.coeffs]), self.trunc)
+
+
+def _least_trunc(*truncs):
+    """The least of the given truncations, or None when every one is None (exact)."""
+    known = [t for t in truncs if t is not None]
+    return min(known) if known else None
 
 
 def order(f: Series):
@@ -125,14 +129,9 @@ def mul_coeffs(a, b, n: int) -> list:
 
 
 def mul(f: Series, g: Series) -> Series:
-    t = min(f.eff_trunc, g.eff_trunc)
-    if t >= _BIG:
-        t_out = None
-        n = len(f.coeffs) + len(g.coeffs)
-    else:
-        t_out = t
-        n = t + 1
-    return Series.make(mul_coeffs(f.coeffs, g.coeffs, max(n, 1)), t_out)
+    t = _least_trunc(f.trunc, g.trunc)
+    n = len(f.coeffs) + len(g.coeffs) if t is None else t + 1
+    return Series.make(mul_coeffs(f.coeffs, g.coeffs, max(n, 1)), t)
 
 
 def divide_by_unit(f: Series, v: Series, prec: int | None = None) -> Series:
@@ -149,10 +148,8 @@ def divide_by_unit(f: Series, v: Series, prec: int | None = None) -> Series:
     """
     if not v.coeffs or v.coeffs[0] == 0:
         raise ValueError("divisor is not a unit")
-    t = min(f.eff_trunc, v.eff_trunc)
-    if prec is not None:
-        t = min(t, prec)
-    if t >= _BIG:
+    t = _least_trunc(f.trunc, v.trunc, prec)
+    if t is None:
         raise ValueError("exact operands need an explicit quotient precision")
     fc, vc = f.coeffs[: t + 1], v.coeffs[: t + 1]
     den = math.lcm(*[x.denominator for x in fc + vc if x])
@@ -180,7 +177,7 @@ def divide_by_unit(f: Series, v: Series, prec: int | None = None) -> Series:
 
 def truncate(f: Series, s: int) -> Series:
     """The truncated polynomial: coefficients above s dropped, trunc = s."""
-    if s > f.eff_trunc:
+    if not f.known_to(s):
         raise PrecisionExhausted(s)
     return Series.make(list(f.coeffs[: s + 1]), s)
 
@@ -228,7 +225,7 @@ class DiffOp:
 def perp(g: DiffOp, f: Series) -> Fraction:
     """The pairing (g(d/dt) f)(0) = sum_i g_i * i! * f_i."""
     d = g.degree
-    if f.eff_trunc < d:
+    if not f.known_to(d):
         raise PrecisionExhausted(d)
     s = Fraction(0)
     for i, gi in enumerate(g.coeffs):

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GeneratorError, InfiniteCodimension, InternalError, PrecisionExhausted
+from .errors import GeneratorError, InfiniteCodimension, PrecisionExhausted
 from .linalg import Echelon
-from .series import Series, divide_by_unit, mul_coeffs, order
+from .series import Series, divide_by_unit, mul_coeffs, order, truncate
 
 DEFAULT_TRUNC_CEILING = 512
 
@@ -101,13 +101,12 @@ class HilbertData:
 @dataclass(frozen=True)
 class BlowupChain:
     steps: tuple  # (multiplicity, e1) per infinitely-near ring
-    delta_check: int
 
     def multiplicities(self):
-        return tuple(m for m, _ in self.steps)
+        return tuple([m for m, _ in self.steps])
 
     def e1_sequence(self):
-        return tuple(e for _, e in self.steps)
+        return tuple([e for _, e in self.steps])
 
 
 class _Inconclusive(Exception):
@@ -244,7 +243,7 @@ def membership(f: Series, S: Staircase) -> bool:
     c = S.conductor
     if c == 0:
         return True
-    if f.eff_trunc < c - 1:
+    if not f.known_to(c - 1):
         raise PrecisionExhausted(c - 1)
     ech = Echelon(c - 1)
     for b in S.basis:
@@ -255,55 +254,72 @@ def membership(f: Series, S: Staircase) -> bool:
 def hilbert(A: AlgebraInput, S: Staircase) -> HilbertData:
     """Hilbert function of the local ring, its partial sums, and e1.
 
-    dim(B/m^(i+1)) is counted through value sets: powers of the maximal
-    ideal are spanned by products of the staircase spanning set, reduced
-    to echelon form inside a window past their own conductor.
+    HF(i) = dim m^i/m^(i+1), HF1(i) = dim B/m^(i+1).  With c the conductor
+    (1 for B = k[[t]]), x of value e0 and L_i = c + i*e0:
+
+    Windows.  t^c k[[t]] lies in m, so m^(i+1) contains x^i t^c k[[t]] =
+    t^(L_i) k[[t]], and HF1(i) is the number of values below L_i minus the
+    rank of m^(i+1) mod t^(L_i).  m^(i+1) is the sum of g*m^i over the
+    generators g of m as an ideal; v(g) >= e0, so g*a mod t^(L_i) depends
+    on a mod t^(L_(i-1)) only.  So the products g*a, a a row of m^i mod
+    t^(L_(i-1)), span m^(i+1) mod t^(L_i): one echelon per power.
+
+    Generators.  The positive basis and t^c..t^(L_1 - 1) span m modulo
+    t^(L_1) k[[t]], itself inside m^2 (as is t^j*m for j >= c, so products
+    of two positive-basis rows span m^2 mod t^(L_1)).  By Nakayama those
+    independent modulo m^2 generate m minimally; each is kept reduced
+    against m^2 and the earlier ones, a triangular change modulo m^2.
+
+    Stop rule.  l(M/xM) = e0 for every B-module t^N k[[t]] in M in k[[t]]
+    (compare both with k[[t]]/x k[[t]]), and x*m^n lies in m^(n+1), so
+    HF(n) = e0 - l(m^(n+1)/x*m^n).  The first n >= 1 with HF(n) = e0
+    proves m^(n+1) = x*m^n, hence HF = e0 from n on, and e1 = e0*(k+1) -
+    HF1(k) for k >= n.  As l(m^(n+1)/x*m^n) does not depend on x, n is at
+    most max(1, r) for the reduction number r <= e0 - 1: m^e0 has
+    HF(e0) <= e0 < e0 + 1 generators, so m^e0 = y*m^(e0-1) with v(y) = e0
+    (Eakin-Sathaye).  The sequences end at index n + 1, closing on e0, e0.
     """
-    c, e0 = S.conductor, S.e0
-    cap = 4 * S.delta + 8
-    i_cap = 4
-    while True:
-        T = c + (i_cap + 1) * e0 + 2
-        hf1 = _hilbert_window(S, T, i_cap)
-        for i in range(2, len(hf1)):
-            if hf1[i] - hf1[i - 1] == e0 and hf1[i - 1] - hf1[i - 2] == e0:
-                hf1 = hf1[: i + 1]
-                hf = [hf1[0]] + [hf1[k] - hf1[k - 1] for k in range(1, len(hf1))]
-                e1 = e0 * (i + 1) - hf1[i]
-                return HilbertData(tuple(hf), tuple(hf1), e1)
-        if i_cap > cap:
-            raise InternalError("Hilbert function failed to stabilize")
-        i_cap *= 2
+    c, e0 = max(S.conductor, 1), S.e0
+    m1 = Echelon(c - 1)  # m mod t^(L_0)
+    for b in S.positive_basis():
+        m1.insert(b)
+    rows = sorted(m1.table.items())
+    L = c + e0
+    sq = _products(rows, rows, L)  # m^2 mod t^(L_1)
+    rows = sorted(sq.table.items())
+    hf1 = [1, len(S.values) + e0 - len(rows)]
+    gens = []
+    for g in list(m1.table.values()) + [[0] * j + [1] for j in range(c, L)]:
+        p = sq.insert_coeffs(g)
+        if p is not None:
+            gens.append((p, sq.table[p]))
+    gens.sort()
+    while hf1[-1] - hf1[-2] != e0:
+        L += e0
+        rows = sorted(_products(rows, gens, L).table.items())
+        hf1.append(len(S.values) + L - c - len(rows))
+    hf1.append(hf1[-1] + e0)
+    hf = [1] + [hf1[k] - hf1[k - 1] for k in range(1, len(hf1))]
+    return HilbertData(tuple(hf), tuple(hf1), e0 * len(hf1) - hf1[-1])
 
 
-def _hilbert_window(S: Staircase, T: int, i_cap: int):
-    """Partial sums HF1(0..i_cap) computed in the window [0, T)."""
-    dim_b = len(S.values) + (T - max(S.conductor, 1))
-    span = S.maximal_ideal_spanning(T - 1)
-    m1 = Echelon(T - 1)
-    for s in span:
-        m1.insert(s.extended(T - 1))
-    m1_rows = sorted(m1.table.items())
-    cur = m1
-    hf1 = [dim_b - len(cur.table)]
-    for _ in range(i_cap):
-        nxt = Echelon(T - 1)
-        for o1 in cur.pivots():
-            a = cur.table[o1]
-            for o2, row in m1_rows:
-                if o1 + o2 > T - 1 or nxt.complete_from(o1 + o2):
-                    continue
-                nxt.insert_coeffs(mul_coeffs(a, row, T))
-        cur = nxt
-        hf1.append(dim_b - len(cur.table))
-    return hf1
+def _products(rows, factors, L: int) -> Echelon:
+    """Echelon of the products a*g mod t^L, for (pivot, row) lists sorted by pivot."""
+    ech = Echelon(L - 1)
+    for o1, a in rows:
+        for o2, g in factors:
+            if ech.complete_from(o1 + o2):
+                break
+            ech.insert_coeffs(mul_coeffs(a, g, L))
+    return ech
 
 
 def blowup(A: AlgebraInput, S: Staircase, prec: int | None = None) -> AlgebraInput:
-    """Generators of the local ring in the first infinitely-near point.
+    """Generators of the local ring in the first infinitely-near point, mod t^(prec+1).
 
     Divides the maximal-ideal spanning set by a minimal-order element and
-    recenters by dropping constant terms.
+    recenters by dropping constant terms.  Generators of order above prec
+    are dropped.
     """
     if S.delta == 0:
         raise ValueError("nothing to blow up: the algebra is all of k[[t]]")
@@ -313,46 +329,46 @@ def blowup(A: AlgebraInput, S: Staircase, prec: int | None = None) -> AlgebraInp
     table = S.basis_by_order()
     f0 = table[e0] if e0 in table else Series.monomial(e0)
     u0 = Series.make(list(f0.coeffs[e0:]), None)
-    span = S.positive_basis() + tuple(Series.monomial(j) for j in range(c, c + e0))
-    new_gens = list(S.algebra_generators())
+    span = S.positive_basis() + tuple([Series.monomial(j) for j in range(c, c + e0)])
+    new_gens = [truncate(g, prec) for g in S.algebra_generators()]
     for e in span:
         v = order(e)
         unit_e = Series.make(list(e.coeffs[v:]), None)
         q = divide_by_unit(unit_e, u0, prec=prec)
         coeffs = [0] * (v - e0) + list(q.coeffs)
         coeffs[0] = 0  # recenter: drop the constant term
-        g = Series.make(coeffs, prec + (v - e0))
-        if order(g) is not None:
-            new_gens.append(g)
+        new_gens.append(Series.make(coeffs, prec))
+    new_gens = [g for g in new_gens if order(g) is not None]
     return AlgebraInput(tuple(new_gens), label=(A.label + "'") if A.label else "blowup")
 
 
 def blowup_chain(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> BlowupChain:
-    """Multiplicity and e1 sequence along the resolution by blow-ups."""
-    S = closure(A, ceiling)
-    if S.delta == 0:
-        return BlowupChain((), 0)
-    root_delta = S.delta
+    """Multiplicity and e1 sequence along the resolution by blow-ups.
+
+    A step from B to its blow-up B' = B[m/x], v(x) = e0, records
+    (e0, delta(B) - delta(B')), which is e1 (Northcott; Matlis, LNM 327):
+    m^n/x^n grows to B' and is constant from the reduction number on, so
+    there m^n = x^n B' and dim B/m^(n+1) = l(B'/x^(n+1) B') - l(B'/B)
+    = (n+1)*e0 - l(B'/B).  The e1 add up to delta; the last step, at
+    k[[t]], is (1, 0).
+
+    B' is closed in the window W = 2*(delta - e0 + 1) + e0 + 2: c' <= 2*delta'
+    for every semigroup and delta' = delta - e1 <= delta - e0 + 1, since
+    e1 = sum_n (e0 - HF(n)) >= e0 - 1, so the run of e0' <= e0 values
+    from c' that certifies the conductor lies in W.  Should a closure
+    still run out of precision, W doubles.
+    """
     steps = []
-    curA, curS = A, S
-    while True:
-        h = hilbert(curA, curS)
-        steps.append((curS.e0, h.e1))
-        if curS.e0 == 1:
-            break
-        prec = max(2 * curS.conductor + 16, 32)
+    curA, curS = A, closure(A, ceiling)
+    while curS.delta:
+        w = 2 * (curS.delta - curS.e0 + 1) + curS.e0 + 2
         while True:
             try:
-                nxtA = blowup(curA, curS, prec)
-                nxtS = closure(nxtA, ceiling=max(ceiling, prec))
+                nxtA = blowup(curA, curS, w)
+                nxtS = closure(nxtA, w)
                 break
             except PrecisionExhausted as ex:
-                prec = max(2 * prec, ex.required + 8)
+                w = max(2 * w, ex.required + 8)
+        steps.append((curS.e0, curS.delta - nxtS.delta))
         curA, curS = nxtA, nxtS
-    total = sum(e for _, e in steps)
-    if total != root_delta:
-        raise InternalError(
-            f"blow-up chain e1 sum {total} does not match delta {root_delta}"
-        )
-    return BlowupChain(tuple(steps), total)
-
+    return BlowupChain(tuple(steps + [(1, 0)]) if steps else ())

@@ -247,6 +247,35 @@ def span_orders(gen_coeff_lists, T):
     return {next(i for i, c in enumerate(r) if c != 0) for r in rows}
 
 
+def hilbert_naive(gen_coeff_lists, n, T):
+    """[dim B/m^(i+1) for i in 0..n] for B generated by the inputs, counted mod t^(T+1).
+
+    The generators generate the maximal ideal m as an ideal, so m^(i+1)
+    mod t^(T+1) is spanned by the products of the rows of m^i mod t^(T+1)
+    with the generators.  Each count is the rank of B minus the rank of
+    m^(i+1), both the number of rows left by naive elimination in the one
+    window.  That is dim B/m^(i+1) once t^(T+1) k[[t]] lies in m^(i+1),
+    which holds for T >= c + i*e0 - 1; ValueError when the window is
+    smaller, judged by the conductor and multiplicity read off the span.
+    """
+    rows_b = algebra_span(gen_coeff_lists, T)
+    orders = {next(i for i, c in enumerate(r) if c != 0) for r in rows_b}
+    gaps = [i for i in range(1, T + 1) if i not in orders]
+    conductor = gaps[-1] + 1 if gaps else 1
+    e0 = min(o for o in orders if o > 0)
+    window_ok = all(i in orders for i in range(conductor, conductor + e0))
+    if not window_ok or T < conductor + n * e0 - 1:
+        raise ValueError(f"window t^{T} is too small for {n} powers")
+    gens = [[Fraction(g[i]) if i < len(g) else Fraction(0) for i in range(T + 1)]
+            for g in gen_coeff_lists]
+    power = [r for r in rows_b if r[0] == 0]
+    out = [len(rows_b) - len(power)]
+    for _ in range(n):
+        power = _eliminate([poly_mul(a, g, T) for a in power for g in gens], T)
+        out.append(len(rows_b) - len(power))
+    return out
+
+
 def perp_list(g_coeffs, f_coeffs):
     """Pairing sum g_i * i! * f_i on plain coefficient lists."""
     s = Fraction(0)

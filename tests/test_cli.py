@@ -6,7 +6,7 @@ import pathlib
 import jsonschema
 import pytest
 
-from branchdual.cli import COMMANDS, JobSpec, main, run
+from branchdual.cli import COMMANDS, MAX_TRUNC, JobSpec, main, run
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "schema" / "report.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
@@ -134,6 +134,50 @@ def test_bad_trunc_flag_exit_3(capsys):
     code = main(["analyze", "--gens", "t^3+t^4,t^5", "--trunc", "abc", "--json"])
     assert code == 3
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ExpressionError"
+
+
+def test_trunc_at_the_bound_is_accepted():
+    report, code = run_checked(JobSpec("analyze", ["t^2", "t^3"], {"trunc": MAX_TRUNC}))
+    assert code == 0
+    assert report["result"]["delta"] == 1
+
+
+def test_trunc_above_the_bound_flag_exit_3(capsys):
+    code = main(["analyze", "--gens", "t^3+t^4,t^5", "--trunc", "100000000", "--json"])
+    assert code == 3
+    report = json.loads(capsys.readouterr().out)
+    VALIDATOR.validate(report)
+    assert report["error"] == {
+        "type": "ExpressionError",
+        "message": f"trunc must be at most {MAX_TRUNC}, got 100000000",
+    }
+
+
+@pytest.mark.parametrize("trunc", [MAX_TRUNC + 1, str(MAX_TRUNC + 1), "9" * 5000])
+def test_trunc_above_the_bound_job_file_exit_3(trunc, capsys, tmp_path):
+    # a number too long for int() is refused the same way, not as exit 1
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(
+        {"command": "analyze", "generators": ["t^3+t^4", "t^5"], "options": {"trunc": trunc}}
+    ))
+    code = main(["--job", str(job), "--json"])
+    assert code == 3
+    report = json.loads(capsys.readouterr().out)
+    VALIDATOR.validate(report)
+    assert report["error"]["type"] == "ExpressionError"
+    assert str(MAX_TRUNC) in report["error"]["message"]
+
+
+def test_job_file_integer_too_long_to_convert_exit_3(capsys, tmp_path):
+    # json.load refuses an int of more than 4,300 digits with a ValueError
+    job = tmp_path / "job.json"
+    job.write_text('{"command": "analyze", "generators": ["t^2", "t^3"], '
+                   '"options": {"trunc": ' + "9" * 5000 + "}}")
+    code = main(["--job", str(job), "--json"])
+    assert code == 3
+    report = json.loads(capsys.readouterr().out)
+    VALIDATOR.validate(report)
+    assert report["error"]["type"] == "ExpressionError"
 
 
 @pytest.mark.parametrize("gens", ["1+t", "0"])

@@ -4,7 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from branchdual import subalgebra
+from branchdual.cli import JobSpec, run
 from branchdual.errors import InfiniteCodimension, PrecisionExhausted
 from branchdual.expressions import parse_series
 from branchdual.series import Series, mul, order
@@ -17,7 +21,13 @@ from branchdual.subalgebra import (
     membership,
 )
 
-from oracles import coeff_dict_to_list, random_branch, semigroup_data, span_orders
+from oracles import (
+    coeff_dict_to_list,
+    hilbert_naive,
+    random_branch,
+    semigroup_data,
+    span_orders,
+)
 
 F = Fraction
 
@@ -229,3 +239,134 @@ def test_blowup_delta_matches_naive_span_oracle(gens, delta):
     assert closure(B1).delta == delta1
     # Northcott: e1 = ℓ(B′/B) = δ(B) − δ(B′)
     assert blowup_chain(A).e1_sequence()[0] == st.delta - delta1
+
+
+# ---------------------------------------------------------------------------
+# Hilbert function and blow-up chain against the naive oracles
+
+# Rungs of the benchmark ladder, named by delta, and branches of embedding
+# dimension 3 and more.
+LADDER = {
+    "d4": "t^3+t^4, t^5",
+    "d11": "t^6, t^8+t^11, t^10+t^13",
+    "d21": "t^6+t^7, t^9",
+    "d27": "t^7+3/5 t^8-7/11 t^9+2/9 t^10, t^10+13/17 t^11-1/19 t^13",
+    "d30": "t^7+t^9, t^11+1/3 t^12",
+    "d48": "t^9+t^10, t^13+t^17",
+    "embdim3": "t^4, t^6+t^7, t^9",
+    "embdim4": "t^5, t^7, t^9, t^11",
+    "plane-d8": "t^4, t^6+t^7+t^9",
+}
+
+
+def ladder_input(name):
+    return AlgebraInput.make([parse_series(g) for g in LADDER[name].split(",")])
+
+
+def check_hilbert_against_oracle(A):
+    st_ = closure(A)
+    h = hilbert(A, st_)
+    n = len(h.hf1) - 1
+    oracle = hilbert_naive([list(g.coeffs) for g in A.gens], n, max(st_.conductor, 1) + n * st_.e0)
+    assert list(h.hf1) == oracle
+    assert list(h.hf) == [oracle[0]] + [b - a for a, b in zip(oracle, oracle[1:])]
+    assert h.e1 == st_.e0 * (n + 1) - oracle[n]
+    # the sequences close with two values e0, and HF <= e0 throughout
+    assert h.hf[-2:] == (st_.e0, st_.e0) and max(h.hf) == st_.e0
+
+
+def oracle_delta(gens, T):
+    """delta of the algebra the generators span, from the naive span mod t^(T+1).
+
+    The window must end in a run of e0 values, which puts every gap in it.
+    """
+    orders = span_orders([list(g.coeffs[: T + 1]) for g in gens], T)
+    e0 = min(o for o in orders if o > 0)
+    assert all(v in orders for v in range(T - e0 + 1, T + 1)), "window below the conductor"
+    return len(set(range(1, T + 1)) - orders)
+
+
+def oracle_chain_e1(A):
+    """Successive delta differences along the iterated blow-ups, by the span oracle."""
+    st_ = closure(A)
+    deltas = [oracle_delta(A.gens, st_.conductor + st_.e0)]
+    while deltas[-1]:
+        A = blowup(A, st_)
+        st_ = closure(A)
+        deltas.append(oracle_delta(A.gens, st_.conductor + st_.e0))
+    return tuple([a - b for a, b in zip(deltas, deltas[1:])]) + ((0,) if len(deltas) > 1 else ())
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_hilbert_matches_naive_oracle_on_random_branches(seed):
+    dicts = random_branch(random.Random(seed), max_delta=6)
+    check_hilbert_against_oracle(AlgebraInput.make([S(d) for d in dicts]))
+
+
+@pytest.mark.parametrize(
+    "name", ["d4", "d11", "d21", "d27", "d30", "embdim3", "embdim4", "plane-d8"]
+)
+def test_ladder_hilbert_matches_naive_oracle(name):
+    check_hilbert_against_oracle(ladder_input(name))
+
+
+def test_hilbert_of_the_whole_ring():
+    h = hilbert(GAMMA, closure(GAMMA))
+    assert (h.hf, h.hf1, h.e1) == ((1, 1, 1), (1, 2, 3), 0)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_chain_first_e1_equals_hilbert_e1_on_random_branches(seed):
+    # two independent routes to e1: the Hilbert function, and Northcott's
+    # delta(B) - delta(B') that the chain uses
+    A = AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=8)])
+    st_ = closure(A)
+    assert blowup_chain(A).e1_sequence()[0] == hilbert(A, st_).e1
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_chain_e1_sequence_matches_oracle_deltas_on_random_branches(seed):
+    A = AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=6)])
+    assert blowup_chain(A).e1_sequence() == oracle_chain_e1(A)
+
+
+@pytest.mark.parametrize("name", ["d4", "d11", "d21", "embdim3", "embdim4", "plane-d8"])
+def test_ladder_chain_e1_sequence_matches_oracle_deltas(name):
+    A = ladder_input(name)
+    assert blowup_chain(A).e1_sequence() == oracle_chain_e1(A)
+
+
+def test_blowup_chain_makes_no_hilbert_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("blowup_chain called hilbert")
+
+    monkeypatch.setattr(subalgebra, "hilbert", refuse)
+    assert blowup_chain(ladder_input("d11")).steps == ((6, 8), (2, 1), (2, 1), (2, 1), (1, 0))
+
+
+@pytest.mark.parametrize("name", ["d30", "d48"])
+def test_large_delta_analyze_and_blowup_chain_match_oracles(name):
+    gens = [g.strip() for g in LADDER[name].split(",")]
+    A = ladder_input(name)
+    report, code = run(JobSpec("analyze", gens))
+    assert code == 0
+    res = report["result"]
+    c, e0 = res["conductor"], res["e0"]
+    T = c + e0
+    orders = span_orders([list(g.coeffs) for g in A.gens], T)
+    gaps = sorted(set(range(1, T + 1)) - orders)
+    assert res["gaps"] == gaps and res["delta"] == len(gaps) and c == gaps[-1] + 1
+    assert e0 == min(o for o in orders if o > 0)
+    hf = res["hilbert_function"]
+    assert hf[-2:] == [e0, e0] and res["e1"] == e0 * len(hf) - sum(hf)
+    chain_report, code = run(JobSpec("blowup-chain", gens))
+    assert code == 0
+    chain = chain_report["result"]
+    e1s = oracle_chain_e1(A)
+    assert chain["e1_sequence"] == list(e1s)
+    assert res["e1"] == e1s[0]
+    assert chain["delta"] == res["delta"] == sum(e1s)
+    assert chain["multiplicities"][0] == e0 and chain["multiplicities"][-1] == 1
