@@ -1,9 +1,13 @@
 """Command-line surface: job parsing, dispatch, and JSON/text reports.
 
+``run`` is the one place that parses a job's generators, reads its
+ceiling, closes the branch and maps an exception to an exit code.
+
 Exit codes: 0 success, 2 infinite codimension, 3 expression/job parse
-error (a ``trunc`` above ``MAX_TRUNC`` included) or a generator list
-with no positive-order element or one of order 0, 4 not algebra-forming,
-5 precision ceiling reached, 1 for any other error.  All rationals in
+error (a ``trunc`` above ``MAX_TRUNC`` included), a usage error or an
+unknown command, or a generator list with no positive-order element or
+one of order 0, 4 not algebra-forming, 5 precision ceiling reached, 1 for
+any other error.  All rationals in
 JSON output are exact "p" or "p/q" strings; no floating point appears
 anywhere.
 """
@@ -21,7 +25,6 @@ from .errors import (
     ExpressionError,
     GeneratorError,
     InfiniteCodimension,
-    NonCoprime,
     NotAlgebraForming,
     PrecisionExhausted,
 )
@@ -29,6 +32,7 @@ from .expressions import (
     format_diffop,
     format_rational,
     format_series,
+    parse_generators,
     parse_operators,
     parse_series,
 )
@@ -62,22 +66,6 @@ SCHEMA_VERSION = "1"
 
 MAX_TRUNC = 4096  # the largest truncation ceiling accepted: 8x the default
 
-COMMANDS = (
-    "analyze",
-    "inverse-system",
-    "check-af",
-    "annihilate",
-    "filtration",
-    "derivations",
-    "gorenstein",
-    "semigroup",
-    "saturation",
-    "transport",
-    "blowup-chain",
-    "canonical",
-    "verify",
-)
-
 
 @dataclass
 class JobSpec:
@@ -88,10 +76,14 @@ class JobSpec:
     options: dict = field(default_factory=dict)
 
 
+class UnknownCommand(BranchDualError):
+    """A job names no command of the dispatch table."""
+
+
 def _parse_gens(job: JobSpec):
     if not job.generators:
         raise ExpressionError("this command requires generators (--gens)")
-    return [parse_series(g) for g in job.generators]
+    return parse_generators(job.generators)
 
 
 def _parse_ops(job: JobSpec):
@@ -101,22 +93,26 @@ def _parse_ops(job: JobSpec):
     return parse_operators(text)
 
 
+def _int(text: str) -> int:
+    """int(text) on ASCII text only: int() also reads other scripts' digits ("٤" as 4)."""
+    if not text.isascii():
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 def _ceiling(job: JobSpec) -> int:
     trunc = job.options.get("trunc", DEFAULT_TRUNC_CEILING)
-    if isinstance(trunc, str) and trunc.strip().removeprefix("-").isdecimal():
+    if isinstance(trunc, str):
         try:
-            trunc = int(trunc)
-        except ValueError:  # int() refuses more than 4,300 digits
-            raise ExpressionError(f"trunc must be from 1 to {MAX_TRUNC}, got {len(trunc)} digits")
+            trunc = _int(trunc)
+        except ValueError:  # reported below, unless int() refused more than 4,300 digits
+            if trunc.isascii() and trunc.strip().removeprefix("-").isdigit():
+                raise ExpressionError(f"trunc must be from 1 to {MAX_TRUNC}, got {len(trunc)} digits")
     if type(trunc) is not int or trunc < 1:
         raise ExpressionError(f"trunc must be an integer >= 1, got {trunc!r}")
     if trunc > MAX_TRUNC:
         raise ExpressionError(f"trunc must be at most {MAX_TRUNC}, got {trunc}")
     return trunc
-
-
-def _algebra(job: JobSpec) -> AlgebraInput:
-    return AlgebraInput.make(_parse_gens(job))
 
 
 def _op_entry(g):
@@ -139,49 +135,43 @@ def _staircase_summary(S):
     }
 
 
-def _run_analyze(job):
-    A = _algebra(job)
-    S = closure(A, _ceiling(job))
+def _run_analyze(job, A, S):
     h = hilbert(A, S)
     out = _staircase_summary(S)
     out["e1"] = h.e1
     out["mu"] = 2 * S.delta
     out["hilbert_function"] = list(h.hf)
     out["gorenstein"] = S.conductor == 2 * S.delta
-    return out, S.work_trunc
+    return out
 
 
-def _run_inverse_system(job):
-    A = _algebra(job)
-    S = closure(A, _ceiling(job))
+def _run_inverse_system(job, A, S):
     V = inverse_system(A, S)
     return {
         "delta": S.delta,
         "conductor": S.conductor,
         "basis": [_op_entry(g) for g in V.basis],
-    }, S.work_trunc
+    }
 
 
-def _run_check_af(job):
-    A = _algebra(job)
-    S = closure(A, _ceiling(job))
+def _run_check_af(job, A, S):
     cert = is_algebra_forming(_parse_ops(job), S, A)
     return {
         "verdict": cert.verdict,
-        "witness": None if cert.witness is None else format_series(cert.witness),
-    }, S.work_trunc
+        "witness": _witness(cert),
+    }
 
 
-def _run_annihilate(job):
-    A = _algebra(job)
-    S = closure(A, _ceiling(job))
-    C = annihilator(_parse_ops(job), S)
-    return _staircase_summary(C), S.work_trunc
+def _witness(cert):
+    return None if cert.witness is None else format_series(cert.witness)
 
 
-def _run_filtration(job):
-    A = _algebra(job)
-    filt = standard_filtration(A)
+def _run_annihilate(job, A, S):
+    return _staircase_summary(annihilator(_parse_ops(job), S))
+
+
+def _run_filtration(job, A, S):
+    filt = standard_filtration(A, S)
     return {
         "steps": [
             {
@@ -191,24 +181,20 @@ def _run_filtration(job):
             }
             for st in filt.steps
         ]
-    }, None
+    }
 
 
-def _run_derivations(job):
-    A = _algebra(job)
-    S = closure(A, _ceiling(job))
+def _run_derivations(job, A, S):
     ops = _parse_ops(job)
     return {
         "results": [
             {"operator": format_diffop(g), "is_derivation": is_derivation(g, A, S)}
             for g in ops
         ]
-    }, S.work_trunc
+    }
 
 
-def _run_gorenstein(job):
-    A = _algebra(job)
-    S = closure(A, _ceiling(job))
+def _run_gorenstein(job, A, S):
     D = from_staircase(S.values, S.conductor)
     chk = gorenstein_check(D)
     return {
@@ -217,7 +203,7 @@ def _run_gorenstein(job):
         "palindromic_inverse": chk.palindromic_inverse,
         "conductor": D.conductor,
         "genus": D.genus,
-    }, S.work_trunc
+    }
 
 
 def _semigroup_summary(D):
@@ -234,10 +220,10 @@ def _run_semigroup(job):
     if not job.generators:
         raise ExpressionError("this command requires integer generators (--gens)")
     try:
-        gens = [int(g) for g in job.generators]
+        gens = [_int(g) for g in job.generators]
     except ValueError as ex:
         raise ExpressionError(f"semigroup generators must be integers: {ex}")
-    return _semigroup_summary(from_generators(gens)), None
+    return _semigroup_summary(from_generators(gens))
 
 
 def _parse_char(job) -> Characteristic:
@@ -246,8 +232,8 @@ def _parse_char(job) -> Characteristic:
         raise ExpressionError("this command requires a characteristic (--char)")
     try:
         head, _, tail = text.partition(";")
-        e0 = int(head.strip())
-        betas = [int(b) for b in tail.split(",") if b.strip()] if tail.strip() else []
+        e0 = _int(head.strip())
+        betas = [_int(b) for b in tail.split(",") if b.strip()] if tail.strip() else []
     except ValueError as ex:
         raise ExpressionError(f"malformed characteristic: {ex}")
     return Characteristic.make(e0, betas)
@@ -263,12 +249,10 @@ def _run_saturation(job):
         "m": list(ch.m),
         "n": list(ch.n),
     }
-    return out, None
+    return out
 
 
-def _run_transport(job):
-    A = _algebra(job)
-    S = closure(A, _ceiling(job))
+def _run_transport(job, A, S):
     text = job.options.get("h")
     if not text:
         raise ExpressionError("this command requires a reparametrization (--h)")
@@ -282,22 +266,19 @@ def _run_transport(job):
             for i in range(M.rows)
         ],
         "basis": [_op_entry(g) for g in V1.basis],
-    }, S.work_trunc
+    }
 
 
-def _run_blowup_chain(job):
-    A = _algebra(job)
-    chain = blowup_chain(A, _ceiling(job))
+def _run_blowup_chain(job, A, S):
+    chain = blowup_chain(A, S)
     return {
         "multiplicities": list(chain.multiplicities()),
         "e1_sequence": list(chain.e1_sequence()),
         "delta": sum(chain.e1_sequence()),
-    }, None
+    }
 
 
-def _run_canonical(job):
-    A = _algebra(job)
-    S = closure(A, _ceiling(job))
+def _run_canonical(job, A, S):
     V = inverse_system(A, S)
     return {
         "conductor": S.conductor,
@@ -311,19 +292,20 @@ def _run_canonical(job):
             }
             for g in V.basis
         ],
-    }, S.work_trunc
+    }
 
 
-def _run_verify(job):
-    A = _algebra(job)
-    S = closure(A, _ceiling(job))
+def _run_verify(job, A, S):
     return {
-        "verified": verify_duality(A),
+        "verified": verify_duality(A, S),
         "delta": S.delta,
         "conductor": S.conductor,
-    }, S.work_trunc
+    }
 
 
+# command -> handler.  A handler gets (job, A, S), the job's generators and
+# their staircase closed under the job's ceiling, except those of
+# _ON_JOB, which read integers and get the job alone.
 _DISPATCH = {
     "analyze": _run_analyze,
     "inverse-system": _run_inverse_system,
@@ -339,6 +321,30 @@ _DISPATCH = {
     "canonical": _run_canonical,
     "verify": _run_verify,
 }
+COMMANDS = tuple(_DISPATCH)
+_ON_JOB = ("semigroup", "saturation")
+# Reports that never carried the staircase's working truncation.
+_NO_WORK_TRUNC = ("filtration", "blowup-chain")
+
+# (exception types, exit code, extra error fields), first match wins:
+# GeneratorError is also a ValueError, so its row comes first.
+_ERRORS = (
+    ((ExpressionError, GeneratorError, UnknownCommand), 3, lambda ex: {}),
+    ((InfiniteCodimension,), 2, lambda ex: {"gcd": ex.gcd, "values": list(ex.values)}),
+    ((NotAlgebraForming,), 4, lambda ex: {"witness": _witness(ex.certificate)}),
+    ((PrecisionExhausted,), 5, lambda ex: {"required": ex.required}),
+    ((BranchDualError, ValueError), 1, lambda ex: {}),
+)
+_CAUGHT = tuple(t for types, _, _ in _ERRORS for t in types)
+
+
+def _fail(report, ex) -> int:
+    """Record ex as the report's error; returns its exit code."""
+    for types, code, extra in _ERRORS:
+        if isinstance(ex, types):
+            report["status"] = "error"
+            report["error"] = {"type": type(ex).__name__, "message": str(ex), **extra(ex)}
+            return code
 
 
 def run(job: JobSpec):
@@ -346,61 +352,25 @@ def run(job: JobSpec):
     started = time.monotonic()
     report = {"schema_version": SCHEMA_VERSION, "command": job.command}
     diagnostics = {}
-
-    def _finish(code):
-        diagnostics["elapsed_ms"] = int((time.monotonic() - started) * 1000)
-        report["diagnostics"] = diagnostics
-        return report, code
-
-    if job.command not in _DISPATCH:
-        report["status"] = "error"
-        report["error"] = {
-            "type": "UnknownCommand",
-            "message": f"unknown command {job.command!r}",
-        }
-        return _finish(3)
     try:
-        result, work_trunc = _DISPATCH[job.command](job)
-    except (ExpressionError, GeneratorError) as ex:
-        report["status"] = "error"
-        report["error"] = {"type": type(ex).__name__, "message": str(ex)}
-        return _finish(3)
-    except InfiniteCodimension as ex:
-        report["status"] = "error"
-        report["error"] = {
-            "type": "InfiniteCodimension",
-            "message": str(ex),
-            "gcd": ex.gcd,
-            "values": list(ex.values),
-        }
-        return _finish(2)
-    except NotAlgebraForming as ex:
-        report["status"] = "error"
-        report["error"] = {
-            "type": "NotAlgebraForming",
-            "message": str(ex),
-            "witness": None
-            if ex.certificate.witness is None
-            else format_series(ex.certificate.witness),
-        }
-        return _finish(4)
-    except PrecisionExhausted as ex:
-        report["status"] = "error"
-        report["error"] = {
-            "type": "PrecisionExhausted",
-            "message": str(ex),
-            "required": ex.required,
-        }
-        return _finish(5)
-    except (NonCoprime, BranchDualError, ValueError) as ex:
-        report["status"] = "error"
-        report["error"] = {"type": type(ex).__name__, "message": str(ex)}
-        return _finish(1)
-    report["status"] = "ok"
-    report["result"] = result
-    if work_trunc is not None:
-        diagnostics["work_trunc"] = work_trunc
-    return _finish(0)
+        if job.command not in _DISPATCH:
+            raise UnknownCommand(f"unknown command {job.command!r}")
+        if job.command in _ON_JOB:
+            result = _DISPATCH[job.command](job)
+        else:
+            A = AlgebraInput.make(_parse_gens(job))
+            S = closure(A, _ceiling(job))
+            result = _DISPATCH[job.command](job, A, S)
+            if job.command not in _NO_WORK_TRUNC:
+                diagnostics["work_trunc"] = S.work_trunc
+        report["status"] = "ok"
+        report["result"] = result
+        code = 0
+    except _CAUGHT as ex:
+        code = _fail(report, ex)
+    diagnostics["elapsed_ms"] = int((time.monotonic() - started) * 1000)
+    report["diagnostics"] = diagnostics
+    return report, code
 
 
 def _print_human(report, stream):
@@ -443,12 +413,19 @@ def _load_job_file(path: str) -> JobSpec:
     return JobSpec(str(data["command"]), list(gens), dict(options))
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # A usage error is an input error, exit 3: argparse's 2 means infinite codimension here.
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="branchdual",
         description="Exact invariants and dualities of curve-singularity branches in k[[t]].",
     )
-    parser.add_argument("command", nargs="?", choices=COMMANDS, help="operation to run")
+    parser.add_argument("command", nargs="?", help="operation to run: " + ", ".join(COMMANDS))
     parser.add_argument("--job", help="JSON job file ({command, generators, options})")
     parser.add_argument("--gens", help="comma-separated generator expressions (or integers for 'semigroup')")
     parser.add_argument("--v", help="semicolon-separated operator expressions in u")
@@ -460,27 +437,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.job:
         try:
             job = _load_job_file(args.job)
         except ExpressionError as ex:
-            report = {
-                "schema_version": SCHEMA_VERSION,
-                "command": "unknown",
-                "status": "error",
-                "error": {"type": "ExpressionError", "message": str(ex)},
-                "diagnostics": {"elapsed_ms": 0},
-            }
+            report = {"schema_version": SCHEMA_VERSION, "command": "unknown"}
+            code = _fail(report, ex)
+            report["diagnostics"] = {"elapsed_ms": 0}
             _emit(report, args.json)
-            return 3
+            return code
     elif args.command:
         job = JobSpec(args.command)
     else:
-        build_parser().error("a command or --job file is required")
-        return 3  # unreachable; argparse exits
+        parser.error("a command or --job file is required")
     if args.gens:
-        job.generators = [p.strip() for p in args.gens.split(",")]
+        job.generators = args.gens.split(",")
     if args.v:
         job.options["v"] = args.v
     if args.h_expr:

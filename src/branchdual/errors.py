@@ -57,9 +57,13 @@ class GeneratorError(BranchDualError, ValueError):
 
 
 class ExpressionError(BranchDualError):
-    """Malformed expression text; ``position`` points at the offending token."""
+    """Malformed expression text; ``position`` points at the offending token.
+
+    ``reason`` is the message without the position.
+    """
 
     def __init__(self, message, position=None):
+        self.reason = message
         self.position = position
         if position is not None:
             message = f"{message} (at position {position})"

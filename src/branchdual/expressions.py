@@ -162,9 +162,24 @@ def parse_diffop(text: str) -> DiffOp:
     raise ExpressionError("expected an operator in u, got a series in t")
 
 
-def parse_generators(text: str):
-    """Parse a comma-separated list of series expressions."""
-    return [parse_series(part) for part in text.split(",")]
+def parse_generators(text):
+    """Parse series expressions: one comma-separated text, or a list of texts.
+
+    Error positions count from the start of the text; for a list, from the
+    start of its texts joined by commas (a comma inside one is no separator).
+    """
+    parts = text.split(",") if isinstance(text, str) else text
+    out = []
+    offset = 0
+    for part in parts:
+        try:
+            out.append(parse_series(part))
+        except ExpressionError as ex:
+            if not offset or ex.position is None:
+                raise
+            raise ExpressionError(ex.reason, offset + ex.position) from None
+        offset += len(part) + 1
+    return out
 
 
 def parse_operators(text: str):

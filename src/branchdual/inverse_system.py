@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import combinations
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -212,10 +213,12 @@ def is_algebra_forming(V, S: Staircase, A: AlgebraInput | None = None) -> AFCert
     """Certificate that Ann(V) meets the algebra in a subalgebra.
 
     The solution space L of the linear conditions (all perp(g, h_j)
-    combinations vanishing) must lie inside the quadrics given by the
-    forms perp(g, h_j h_l); containment is certified exactly by values
-    and polar forms on a nullspace basis.  On failure the witness
-    f = sum lambda_j h_j is verified against the defining condition.
+    combinations vanishing) must lie inside the quadrics f -> perp(g, f^2).
+    With f_a = sum lambda_j h_j for each lambda of a nullspace basis of L,
+    containment is certified exactly by the values perp(g, f_a^2) and the
+    polar forms perp(g, f_a f_b), a < b, for each g in order: perp(g, .) of
+    a product is bilinear mod t^(d+1).  On failure the witness f_a, or
+    f_a + f_b, is verified against the defining condition.
     """
     ops = [g for g in V if not g.is_zero()]
     for g in ops:
@@ -227,41 +230,21 @@ def is_algebra_forming(V, S: Staircase, A: AlgebraInput | None = None) -> AFCert
         A = AlgebraInput(S.algebra_generators())
     d = max(S.conductor - 1, 1 + max(g.degree for g in ops), 1)
     hs = natural_set(A, d)
-    m = len(hs)
-    if m == 0:
-        return AFCertificate(True, None)
     lin = QMatrix.from_rows([[perp(g, h) for h in hs] for g in ops])
-    L = nullspace(lin)
-    if not L:
-        return AFCertificate(True, None)
-    prods = {}
-    for j in range(m):
-        for l in range(j, m):
-            prods[(j, l)] = mul(hs[j], hs[l])
+    fs = []
+    for lam in nullspace(lin):
+        f = Series.zero(d)
+        for x, h in zip(lam, hs):
+            if x != 0:
+                f = f + h.scale(x)
+        fs.append(f)
+    pairs = [(a, a) for a in range(len(fs))] + list(combinations(range(len(fs)), 2))
     for g in ops:
-        Q = [
-            [perp(g, prods[(min(j, l), max(j, l))]) for l in range(m)]
-            for j in range(m)
-        ]
-        bad = None
-        for a in range(len(L)):
-            val = _bilinear(L[a], Q, L[a])
-            if val != 0:
-                bad = list(L[a])
-                break
-        if bad is None:
-            for a in range(len(L)):
-                for b in range(a + 1, len(L)):
-                    if _bilinear(L[a], Q, L[b]) != 0:
-                        bad = [x + y for x, y in zip(L[a], L[b])]
-                        break
-                if bad is not None:
-                    break
-        if bad is not None:
-            f = Series.zero(d)
-            for lam, h in zip(bad, hs):
-                if lam != 0:
-                    f = f + h.scale(lam)
+        low = [truncate(f, g.degree) for f in fs]  # perp(g, .) reads no higher term
+        for a, b in pairs:
+            if perp(g, mul(low[a], low[b])) == 0:
+                continue
+            f = fs[a] if a == b else fs[a] + fs[b]
             for g2 in ops:
                 if perp(g2, f) != 0:
                     raise InternalError("algebra-forming witness fails linear part")
@@ -269,18 +252,6 @@ def is_algebra_forming(V, S: Staircase, A: AlgebraInput | None = None) -> AFCert
                 raise InternalError("algebra-forming witness fails quadratic part")
             return AFCertificate(False, f)
     return AFCertificate(True, None)
-
-
-def _bilinear(x, Q, y) -> Fraction:
-    s = Fraction(0)
-    for j, xj in enumerate(x):
-        if xj == 0:
-            continue
-        row = Q[j]
-        for l, yl in enumerate(y):
-            if yl != 0:
-                s += xj * row[l] * yl
-    return s
 
 
 def annihilator(V, S: Staircase) -> Staircase:
@@ -303,7 +274,7 @@ def annihilator(V, S: Staircase) -> Staircase:
     while True:
         sols = _annihilator_solutions(ops, S, W)
         try:
-            C = closure(AlgebraInput(tuple(sols), label=S.label), ceiling=W)
+            C = closure(AlgebraInput(tuple(sols)), ceiling=W)
             break
         except PrecisionExhausted as ex:
             W = max(2 * W, ex.required + 4)
@@ -339,21 +310,29 @@ def _annihilator_solutions(ops, S: Staircase, W: int):
     return sols
 
 
-def standard_filtration(A: AlgebraInput) -> Filtration:
-    """Adjoin the gap monomials t^(c-1), ..., t one at a time.
+def standard_filtration(A: AlgebraInput, S: Staircase) -> Filtration:
+    """Adjoin the gap monomials t^(c-1), ..., t one at a time to A, S its staircase.
 
     Each step raises the dimension by exactly one and ends at k[[t]];
     every step records the cutting element whose kernel recovers the
     previous algebra.
+
+    Step i is closed with ceiling S.work_trunc, which always suffices.
+    Proof.  Its generators, S's algebra generators and the adjoined
+    monomials, are exact, so the closure at a window w sees every value
+    up to w.  The step algebra contains t^(c-1) and t^c k[[t]], so its
+    conductor c_i is at most c - 1, and it contains S's algebra, so its
+    multiplicity e0_i is at most e0.  The run of e0_i values that
+    certifies c_i therefore ends by c + e0 - 2, and S, certified by its
+    own run ending at c + e0 - 1, has S.work_trunc >= c + e0 - 1.
     """
-    S0 = closure(A)
-    base = S0.algebra_generators()
+    base = S.algebra_generators()
     steps = []
-    prev = S0
+    prev = S
     adjoined = []
-    for g_exp in sorted(S0.gaps, reverse=True):
+    for g_exp in sorted(S.gaps, reverse=True):
         adjoined.append(Series.monomial(g_exp))
-        Si = closure(AlgebraInput(base + tuple(adjoined), label=A.label))
+        Si = closure(AlgebraInput(base + tuple(adjoined)), S.work_trunc)
         if Si.delta != prev.delta - 1:
             raise InternalError("filtration step did not raise dimension by one")
         cd = cutting_derivation(prev, Si)
@@ -446,8 +425,8 @@ def transport_dual(h: Series, c: int, V2: InverseSystem):
     return M, InverseSystem(tuple(basis), len(basis), c)
 
 
-def verify_duality(A: AlgebraInput) -> bool:
-    """Check the inverse system independently, then its round trip.
+def verify_duality(A: AlgebraInput, S: Staircase) -> bool:
+    """Check the inverse system of A, S its staircase, independently, then its round trip.
 
     Solves the pairing conditions over the natural spanning set of A in
     degrees up to c-1, built from A's generators and not from the
@@ -456,7 +435,6 @@ def verify_duality(A: AlgebraInput) -> bool:
     mod t^c and requires its span to be the staircase's: the annihilator
     of the inverse system is the algebra again.
     """
-    S = closure(A)
     V = inverse_system(A, S)
     c = S.conductor
     if c == 0:

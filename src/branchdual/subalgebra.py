@@ -23,11 +23,10 @@ class AlgebraInput:
     """Generators of a subalgebra of k[[t]], each of positive order."""
 
     gens: tuple
-    label: str = ""
 
     @staticmethod
-    def make(gens, label="") -> "AlgebraInput":
-        return AlgebraInput(tuple(gens), label)
+    def make(gens) -> "AlgebraInput":
+        return AlgebraInput(tuple(gens))
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +45,6 @@ class Staircase:
     delta: int
     e0: int
     work_trunc: int
-    label: str = ""
 
     def __eq__(self, other):
         if not isinstance(other, Staircase):
@@ -153,7 +151,7 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
     gcd_window = max(64, 2 * maxdeg + 2, 4 * (min(orders) + max(orders)))
     while True:
         try:
-            return _closure_at(gens, w, A.label, gcd_window)
+            return _closure_at(gens, w, gcd_window)
         except _Inconclusive as ex:
             if w >= cap:
                 raise PrecisionExhausted(
@@ -162,7 +160,7 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
             w = min(max(2 * w, ex.required), cap)
 
 
-def _closure_at(gens, w: int, label: str, gcd_window: int) -> Staircase:
+def _closure_at(gens, w: int, gcd_window: int) -> Staircase:
     ech = Echelon(w)
     ech.insert(Series.one(w))
     queue = []
@@ -208,7 +206,6 @@ def _closure_at(gens, w: int, label: str, gcd_window: int) -> Staircase:
             delta=0,
             e0=1,
             work_trunc=w,
-            label=label,
         )
 
     gaps = tuple([i for i in range(1, w + 1) if i not in pivots])
@@ -230,7 +227,6 @@ def _closure_at(gens, w: int, label: str, gcd_window: int) -> Staircase:
         delta=len(gaps),
         e0=e0,
         work_trunc=w,
-        label=label,
     )
 
 
@@ -339,11 +335,11 @@ def blowup(A: AlgebraInput, S: Staircase, prec: int | None = None) -> AlgebraInp
         coeffs[0] = 0  # recenter: drop the constant term
         new_gens.append(Series.make(coeffs, prec))
     new_gens = [g for g in new_gens if order(g) is not None]
-    return AlgebraInput(tuple(new_gens), label=(A.label + "'") if A.label else "blowup")
+    return AlgebraInput(tuple(new_gens))
 
 
-def blowup_chain(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> BlowupChain:
-    """Multiplicity and e1 sequence along the resolution by blow-ups.
+def blowup_chain(A: AlgebraInput, S: Staircase) -> BlowupChain:
+    """Multiplicity and e1 sequence along the resolution by blow-ups of A, S its staircase.
 
     A step from B to its blow-up B' = B[m/x], v(x) = e0, records
     (e0, delta(B) - delta(B')), which is e1 (Northcott; Matlis, LNM 327):
@@ -359,7 +355,7 @@ def blowup_chain(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Blowu
     still run out of precision, W doubles.
     """
     steps = []
-    curA, curS = A, closure(A, ceiling)
+    curA, curS = A, S
     while curS.delta:
         w = 2 * (curS.delta - curS.e0 + 1) + curS.e0 + 2
         while True:

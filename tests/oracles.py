@@ -314,6 +314,36 @@ def brute_force_algebra_forming(ops, gen_coeff_lists, T):
     return True
 
 
+def quadric_algebra_forming(ops, hs, null, T):
+    """Reference quadric test of the algebra-forming certificate, by Q matrices.
+
+    ``hs`` are the natural-set elements as coefficient lists mod t^(T+1)
+    and ``null`` a basis of the solutions lambda of sum_j lambda_j
+    perp(g, h_j) = 0.  For each operator g in order, with
+    Q[j][l] = perp(g, h_j h_l), the first lambda with lambda Q lambda != 0
+    fails, else the first pair a < b with L[a] Q L[b] != 0, as L[a] + L[b].
+    Returns (True, None) or (False, the witness sum lambda_j h_j).
+    """
+    m = len(hs)
+    for g in ops:
+        Q = [[perp_list(g, poly_mul(hs[j], hs[l], T)) for l in range(m)] for j in range(m)]
+
+        def form(x, y):
+            return sum(x[j] * Q[j][l] * y[l] for j in range(m) for l in range(m))
+
+        bad = [lam for lam in null if form(lam, lam) != 0]
+        bad += [[x + y for x, y in zip(null[a], null[b])]
+                for a in range(len(null)) for b in range(a + 1, len(null))
+                if form(null[a], null[b]) != 0]
+        if bad:
+            f = [Fraction(0)] * (T + 1)
+            for x, h in zip(bad[0], hs):
+                for i, hc in enumerate(h[: T + 1]):
+                    f[i] += x * hc
+            return False, f
+    return True, None
+
+
 # ---------------------------------------------------------------------------
 # randomized instances
 

@@ -91,7 +91,7 @@ def test_criterion_02_three_generator_even_branch_blowup_chain():
     assert span_orders([coeff_dict_to_list(d) for d in gens], T) == set(
         S.values
     ) | set(range(S.conductor, T + 1))
-    ch = blowup_chain(A)
+    ch = blowup_chain(A, closure(A))
     assert ch.multiplicities() == (6, 2, 2, 2, 1)
     assert ch.e1_sequence() == (8, 1, 1, 1, 0)
     assert sum(ch.e1_sequence()) == S.delta
@@ -149,14 +149,14 @@ def test_criterion_06_duality_round_trip_exhaustive_and_random():
     for gaps in enumerate_semigroups(6):
         gens = gaps_to_generators(set(gaps)) if gaps else (1,)
         A = AlgebraInput.make([Series.monomial(a) for a in gens])
-        assert verify_duality(A)
+        assert verify_duality(A, closure(A))
         count += 1
     assert count == 50  # every numerical semigroup of genus <= 6
     rng = random.Random(20260823)
     for _ in range(200):
         dicts = random_branch(rng, max_delta=6)
         A = AlgebraInput.make([series(d) for d in dicts])
-        assert verify_duality(A)
+        assert verify_duality(A, closure(A))
     assert time.monotonic() - t0 < 300.0
 
 
@@ -207,7 +207,7 @@ def test_criterion_08_algebra_forming_matches_brute_force():
 
 def test_criterion_09_standard_filtration_chain_and_cutting_kernels():
     A = alg({3: 1, 4: 1}, {5: 1})
-    filt = standard_filtration(A)
+    filt = standard_filtration(A, closure(A))
     expected_chain = [
         closure(alg({3: 1, 4: 1}, {5: 1}, {7: 1})),
         closure(alg({3: 1}, {4: 1}, {5: 1})),

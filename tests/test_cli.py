@@ -1,12 +1,14 @@
 """CLI job dispatch, exit codes, JSON reports and the shipped schema."""
 
+import importlib
 import json
 import pathlib
 
 import jsonschema
 import pytest
 
-from branchdual.cli import COMMANDS, MAX_TRUNC, JobSpec, main, run
+from branchdual.cli import COMMANDS, MAX_TRUNC, JobSpec, build_parser, main, run
+from branchdual.subalgebra import closure
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "schema" / "report.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
@@ -192,10 +194,12 @@ def test_generators_without_positive_order_exit_3(gens, capsys):
 
 @pytest.mark.parametrize(
     "gens, position",
-    [("t^1000000,t^1000001", 2), ("t^3+t^10001", 6), ("t^5+u^" + "9" * 5000, 6)],
+    [("t^1000000,t^1000001", 2), ("t^3+t^10001", 6), ("t^5+u^" + "9" * 5000, 6),
+     ("t^3,t^10001", 6)],
 )
 def test_exponent_above_limit_exit_3(gens, position, capsys):
-    # rejected while parsing, before a dense coefficient list is built
+    # rejected while parsing, before a dense coefficient list is built;
+    # positions count from the start of the --gens text
     code = main(["analyze", "--gens", gens, "--json"])
     report = json.loads(capsys.readouterr().out)
     VALIDATOR.validate(report)
@@ -347,3 +351,90 @@ def test_main_human_output(capsys):
 def test_trunc_flag_reaches_closure(capsys):
     code = main(["analyze", "--gens", "t^6,t^8+t^11,t^10+t^13", "--trunc", "8"])
     assert code == 5
+
+
+GOLDEN = {e["id"]: e for e in json.loads(
+    (pathlib.Path(__file__).resolve().parent / "data" / "cli_golden.json").read_text())}
+
+
+@pytest.mark.parametrize("trunc", ["abc", "99999"])
+def test_filtration_bad_trunc_exit_3(trunc):
+    report, code = run_checked(JobSpec("filtration", ["t^3+t^4", "t^5"], {"trunc": trunc}))
+    assert code == 3
+    assert report["error"]["type"] == "ExpressionError"
+
+
+def test_filtration_reads_the_trunc_ceiling():
+    report, code = run_checked(JobSpec("filtration", ["t^3+t^4", "t^5"], {"trunc": "1"}))
+    assert code == 5
+    assert report["error"] == GOLDEN["analyze/d4-trunc1"]["report"]["error"]
+
+
+def test_verify_job_closes_the_branch_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return closure(*args, **kwargs)
+
+    # the package's ``inverse_system`` attribute is the function, not the module
+    for name in ("branchdual.cli", "branchdual.subalgebra", "branchdual.inverse_system"):
+        monkeypatch.setattr(importlib.import_module(name), "closure", counting)
+    report, code = run_checked(JobSpec("verify", ["t^6", "t^8+t^11", "t^10+t^13"]))
+    assert code == 0 and report["result"]["verified"] is True
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--gens", "t^3+t^4,t^5", "--trunc", "٨"],
+        ["semigroup", "--gens", "٤,٦,٩"],
+        ["saturation", "--char", "٤;٦"],
+    ],
+    ids=["trunc", "semigroup", "char"],
+)
+def test_non_ascii_integers_exit_3(argv, capsys):
+    # int() reads Arabic-Indic digits; the CLI does not
+    code = main(argv + ["--json"])
+    report = json.loads(capsys.readouterr().out)
+    VALIDATOR.validate(report)
+    assert code == 3
+    assert report["error"]["type"] == "ExpressionError"
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["analyze", "--gens", "t^2,t^3", "--bogus"], ["--json", "--json=1"]],
+    ids=["no-command", "unknown-flag", "flag-with-value"],
+)
+def test_usage_error_exit_3(argv, capsys):
+    # argparse's own exit 2 would read as infinite codimension
+    with pytest.raises(SystemExit) as ex:
+        main(argv)
+    assert ex.value.code == 3
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_unknown_command_argv_matches_job_file_report(capsys):
+    code = main(["frobnicate", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    del report["diagnostics"]["elapsed_ms"]
+    assert code == 3
+    assert report == GOLDEN["job/unknown-command"]["report"]
+
+
+def test_help_lists_every_command():
+    text = build_parser().format_help()
+    assert all(c in text for c in COMMANDS)
+
+
+def test_error_position_counts_from_the_joined_job_generators():
+    report, code = run_checked(JobSpec("analyze", ["t^3", "t^5", " t^7+t^10001"]))
+    assert code == 3
+    assert report["error"]["message"] == "exponent above the limit 10000 (at position 15)"
+
+
+def test_comma_inside_a_job_generator_does_not_split_it():
+    report, code = run_checked(JobSpec("analyze", ["t^3,t^5"]))
+    assert code == 3
+    assert report["error"]["message"] == "expected '+' or '-' between terms (at position 3)"

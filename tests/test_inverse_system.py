@@ -25,6 +25,7 @@ from branchdual.inverse_system import (
     transport_dual,
     verify_duality,
 )
+from branchdual.linalg import QMatrix, nullspace
 from branchdual.series import DiffOp, Series, mul, order, perp, truncate
 from branchdual.subalgebra import AlgebraInput, closure
 
@@ -37,6 +38,7 @@ from oracles import (
     gaps_to_generators,
     gauss_nullspace,
     perp_list,
+    quadric_algebra_forming,
     random_branch,
     span_rank,
 )
@@ -282,6 +284,29 @@ def test_af_matches_brute_force_on_random_pairs():
         checked += 1
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_af_matches_quadric_reference_on_random_branches(seed):
+    # same verdict and witness as the Q-matrix form of the quadric test
+    rng = random.Random(seed)
+    A = AlgebraInput.make([S(d) for d in random_branch(rng, max_delta=5)])
+    Sx = closure(A)
+    ops = []
+    for _ in range(rng.randint(1, 3)):
+        deg = rng.randint(1, 8)
+        ops.append(op({deg: 1, **{e: F(rng.randint(-3, 3)) for e in range(1, deg) if rng.random() < 0.4}}))
+    cert = is_algebra_forming(ops, Sx, A)
+    d = max(Sx.conductor - 1, 1 + max(g.degree for g in ops))
+    hs = natural_set(A, d)
+    null = nullspace(QMatrix.from_rows([[perp(g, h) for h in hs] for g in ops]))
+    verdict, witness = quadric_algebra_forming(
+        [list(g.coeffs) for g in ops], [list(h.coeffs) for h in hs], null, d
+    )
+    assert cert.verdict == verdict
+    if not verdict:
+        assert [cert.witness.coeff(i) for i in range(d + 1)] == witness
+
+
 # ---------------------------------------------------------------------------
 # annihilators
 
@@ -322,7 +347,7 @@ def test_annihilator_inclusion_reversing_with_inverse_system():
 
 
 def test_standard_filtration_toy_chain():
-    filt = standard_filtration(TOY)
+    filt = standard_filtration(TOY, closure(TOY))
     assert [st.gap_exponent for st in filt.steps] == [7, 4, 2, 1]
     expected_chain = [
         closure(alg({3: 1, 4: 1}, {5: 1}, {7: 1})),
@@ -342,12 +367,28 @@ def test_standard_filtration_toy_chain():
 
 
 def test_standard_filtration_whole_ring_empty():
-    assert standard_filtration(GAMMA).steps == ()
+    assert standard_filtration(GAMMA, closure(GAMMA)).steps == ()
 
 
 def test_standard_filtration_monomial_gap_order():
-    filt = standard_filtration(alg({4: 1}, {6: 1}, {9: 1}))
+    A = alg({4: 1}, {6: 1}, {9: 1})
+    filt = standard_filtration(A, closure(A))
     assert [st.gap_exponent for st in filt.steps] == [11, 7, 5, 3, 2, 1]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_filtration_steps_match_closure_at_the_default_ceiling(seed):
+    # each step is closed within S.work_trunc; the reference closes the
+    # same generators at the default ceiling
+    A = AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=6)])
+    Sx = closure(A)
+    gaps = sorted(Sx.gaps, reverse=True)
+    filt = standard_filtration(A, Sx)
+    assert [step.gap_exponent for step in filt.steps] == gaps
+    for i, step in enumerate(filt.steps):
+        adjoined = tuple([Series.monomial(j) for j in gaps[: i + 1]])
+        assert step.new_algebra == closure(AlgebraInput(Sx.algebra_generators() + adjoined))
 
 
 def test_cutting_derivation_examples():
@@ -390,7 +431,7 @@ def test_cutting_derivation_rejects_non_inclusion():
 
 
 def test_inverse_systems_shrink_along_filtration():
-    filt = standard_filtration(TOY)
+    filt = standard_filtration(TOY, closure(TOY))
     prev_A = TOY
     prev_S = closure(TOY)
     prev_V = inverse_system(prev_A, prev_S)
@@ -410,7 +451,8 @@ def test_inverse_systems_shrink_along_filtration():
 @pytest.mark.parametrize("name", ["d4", "d11", "d30"])
 def test_cutting_elements_separate_each_filtration_step(name):
     gens = ladder_gens(name)
-    filt = standard_filtration(AlgebraInput.make([Series.make(g) for g in gens]))
+    A = AlgebraInput.make([Series.make(g) for g in gens])
+    filt = standard_filtration(A, closure(A))
     prev = list(gens)
     for step in filt.steps:
         l = list(step.cutting_element.coeffs)
@@ -514,9 +556,10 @@ def test_transport_rejects_non_uniformizer():
 
 
 def test_verify_duality_examples():
-    assert verify_duality(TOY)
-    assert verify_duality(GAMMA)
-    assert verify_duality(alg({2: 1, 3: 1}, {5: 1}))
+    assert verify_duality(TOY, closure(TOY))
+    assert verify_duality(GAMMA, closure(GAMMA))
+    A = alg({2: 1, 3: 1}, {5: 1})
+    assert verify_duality(A, closure(A))
 
 
 @pytest.mark.parametrize(
@@ -531,17 +574,30 @@ def test_verify_duality_rejects_a_perturbed_inverse_system(A, monkeypatch):
         bumped = g + DiffOp.monomial(g.degree)
         return InverseSystem(V.basis[:-1] + (bumped,), V.dim, V.conductor_bound)
 
-    assert verify_duality(A)
+    assert verify_duality(A, closure(A))
     # the package's ``inverse_system`` attribute is the function, not the module
     module = importlib.import_module("branchdual.inverse_system")
     monkeypatch.setattr(module, "inverse_system", perturbed)
-    assert not verify_duality(A)
+    assert not verify_duality(A, closure(A))
+
+
+def test_verify_duality_closes_nothing(monkeypatch):
+    # it works on the staircase it is given
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_duality called closure")
+
+    A = alg({6: 1}, {8: 1, 11: 1}, {10: 1, 13: 1})
+    Sx = closure(A)
+    # the package's ``inverse_system`` attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("branchdual.inverse_system"), "closure", refuse)
+    assert verify_duality(A, Sx)
 
 
 def test_verify_duality_monomial_small_genus():
     for gaps in enumerate_semigroups(4):
         gens = gaps_to_generators(set(gaps)) if gaps else (1,)
-        assert verify_duality(alg(*[{a: 1} for a in gens]))
+        A = alg(*[{a: 1} for a in gens])
+        assert verify_duality(A, closure(A))
 
 
 # ---------------------------------------------------------------------------

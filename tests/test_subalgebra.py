@@ -137,17 +137,17 @@ def test_blowup_of_cusp_is_whole_ring():
 
 
 def test_blowup_chain_cusp():
-    assert blowup_chain(CUSP).steps == ((2, 1), (1, 0))
+    assert blowup_chain(CUSP, closure(CUSP)).steps == ((2, 1), (1, 0))
 
 
 def test_blowup_chain_whole_ring_empty():
-    assert blowup_chain(GAMMA).steps == ()
+    assert blowup_chain(GAMMA, closure(GAMMA)).steps == ()
 
 
 def test_blowup_chain_e1_sums_to_delta():
     for A in [TOY, CUSP, alg({4: 1}, {6: 1}, {9: 1})]:
         st = closure(A)
-        ch = blowup_chain(A)
+        ch = blowup_chain(A, closure(A))
         assert sum(ch.e1_sequence()) == st.delta
         assert ch.multiplicities()[-1] == 1
         # multiplicities never increase along the chain
@@ -168,7 +168,7 @@ def test_three_generator_even_semigroup_with_tails():
     combo = mul(f2, f3) - mul(mul(f1, f1), f1)
     assert order(combo) == 21
     assert membership(combo.extended(17) if combo.exact else combo, st)
-    ch = blowup_chain(A)
+    ch = blowup_chain(A, closure(A))
     assert ch.multiplicities() == (6, 2, 2, 2, 1)
     assert ch.e1_sequence() == (8, 1, 1, 1, 0)
     assert hilbert(A, st).e1 == 8
@@ -238,7 +238,7 @@ def test_blowup_delta_matches_naive_span_oracle(gens, delta):
     delta1 = len(set(range(1, T + 1)) - orders)
     assert closure(B1).delta == delta1
     # Northcott: e1 = ℓ(B′/B) = δ(B) − δ(B′)
-    assert blowup_chain(A).e1_sequence()[0] == st.delta - delta1
+    assert blowup_chain(A, closure(A)).e1_sequence()[0] == st.delta - delta1
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +323,20 @@ def test_chain_first_e1_equals_hilbert_e1_on_random_branches(seed):
     # delta(B) - delta(B') that the chain uses
     A = AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=8)])
     st_ = closure(A)
-    assert blowup_chain(A).e1_sequence()[0] == hilbert(A, st_).e1
+    assert blowup_chain(A, closure(A)).e1_sequence()[0] == hilbert(A, st_).e1
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_chain_e1_sequence_matches_oracle_deltas_on_random_branches(seed):
     A = AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=6)])
-    assert blowup_chain(A).e1_sequence() == oracle_chain_e1(A)
+    assert blowup_chain(A, closure(A)).e1_sequence() == oracle_chain_e1(A)
 
 
 @pytest.mark.parametrize("name", ["d4", "d11", "d21", "embdim3", "embdim4", "plane-d8"])
 def test_ladder_chain_e1_sequence_matches_oracle_deltas(name):
     A = ladder_input(name)
-    assert blowup_chain(A).e1_sequence() == oracle_chain_e1(A)
+    assert blowup_chain(A, closure(A)).e1_sequence() == oracle_chain_e1(A)
 
 
 def test_blowup_chain_makes_no_hilbert_call(monkeypatch):
@@ -344,7 +344,8 @@ def test_blowup_chain_makes_no_hilbert_call(monkeypatch):
         raise AssertionError("blowup_chain called hilbert")
 
     monkeypatch.setattr(subalgebra, "hilbert", refuse)
-    assert blowup_chain(ladder_input("d11")).steps == ((6, 8), (2, 1), (2, 1), (2, 1), (1, 0))
+    A = ladder_input("d11")
+    assert blowup_chain(A, closure(A)).steps == ((6, 8), (2, 1), (2, 1), (2, 1), (1, 0))
 
 
 @pytest.mark.parametrize("name", ["d30", "d48"])
