@@ -126,7 +126,8 @@ def _pairing_nullspace(elems, lo: int, hi: int):
     With no elements the matrix still has hi - lo columns, so the
     nullspace is the identity basis.
     """
-    entries = tuple([math.factorial(i) * e.coeff(i) for e in elems for i in range(lo, hi)])
+    fact = [math.factorial(i) for i in range(lo, hi)]
+    entries = tuple([f * e.coeff(lo + k) for e in elems for k, f in enumerate(fact)])
     return nullspace(QMatrix(len(elems), hi - lo, entries))
 
 
@@ -346,53 +347,38 @@ def standard_filtration(A: AlgebraInput, S: Staircase) -> Filtration:
 def cutting_derivation(C: Staircase, B: Staircase) -> CuttingDerivation:
     """Element l of B whose functional kills the smaller algebra C.
 
-    Requires C inside B with dim(B/C) = 1.  The operator g (with l its
-    series counterpart) pairs to zero with the maximal ideal of C and is
-    nonzero somewhere on the maximal ideal of B, so its kernel inside B
-    is exactly C.  Normalized monic in the lowest-degree coefficient.
+    Requires C inside B with dim(B/C) = 1.  With g the one gap of C that B
+    fills, l is phi_g of C (see ``_gap_functionals``), monic in its
+    lowest-degree coefficient; ``operator`` is the same functional.  C lies
+    in B when its basis does and c_B <= c_C, as t^k lies in C for k >= c_C;
+    then the gaps of B are those of C but one.
+
+    Proof.  B = C + k*b_g, with b_g B's reduced element of order g, or
+    t^g when g >= c_B.  Every phi_j of C kills C.  b_g is t^g plus terms on
+    B's gaps, which are C's gaps other than g, so it has no term at a value
+    of C and phi_j(b_g) = (b_g)_j: 0 for j < g, 1 for j = g.  So phi_g is the
+    first phi_j, by increasing gap, nonzero on the maximal ideal of B, and
+    its kernel inside B is exactly C.  As B/C is one-dimensional, every
+    phi_j nonzero on B restricts to a multiple of phi_g there: whether it
+    kills the square of the maximal ideal does not depend on the choice.
     """
     if C.delta != B.delta + 1:
         raise ValueError("codimension of the smaller algebra is not one")
-    for b in C.basis:
-        if not membership(b, B):
-            raise ValueError("first algebra is not contained in the second")
-    span_b = B.maximal_ideal_spanning(C.conductor - 1)
-    chosen = None
-    for require_derivation in (True, False):
-        for g in _gap_functionals(C):
-            if all(perp(g, f) == 0 for f in span_b):
-                continue
-            if require_derivation and not _kills_products(g, B):
-                continue
-            chosen = g
-            break
-        if chosen is not None:
-            break
-    if chosen is None:
-        raise InternalError("no cutting functional separates the two algebras")
-    chosen = _monic(chosen)
-    l = Series.make(list(chosen.coeffs), None)
-    return CuttingDerivation(l, chosen)
-
-
-def _kills_products(g: DiffOp, S: Staircase) -> bool:
-    """Whether g pairs to zero with every product of two maximal-ideal elements."""
-    d = g.degree
-    span = [f for f in S.maximal_ideal_spanning(d)]
-    for i, f1 in enumerate(span):
-        for f2 in span[i:]:
-            if order(f1) + order(f2) > d:
-                continue
-            if perp(g, mul(f1, f2)) != 0:
-                return False
-    return True
+    if B.conductor > C.conductor or not all(membership(b, B) for b in C.basis):
+        raise ValueError("first algebra is not contained in the second")
+    (g,) = set(C.gaps) - set(B.gaps)
+    op = _monic(_gap_functionals(C)[C.gaps.index(g)])
+    return CuttingDerivation(Series.make(list(op.coeffs), None), op)
 
 
 def is_derivation(g: DiffOp, A: AlgebraInput, S: Staircase) -> bool:
     """Whether g induces a derivation: zero on the square of the maximal ideal."""
-    if g.is_zero():
-        return True
-    return _kills_products(g, S)
+    span = S.maximal_ideal_spanning(g.degree)
+    for i, f1 in enumerate(span):
+        for f2 in span[i:]:
+            if order(f1) + order(f2) <= g.degree and perp(g, mul(f1, f2)) != 0:
+                return False
+    return True
 
 
 def transport_dual(h: Series, c: int, V2: InverseSystem):

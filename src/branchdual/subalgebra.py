@@ -233,18 +233,19 @@ def _closure_at(gens, w: int, gcd_window: int) -> Staircase:
 def membership(f: Series, S: Staircase) -> bool:
     """Whether f lies in the algebra (decided mod t^c, since t^c k[[t]] is inside).
 
-    f is reduced against the staircase basis, which is monic with one row
-    per value and so is a pivot table as it stands.
+    f is reduced against the reduced staircase: subtracting f_v b_v for
+    each value v leaves at gap j the coefficient f_j - sum_v f_v (b_v)_j,
+    which is phi_j(f) for the inverse-system functional phi_j of
+    ``inverse_system._gap_functionals``, and 0 at every value.  So f lies in
+    the algebra exactly when phi_j(f) = 0 for every gap j.
     """
     c = S.conductor
     if c == 0:
         return True
     if not f.known_to(c - 1):
         raise PrecisionExhausted(c - 1)
-    ech = Echelon(c - 1)
-    for b in S.basis:
-        ech.insert(b)
-    return ech.reduce(f.coeffs)[1] is None
+    fv = [(f.coeff(v), b) for v, b in zip(S.values, S.basis) if f.coeff(v)]
+    return all(f.coeff(j) == sum(x * b.coeff(j) for x, b in fv) for j in S.gaps)
 
 
 def hilbert(A: AlgebraInput, S: Staircase) -> HilbertData:
@@ -310,7 +311,7 @@ def _products(rows, factors, L: int) -> Echelon:
     return ech
 
 
-def blowup(A: AlgebraInput, S: Staircase, prec: int | None = None) -> AlgebraInput:
+def blowup(S: Staircase, prec: int | None = None) -> AlgebraInput:
     """Generators of the local ring in the first infinitely-near point, mod t^(prec+1).
 
     Divides the maximal-ideal spanning set by a minimal-order element and
@@ -355,16 +356,15 @@ def blowup_chain(A: AlgebraInput, S: Staircase) -> BlowupChain:
     still run out of precision, W doubles.
     """
     steps = []
-    curA, curS = A, S
+    curS = S
     while curS.delta:
         w = 2 * (curS.delta - curS.e0 + 1) + curS.e0 + 2
         while True:
             try:
-                nxtA = blowup(curA, curS, w)
-                nxtS = closure(nxtA, w)
+                nxtS = closure(blowup(curS, w), w)
                 break
             except PrecisionExhausted as ex:
                 w = max(2 * w, ex.required + 8)
         steps.append((curS.e0, curS.delta - nxtS.delta))
-        curA, curS = nxtA, nxtS
+        curS = nxtS
     return BlowupChain(tuple(steps + [(1, 0)]) if steps else ())

@@ -344,6 +344,56 @@ def quadric_algebra_forming(ops, hs, null, T):
     return True, None
 
 
+def _order_list(coeffs):
+    return next((i for i, x in enumerate(coeffs) if x != 0), None)
+
+
+def _maximal_ideal_rows(B, d):
+    """Spanning rows of B's maximal ideal mod t^(d+1): positive basis and t^k, k >= c."""
+    rows = [list(b.coeffs) for b in B.basis if 0 < _order_list(b.coeffs) <= d]
+    rows += [[0] * k + [1] for k in range(max(B.conductor, 1), d + 1)]
+    return rows
+
+
+def two_pass_cutting_element(C, B):
+    """Reference cutting element of C inside B, by a two-pass search.
+
+    C and B are staircases, read only through ``basis`` (each element's
+    ``coeffs``), ``gaps`` and ``conductor``.  The candidates are, for each
+    gap j of C in increasing order, the operator j! phi_j with
+    phi_j(f) = f_j - sum_v (c_v)_j f_v over C's positive basis elements c_v.
+    The first pass takes the first candidate that is nonzero on B's
+    maximal ideal mod t^(c_C) and kills every product of two of its
+    spanning rows; the second pass drops the product condition.  Returns
+    the operator's coefficients monic in the lowest-degree one, or None.
+    """
+    cands = []
+    for j in C.gaps:
+        g = [Fraction(0)] * j + [Fraction(1)]
+        for b in C.basis:
+            v = _order_list(b.coeffs)
+            if 0 < v < j < len(b.coeffs):
+                g[v] -= Fraction(math.factorial(j), math.factorial(v)) * b.coeffs[j]
+        cands.append(g)
+    span = _maximal_ideal_rows(B, C.conductor - 1)
+
+    def kills_products(g):
+        d = len(g) - 1
+        rows = _maximal_ideal_rows(B, d)
+        return all(perp_list(g, poly_mul(f1, f2, d)) == 0
+                   for i, f1 in enumerate(rows) for f2 in rows[i:])
+
+    for require_derivation in (True, False):
+        for g in cands:
+            if all(perp_list(g, f) == 0 for f in span):
+                continue
+            if require_derivation and not kills_products(g):
+                continue
+            low = next(x for x in g if x != 0)
+            return [x / low for x in g]
+    return None
+
+
 # ---------------------------------------------------------------------------
 # randomized instances
 

@@ -41,6 +41,7 @@ from oracles import (
     quadric_algebra_forming,
     random_branch,
     span_rank,
+    two_pass_cutting_element,
 )
 
 F = Fraction
@@ -428,6 +429,55 @@ def test_cutting_derivation_rejects_non_inclusion():
     b = closure(alg({3: 1}, {4: 1}, {5: 1}))
     with pytest.raises(ValueError):
         cutting_derivation(a, b)
+    # k + t^5 k[[t]] has only the constant below its conductor, so every
+    # basis element lies in k[[t^2, t^7]]; t^5 does not
+    a = closure(alg(*[{j: 1} for j in range(5, 10)]))
+    b = closure(alg({2: 1}, {7: 1}))
+    assert (a.delta, a.conductor, b.delta, b.conductor) == (4, 5, 3, 6)
+    with pytest.raises(ValueError):
+        cutting_derivation(a, b)
+
+
+def _codimension_one_annihilator(B, rng):
+    """Ann(g) inside B for a random algebra-forming g nonzero on B, or None."""
+    for _ in range(20):
+        if rng.random() < 0.5:  # zero on m^2: a derivation
+            support = range(1, 2 * B.e0)
+        else:
+            support = rng.sample(range(1, B.conductor + B.e0), 2)
+        g = op({i: F(rng.randint(-3, 3), rng.randint(1, 3)) for i in support})
+        if g.is_zero() or not is_algebra_forming([g], B).verdict:
+            continue
+        C = annihilator([g], B)
+        if C.delta == B.delta + 1:
+            return C
+    return None
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_cutting_derivation_matches_two_pass_reference_on_annihilators(seed):
+    rng = random.Random(seed)
+    B = closure(AlgebraInput.make([S(d) for d in random_branch(rng, max_delta=5)]))
+    C = _codimension_one_annihilator(B, rng)
+    if C is None:
+        return
+    cd = cutting_derivation(C, B)
+    assert list(cd.l.coeffs) == two_pass_cutting_element(C, B)
+    # its kernel inside B is C
+    assert all(perp(cd.operator, b) == 0 for b in C.basis)
+    assert any(perp(cd.operator, f) != 0 for f in B.maximal_ideal_spanning(C.conductor))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_cutting_elements_match_two_pass_reference_along_filtrations(seed):
+    A = AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=6)])
+    prev = closure(A)
+    for step in standard_filtration(A, prev).steps:
+        assert list(step.cutting_element.coeffs) == two_pass_cutting_element(
+            prev, step.new_algebra)
+        prev = step.new_algebra
 
 
 def test_inverse_systems_shrink_along_filtration():
