@@ -188,7 +188,7 @@ def _run_derivations(job, A, S):
     ops = _parse_ops(job)
     return {
         "results": [
-            {"operator": format_diffop(g), "is_derivation": is_derivation(g, A, S)}
+            {"operator": format_diffop(g), "is_derivation": is_derivation(g, S)}
             for g in ops
         ]
     }
@@ -270,7 +270,7 @@ def _run_transport(job, A, S):
 
 
 def _run_blowup_chain(job, A, S):
-    chain = blowup_chain(A, S)
+    chain = blowup_chain(S)
     return {
         "multiplicities": list(chain.multiplicities()),
         "e1_sequence": list(chain.e1_sequence()),

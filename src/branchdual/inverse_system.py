@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, NotAlgebraForming, PrecisionExhausted
-from .linalg import Echelon, QMatrix, nullspace, rref
+from .linalg import Echelon, QMatrix, _integer_row, nullspace, rref
 from .series import DiffOp, Series, mul, order, perp, truncate
 from .subalgebra import (
     AlgebraInput,
@@ -95,7 +95,7 @@ def _op_echelon(ops, width: int) -> Echelon:
     for g in ops:
         if g.degree >= width:
             raise ValueError(f"operator degree {g.degree} exceeds bound {width - 1}")
-        ech.insert_coeffs([g.coeff(width - 1 - k) for k in range(width)])
+        ech.insert_coeffs(_integer_row([g.coeff(width - 1 - k) for k in range(width)], width))
     return ech
 
 
@@ -316,32 +316,48 @@ def standard_filtration(A: AlgebraInput, S: Staircase) -> Filtration:
 
     Each step raises the dimension by exactly one and ends at k[[t]];
     every step records the cutting element whose kernel recovers the
-    previous algebra.
+    previous algebra: phi_g of the previous algebra, monic, for the gap g
+    it adjoins (see ``cutting_derivation``).
 
-    Step i is closed with ceiling S.work_trunc, which always suffices.
-    Proof.  Its generators, S's algebra generators and the adjoined
-    monomials, are exact, so the closure at a window w sees every value
-    up to w.  The step algebra contains t^(c-1) and t^c k[[t]], so its
-    conductor c_i is at most c - 1, and it contains S's algebra, so its
-    multiplicity e0_i is at most e0.  The run of e0_i values that
-    certifies c_i therefore ends by c + e0 - 2, and S, certified by its
-    own run ending at c + e0 - 1, has S.work_trunc >= c + e0 - 1.
+    The step that adjoins g, with g' the next smaller gap of S, is closed
+    with ceiling max(c_i + e0_i - 1, 1), where c_i = g' + 1 (0 when there
+    is none) and e0_i = min(e0, g).  Proof.  The gaps go in decreasing
+    order, so the previous algebra B_(i-1) already holds every t^k with
+    k > g, and B_i = B_(i-1) + k*t^g is a ring, as t^g times its maximal
+    ideal has order > g.  Its gaps are those of S below g, so its
+    conductor is c_i, and its least positive value is min(e0, g) = e0_i,
+    e0 the multiplicity of S.  The generators, S's algebra generators and
+    the adjoined monomials, are exact, so a closure at window w sees the
+    algebra mod t^(w+1); those of order above w are zero there and are
+    left out.  Every value of B_i below c + e0 is a generator's order, so
+    the one at w is kept and the closure starts at w.  The run of values
+    [c_i, c_i + e0_i - 1] that certifies c_i lies inside the window.  For
+    g > 1 it holds two consecutive values (e0 >= 2 as S is not k[[t]]);
+    at the last step, g = 1, the window is [0, 1] and holds t.  So the
+    gcd test never fires.
     """
-    base = S.algebra_generators()
+    gens = [(order(b), b) for b in S.algebra_generators()]
     steps = []
     prev = S
-    adjoined = []
-    for g_exp in sorted(S.gaps, reverse=True):
-        adjoined.append(Series.monomial(g_exp))
-        Si = closure(AlgebraInput(base + tuple(adjoined)), S.work_trunc)
+    gaps = sorted(S.gaps, reverse=True)
+    for i, g_exp in enumerate(gaps):
+        gens.append((g_exp, Series.monomial(g_exp)))
+        c_i = gaps[i + 1] + 1 if i + 1 < len(gaps) else 0
+        ceiling = max(c_i + min(S.e0, g_exp) - 1, 1)
+        Si = closure(AlgebraInput(tuple([b for o, b in gens if o <= ceiling])), ceiling)
         if Si.delta != prev.delta - 1:
             raise InternalError("filtration step did not raise dimension by one")
-        cd = cutting_derivation(prev, Si)
-        steps.append(FiltrationStep(g_exp, Si, cd.l))
+        steps.append(FiltrationStep(g_exp, Si, _cutting(prev, g_exp).l))
         prev = Si
     if steps and not steps[-1].new_algebra.is_whole_ring():
         raise InternalError("filtration did not reach k[[t]]")
     return Filtration(tuple(steps))
+
+
+def _cutting(C: Staircase, g: int) -> CuttingDerivation:
+    """phi_g of C (see ``_gap_functionals``), monic in its lowest-degree coefficient."""
+    op = _monic(_gap_functionals(C)[C.gaps.index(g)])
+    return CuttingDerivation(Series.make(list(op.coeffs), None), op)
 
 
 def cutting_derivation(C: Staircase, B: Staircase) -> CuttingDerivation:
@@ -367,11 +383,10 @@ def cutting_derivation(C: Staircase, B: Staircase) -> CuttingDerivation:
     if B.conductor > C.conductor or not all(membership(b, B) for b in C.basis):
         raise ValueError("first algebra is not contained in the second")
     (g,) = set(C.gaps) - set(B.gaps)
-    op = _monic(_gap_functionals(C)[C.gaps.index(g)])
-    return CuttingDerivation(Series.make(list(op.coeffs), None), op)
+    return _cutting(C, g)
 
 
-def is_derivation(g: DiffOp, A: AlgebraInput, S: Staircase) -> bool:
+def is_derivation(g: DiffOp, S: Staircase) -> bool:
     """Whether g induces a derivation: zero on the square of the maximal ideal."""
     span = S.maximal_ideal_spanning(g.degree)
     for i, f1 in enumerate(span):
@@ -431,7 +446,7 @@ def verify_duality(A: AlgebraInput, S: Staircase) -> bool:
     sols = _pairing_nullspace(V.basis, 0, c)
     ech = Echelon(c - 1)
     for v in sols:
-        ech.insert_coeffs(v)
+        ech.insert_coeffs(_integer_row(v, c))
     if len(ech.table) != len(S.values):
         return False
     for b in S.basis:

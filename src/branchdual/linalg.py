@@ -2,12 +2,17 @@
 
 :class:`Echelon` is the package's one elimination kernel: every row
 reduction (staircases of subalgebras, operator spans, nullspaces and
-linear solving) runs through it.  Elimination is fraction-free: a
-rational row has its denominators cleared once on entry, and from then on
-rows are Python ints, reduced by integer combinations (Bareiss) with the
-content divided out.  Results leave the kernel as exact rationals
-(``fractions.Fraction``), and dense matrices (:class:`QMatrix`) hold
-``Fraction`` entries.  No floating point is used anywhere.
+linear solving) runs through it.  Elimination is fraction-free: inside
+the kernel rows are Python ints, reduced by integer combinations (Bareiss)
+with the content divided out, and ``Echelon.reduce`` and
+``Echelon.insert_coeffs`` take int rows as they are.  A rational row has
+its denominators cleared once, by ``_integer_row``, where it enters:
+``Echelon.insert`` (a series), ``_reduced_rows``, and the operator and
+nullspace rows of ``inverse_system``.  Products of int rows
+(``series.mul_coeffs``) are ints already and go straight in.  Results
+leave the kernel as exact rationals (``fractions.Fraction``), and dense
+matrices (:class:`QMatrix`) hold ``Fraction`` entries.  No floating point
+is used anywhere.
 
 Tuples built on hot paths come from lists, not generators.  CPython
 builds a tuple from a generator by resizing a 10-slot one, and frees the
@@ -27,11 +32,9 @@ QONE = Fraction(1)
 
 
 def _integer_row(coeffs, n: int) -> list:
-    """``coeffs`` cut or zero-padded to n entries, times the lcm of its denominators."""
+    """Rational ``coeffs`` cut or zero-padded to n entries, times the lcm of their denominators."""
     row = list(coeffs[:n])
     row += [0] * (n - len(row))
-    if all(type(x) is int for x in row):
-        return row
     den = math.lcm(*[x.denominator for x in row if x])
     return [x.numerator * (den // x.denominator) if x else 0 for x in row]
 
@@ -59,7 +62,7 @@ class Echelon:
         return self._free_top < s
 
     def reduce(self, coeffs, start: int = 0, full: bool = False):
-        """Reduce ``coeffs``, cut or zero-padded to trunc+1 entries, to an int row.
+        """Reduce ``coeffs``, an int row of trunc+1 entries.
 
         Integer combinations with table rows clear pivot columns from
         ``start`` on, up to the first nonzero entry in a column without a
@@ -69,7 +72,7 @@ class Echelon:
         later pivot column too: the reduced row echelon step.
         """
         n = self.trunc + 1
-        row = _integer_row(coeffs, n)
+        row = list(coeffs)
         lo = next((i for i, x in enumerate(row) if x), n)  # row is zero before lo
         lead = None
         for j in range(max(start, lo), n):
@@ -100,7 +103,7 @@ class Echelon:
         return row, lead
 
     def insert_coeffs(self, coeffs):
-        """Reduce a coefficient list; returns the new pivot column or None."""
+        """Reduce an int row of trunc+1 entries; returns the new pivot column or None."""
         row, o = self.reduce(coeffs)
         if o is None:
             return None
@@ -115,8 +118,8 @@ class Echelon:
         return o
 
     def insert(self, f):
-        """Insert a series by its coefficients."""
-        return self.insert_coeffs(f.coeffs)
+        """Insert a series by its coefficients, cut or zero-padded to trunc+1."""
+        return self.insert_coeffs(_integer_row(f.coeffs, self.trunc + 1))
 
     def reduce_fully(self, o: int):
         """Monic rational row at pivot o with every other pivot column eliminated."""
@@ -161,7 +164,7 @@ def _reduced_rows(rows, width: int):
     """Reduced row echelon rows of a row list, keyed by pivot column."""
     ech = Echelon(width - 1)
     for r in rows:
-        ech.insert_coeffs(r)
+        ech.insert_coeffs(_integer_row(r, width))
     return {p: ech.reduce_fully(p) for p in ech.pivots()}
 
 

@@ -170,14 +170,11 @@ def _closure_at(gens, w: int, gcd_window: int) -> Staircase:
             queue.append(p)
     while queue:
         o1 = queue.pop()
-        if o1 not in ech.table:
-            continue
         a = ech.table[o1]
-        for o2 in ech.pivots():
-            if o2 == 0 or o1 + o2 > w:
-                continue
-            if ech.complete_from(o1 + o2):
-                continue
+        for o2 in ech.pivots()[1:]:  # pivot 0 is the unit
+            # o2 ascends and _free_top only falls: once true, true for every later o2
+            if o1 + o2 > w or ech.complete_from(o1 + o2):
+                break
             b = ech.table[o2]
             prod = mul_coeffs(a, b, w + 1)
             p = ech.insert_coeffs(prod)
@@ -286,8 +283,8 @@ def hilbert(A: AlgebraInput, S: Staircase) -> HilbertData:
     rows = sorted(sq.table.items())
     hf1 = [1, len(S.values) + e0 - len(rows)]
     gens = []
-    for g in list(m1.table.values()) + [[0] * j + [1] for j in range(c, L)]:
-        p = sq.insert_coeffs(g)
+    for g in list(m1.table.values()) + [(0,) * j + (1,) for j in range(c, L)]:
+        p = sq.insert_coeffs(list(g) + [0] * (L - len(g)))
         if p is not None:
             gens.append((p, sq.table[p]))
     gens.sort()
@@ -339,8 +336,8 @@ def blowup(S: Staircase, prec: int | None = None) -> AlgebraInput:
     return AlgebraInput(tuple(new_gens))
 
 
-def blowup_chain(A: AlgebraInput, S: Staircase) -> BlowupChain:
-    """Multiplicity and e1 sequence along the resolution by blow-ups of A, S its staircase.
+def blowup_chain(S: Staircase) -> BlowupChain:
+    """Multiplicity and e1 sequence along the resolution by blow-ups of the algebra of S.
 
     A step from B to its blow-up B' = B[m/x], v(x) = e0, records
     (e0, delta(B) - delta(B')), which is e1 (Northcott; Matlis, LNM 327):

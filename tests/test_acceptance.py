@@ -91,7 +91,7 @@ def test_criterion_02_three_generator_even_branch_blowup_chain():
     assert span_orders([coeff_dict_to_list(d) for d in gens], T) == set(
         S.values
     ) | set(range(S.conductor, T + 1))
-    ch = blowup_chain(A, closure(A))
+    ch = blowup_chain(closure(A))
     assert ch.multiplicities() == (6, 2, 2, 2, 1)
     assert ch.e1_sequence() == (8, 1, 1, 1, 0)
     assert sum(ch.e1_sequence()) == S.delta

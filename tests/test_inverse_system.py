@@ -29,6 +29,8 @@ from branchdual.linalg import QMatrix, nullspace
 from branchdual.series import DiffOp, Series, mul, order, perp, truncate
 from branchdual.subalgebra import AlgebraInput, closure
 
+from test_subalgebra import LADDER as SUBALGEBRA_LADDER
+
 from oracles import (
     algebra_span,
     brute_force_algebra_forming,
@@ -75,6 +77,14 @@ LADDER = {
     "d27": "t^7+3/5 t^8-7/11 t^9+2/9 t^10, t^10+13/17 t^11-1/19 t^13",
     "d30": "t^7+t^9, t^11+1/3 t^12",
 }
+
+
+# Rungs of the benchmark ladder from the Hilbert-function tests, with d21.
+RUNGS = ["d4", "d11", "d21", "d27", "d30"]
+
+
+def rung_input(name):
+    return AlgebraInput.make([parse_series(g) for g in SUBALGEBRA_LADDER[name].split(",")])
 
 
 def ladder_gens(name):
@@ -377,12 +387,9 @@ def test_standard_filtration_monomial_gap_order():
     assert [st.gap_exponent for st in filt.steps] == [11, 7, 5, 3, 2, 1]
 
 
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_filtration_steps_match_closure_at_the_default_ceiling(seed):
-    # each step is closed within S.work_trunc; the reference closes the
-    # same generators at the default ceiling
-    A = AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=6)])
+def check_filtration_steps_match_closure_at_the_default_ceiling(A):
+    # each step is closed in its own window, c_i + e0_i - 1; the reference
+    # closes the same generators at the default ceiling
     Sx = closure(A)
     gaps = sorted(Sx.gaps, reverse=True)
     filt = standard_filtration(A, Sx)
@@ -390,6 +397,40 @@ def test_filtration_steps_match_closure_at_the_default_ceiling(seed):
     for i, step in enumerate(filt.steps):
         adjoined = tuple([Series.monomial(j) for j in gaps[: i + 1]])
         assert step.new_algebra == closure(AlgebraInput(Sx.algebra_generators() + adjoined))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_filtration_steps_match_closure_at_the_default_ceiling(seed):
+    A = AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=6)])
+    check_filtration_steps_match_closure_at_the_default_ceiling(A)
+
+
+@pytest.mark.parametrize("name", RUNGS)
+def test_ladder_filtration_steps_match_closure_at_the_default_ceiling(name):
+    check_filtration_steps_match_closure_at_the_default_ceiling(rung_input(name))
+
+
+@pytest.mark.parametrize("name", RUNGS)
+def test_filtration_closes_each_step_in_its_own_window(name, monkeypatch):
+    ceilings = []
+
+    def recording(A, ceiling):
+        ceilings.append(ceiling)
+        return closure(A, ceiling)
+
+    # the package's ``inverse_system`` attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("branchdual.inverse_system"), "closure", recording)
+    A = rung_input(name)
+    Sx = closure(A)
+    gaps = sorted(Sx.gaps, reverse=True)
+    filt = standard_filtration(A, Sx)
+    assert len(ceilings) == len(filt.steps) == Sx.delta
+    for i, (ceiling, step) in enumerate(zip(ceilings, filt.steps)):
+        B, g = step.new_algebra, step.gap_exponent
+        c_i = gaps[i + 1] + 1 if i + 1 < len(gaps) else 0
+        assert (B.conductor, B.e0) == (c_i, min(Sx.e0, g))
+        assert ceiling == max(c_i + B.e0 - 1, 1) < Sx.work_trunc
 
 
 def test_cutting_derivation_examples():
@@ -522,18 +563,18 @@ def test_cutting_elements_separate_each_filtration_step(name):
 def test_is_derivation_high_power_fails():
     A = alg({4: 1}, {7: 1}, {17: 1})
     Sx = closure(A)
-    assert not is_derivation(op({11: 1}), A, Sx)
+    assert not is_derivation(op({11: 1}), Sx)
 
 
 def test_is_derivation_on_whole_ring():
-    assert is_derivation(op({1: 1}), GAMMA, closure(GAMMA))
+    assert is_derivation(op({1: 1}), closure(GAMMA))
 
 
 def test_is_derivation_toy_element():
     A = alg({3: 1}, {4: 1}, {5: 1})
     Sx = closure(A)
-    assert is_derivation(op({3: 1, 4: F(-1, 4)}), A, Sx)
-    assert is_derivation(DiffOp.make([]), A, Sx)
+    assert is_derivation(op({3: 1, 4: F(-1, 4)}), Sx)
+    assert is_derivation(DiffOp.make([]), Sx)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchdual.linalg import Echelon, QMatrix, nullspace, rref, solve
+from branchdual.linalg import Echelon, QMatrix, _integer_row, nullspace, rref, solve
+from branchdual.series import mul_coeffs
 
 from oracles import gauss_nullspace, span_rank
 
@@ -138,7 +139,7 @@ def test_solve_property(rows, x_true):
 def test_echelon_rows_are_primitive_integer_rows(rows):
     ech = Echelon(6)
     for r in rows:
-        ech.insert_coeffs(r)
+        ech.insert_coeffs(_integer_row(r, 7))
     for p, row in ech.table.items():
         assert isinstance(row, tuple) and len(row) == 7
         assert all(type(x) is int for x in row)
@@ -150,3 +151,20 @@ def test_echelon_rows_are_primitive_integer_rows(rows):
         full = ech.reduce_fully(p)
         assert full[p] == 1 and all(type(x) is Fraction for x in full)
         assert all(full[q] == 0 for q in ech.table if q != p)
+
+
+int_rows = st.lists(st.integers(-9, 9), min_size=1, max_size=7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(int_rows, int_rows, st.integers(1, 30)), min_size=1, max_size=8))
+def test_int_product_rows_give_the_table_of_their_rational_copies(triples):
+    # products of int rows go in as they are; the same rows as Fractions,
+    # divided by d, have their denominators cleared on the rational path
+    ints, rationals = Echelon(6), Echelon(6)
+    for a, b, d in triples:
+        row = mul_coeffs(a, b, 7)
+        ints.insert_coeffs(row)
+        rationals.insert_coeffs(_integer_row([F(x, d) for x in row], 7))
+    assert ints.table == rationals.table
+    assert all(type(x) is int for row in ints.table.values() for x in row)

@@ -22,8 +22,10 @@ from branchdual.subalgebra import (
 )
 
 from oracles import (
+    algebra_span,
     coeff_dict_to_list,
     hilbert_naive,
+    perp_list,
     random_branch,
     semigroup_data,
     span_orders,
@@ -159,17 +161,17 @@ def test_blowup_of_cusp_is_whole_ring():
 
 
 def test_blowup_chain_cusp():
-    assert blowup_chain(CUSP, closure(CUSP)).steps == ((2, 1), (1, 0))
+    assert blowup_chain(closure(CUSP)).steps == ((2, 1), (1, 0))
 
 
 def test_blowup_chain_whole_ring_empty():
-    assert blowup_chain(GAMMA, closure(GAMMA)).steps == ()
+    assert blowup_chain(closure(GAMMA)).steps == ()
 
 
 def test_blowup_chain_e1_sums_to_delta():
     for A in [TOY, CUSP, alg({4: 1}, {6: 1}, {9: 1})]:
         st = closure(A)
-        ch = blowup_chain(A, closure(A))
+        ch = blowup_chain(closure(A))
         assert sum(ch.e1_sequence()) == st.delta
         assert ch.multiplicities()[-1] == 1
         # multiplicities never increase along the chain
@@ -190,7 +192,7 @@ def test_three_generator_even_semigroup_with_tails():
     combo = mul(f2, f3) - mul(mul(f1, f1), f1)
     assert order(combo) == 21
     assert membership(combo.extended(17) if combo.exact else combo, st)
-    ch = blowup_chain(A, closure(A))
+    ch = blowup_chain(closure(A))
     assert ch.multiplicities() == (6, 2, 2, 2, 1)
     assert ch.e1_sequence() == (8, 1, 1, 1, 0)
     assert hilbert(A, st).e1 == 8
@@ -260,7 +262,7 @@ def test_blowup_delta_matches_naive_span_oracle(gens, delta):
     delta1 = len(set(range(1, T + 1)) - orders)
     assert closure(B1).delta == delta1
     # Northcott: e1 = ℓ(B′/B) = δ(B) − δ(B′)
-    assert blowup_chain(A, closure(A)).e1_sequence()[0] == st.delta - delta1
+    assert blowup_chain(closure(A)).e1_sequence()[0] == st.delta - delta1
 
 
 # ---------------------------------------------------------------------------
@@ -345,20 +347,20 @@ def test_chain_first_e1_equals_hilbert_e1_on_random_branches(seed):
     # delta(B) - delta(B') that the chain uses
     A = AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=8)])
     st_ = closure(A)
-    assert blowup_chain(A, closure(A)).e1_sequence()[0] == hilbert(A, st_).e1
+    assert blowup_chain(closure(A)).e1_sequence()[0] == hilbert(A, st_).e1
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_chain_e1_sequence_matches_oracle_deltas_on_random_branches(seed):
     A = AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=6)])
-    assert blowup_chain(A, closure(A)).e1_sequence() == oracle_chain_e1(A)
+    assert blowup_chain(closure(A)).e1_sequence() == oracle_chain_e1(A)
 
 
 @pytest.mark.parametrize("name", ["d4", "d11", "d21", "embdim3", "embdim4", "plane-d8"])
 def test_ladder_chain_e1_sequence_matches_oracle_deltas(name):
     A = ladder_input(name)
-    assert blowup_chain(A, closure(A)).e1_sequence() == oracle_chain_e1(A)
+    assert blowup_chain(closure(A)).e1_sequence() == oracle_chain_e1(A)
 
 
 def test_blowup_chain_makes_no_hilbert_call(monkeypatch):
@@ -367,7 +369,7 @@ def test_blowup_chain_makes_no_hilbert_call(monkeypatch):
 
     monkeypatch.setattr(subalgebra, "hilbert", refuse)
     A = ladder_input("d11")
-    assert blowup_chain(A, closure(A)).steps == ((6, 8), (2, 1), (2, 1), (2, 1), (1, 0))
+    assert blowup_chain(closure(A)).steps == ((6, 8), (2, 1), (2, 1), (2, 1), (1, 0))
 
 
 @pytest.mark.parametrize("name", ["d30", "d48"])
@@ -393,3 +395,34 @@ def test_large_delta_analyze_and_blowup_chain_match_oracles(name):
     assert res["e1"] == e1s[0]
     assert chain["delta"] == res["delta"] == sum(e1s)
     assert chain["multiplicities"][0] == e0 and chain["multiplicities"][-1] == 1
+
+
+@pytest.mark.parametrize("name", ["d30", "d48"])
+def test_large_delta_filtration_matches_oracles(name):
+    # a guard on the step windows, not a timing gate
+    gens = [g.strip() for g in LADDER[name].split(",")]
+    A = ladder_input(name)
+    report, code = run(JobSpec("filtration", gens))
+    assert code == 0
+    steps = report["result"]["steps"]
+    c = steps[0]["gap_exponent"] + 1
+    T = c + min(order(g) for g in A.gens) - 1  # the run of e0 values from c
+    span = algebra_span([list(g.coeffs) for g in A.gens], T)
+    values = sorted(next(i for i, x in enumerate(r) if x) for r in span)
+    gaps = sorted(set(range(1, T + 1)) - set(values))
+    assert gaps[-1] + 1 == c
+    assert [step["gap_exponent"] for step in steps] == gaps[::-1]
+    rows = span[1:]
+    for i, step in enumerate(steps):
+        g = step["gap_exponent"]
+        remaining = gaps[: len(gaps) - i - 1]
+        c_i = remaining[-1] + 1 if remaining else 0
+        values = sorted(values + [g])
+        alg = step["algebra"]
+        assert alg["gaps"] == remaining and alg["delta"] == len(remaining)
+        assert alg["conductor"] == c_i and alg["e0"] == values[1]
+        assert alg["values_below_conductor"] == [v for v in values if v < max(c_i, 1)]
+        cut = list(parse_series(step["cutting_element"]).coeffs)
+        monomial = [0] * g + [1]
+        assert all(perp_list(cut, r) == 0 for r in rows) and perp_list(cut, monomial) != 0
+        rows.append(monomial)
