@@ -155,7 +155,7 @@ def _run_inverse_system(job, A, S):
 
 
 def _run_check_af(job, A, S):
-    cert = is_algebra_forming(_parse_ops(job), S, A)
+    cert = is_algebra_forming(_parse_ops(job), S)
     return {
         "verdict": cert.verdict,
         "witness": _witness(cert),

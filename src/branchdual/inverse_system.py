@@ -12,15 +12,14 @@ Laurent (residue) representatives of inverse-system elements.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import deque
-from itertools import combinations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalError, NotAlgebraForming, PrecisionExhausted
-from .linalg import Echelon, QMatrix, _integer_row, nullspace, rref
-from .series import DiffOp, Series, mul, order, perp, truncate
+from .errors import InternalError, NotAlgebraForming
+from .linalg import Echelon, QMatrix, _integer_row, nullspace
+from .series import DiffOp, Series, mul, mul_coeffs, order, perp, truncate
 from .subalgebra import (
     AlgebraInput,
     Staircase,
@@ -85,20 +84,6 @@ class CuttingDerivation:
     operator: DiffOp
 
 
-def _op_echelon(ops, width: int) -> Echelon:
-    """Echelon of operators of degree < width, one column per degree.
-
-    Columns run from degree width-1 down to 0, so a row's pivot is its
-    leading (highest) degree.
-    """
-    ech = Echelon(width - 1)
-    for g in ops:
-        if g.degree >= width:
-            raise ValueError(f"operator degree {g.degree} exceeds bound {width - 1}")
-        ech.insert_coeffs(_integer_row([g.coeff(width - 1 - k) for k in range(width)], width))
-    return ech
-
-
 def _monic(g: DiffOp) -> DiffOp:
     """g rescaled monic in its lowest-degree coefficient."""
     return g.scale(Fraction(1) / g.coeffs[min(g.support())])
@@ -112,12 +97,11 @@ def _reduce_ops(ops, width: int):
     increasing degree.  ``width`` bounds degrees: all input degrees must
     be < width.
     """
-    ech = _op_echelon(ops, width)
-    out = []
-    for p in ech.pivots():
-        out.append(_monic(DiffOp.make(ech.reduce_fully(p)[::-1])))
-    out.sort(key=lambda g: g.degree)
-    return out
+    ech = Echelon(width - 1)  # columns from degree width-1 down: a pivot is a leading degree
+    for g in ops:
+        ech.insert_coeffs(_integer_row([g.coeff(width - 1 - k) for k in range(width)], width))
+    out = [_monic(DiffOp.make(ech.reduce_fully(p)[::-1])) for p in ech.pivots()]
+    return sorted(out, key=lambda g: g.degree)
 
 
 def _pairing_nullspace(elems, lo: int, hi: int):
@@ -131,14 +115,14 @@ def _pairing_nullspace(elems, lo: int, hi: int):
     return nullspace(QMatrix(len(elems), hi - lo, entries))
 
 
-def _gap_functionals(S: Staircase):
+def _gap_functionals(S: Staircase, gaps=None):
     """The inverse system read off the reduced staircase, one operator per gap.
 
-    For each gap j, in increasing order, returns j! phi_j with
-    phi_j = u^j/j! - sum_v (b_v)_j u^v/v!, summed over the positive values
-    v, b_v the staircase element of order v.  These are the vectors
-    ``_pairing_nullspace(S.positive_basis(), 1, c)`` yields, one per free
-    (gap) column, found without elimination.
+    For each gap j of ``gaps`` (default: all, in increasing order), returns
+    j! phi_j with phi_j = u^j/j! - sum_v (b_v)_j u^v/v!, summed over the
+    positive values v, b_v the staircase element of order v.  These are the
+    vectors ``_pairing_nullspace(S.positive_basis(), 1, c)`` yields, one per
+    free (gap) column, found without elimination.
 
     Proof.  Under ``perp``, phi_j is the functional f -> f_j - sum_v (b_v)_j f_v.
     The staircase is reduced: b_0 = 1 and each other b_w is t^w plus terms
@@ -153,15 +137,17 @@ def _gap_functionals(S: Staircase):
     has a term at another gap: the list is in reduced echelon form by
     leading degree.
     """
-    fact = [math.factorial(i) for i in range(S.conductor)]
-    rows = [(order(b), b.coeffs) for b in S.positive_basis()]
+    gaps = S.gaps if gaps is None else gaps
+    fact = [math.factorial(i) for i in range(max(gaps, default=0) + 1)]
     out = []
-    for j in S.gaps:
+    for j in gaps:
         coeffs = [0] * (j + 1)
         coeffs[j] = 1
-        for v, bc in rows:
-            if j < len(bc) and bc[j]:
-                coeffs[v] = -fact[j] * bc[j] / fact[v]
+        for v, b in zip(S.values[1:], S.basis[1:]):
+            if v > j:
+                break
+            if j < len(b.coeffs) and b.coeffs[j]:
+                coeffs[v] = -fact[j] * b.coeffs[j] / fact[v]
         out.append(DiffOp.make(coeffs))
     return out
 
@@ -178,24 +164,14 @@ def natural_set(A: AlgebraInput, d: int):
     base = [truncate(g, d) for g in gens]
     base = [g for g in base if order(g) is not None]
     ech = Echelon(d)
-    out = []
-    queue = deque()
-    for g in base:
-        if ech.insert(g) is not None:
-            out.append(g)
-            queue.append(g)
-    while queue:
-        f = queue.popleft()
-        of = order(f)
+    out = [g for g in base if ech.insert(g) is not None]
+    for f in out:  # out grows as it is read: breadth first
         for g0 in base:
-            if of + order(g0) > d:
-                continue
-            p = mul(f, g0)
-            if ech.insert(p) is not None:
-                out.append(p)
-                queue.append(p)
-    out.sort(key=order)
-    return out
+            if order(f) + order(g0) <= d:
+                p = mul(f, g0)
+                if ech.insert(p) is not None:
+                    out.append(p)
+    return sorted(out, key=order)
 
 
 def inverse_system(A: AlgebraInput, S: Staircase) -> InverseSystem:
@@ -210,105 +186,114 @@ def inverse_system(A: AlgebraInput, S: Staircase) -> InverseSystem:
     return InverseSystem(basis, len(basis), S.conductor)
 
 
-def is_algebra_forming(V, S: Staircase, A: AlgebraInput | None = None) -> AFCertificate:
-    """Certificate that Ann(V) meets the algebra in a subalgebra.
+def _annihilate(V, S: Staircase):
+    """C = Ann(V) ∩ B mod t^N and its certificate, as ``is_algebra_forming`` proves.
 
-    The solution space L of the linear conditions (all perp(g, h_j)
-    combinations vanishing) must lie inside the quadrics f -> perp(g, f^2).
-    With f_a = sum lambda_j h_j for each lambda of a nullspace basis of L,
-    containment is certified exactly by the values perp(g, f_a^2) and the
-    polar forms perp(g, f_a f_b), a < b, for each g in order: perp(g, .) of
-    a product is bilinear mod t^(d+1).  On failure the witness f_a, or
-    f_a + f_b, is verified against the defining condition.
+    None when V has no nonzero operator, else (certificate, N, C's values
+    below N, C's conductor, v -> C's fully reduced row at v as N ints).
     """
     ops = [g for g in V if not g.is_zero()]
-    for g in ops:
-        if g.coeff(0) != 0:
-            raise ValueError("operators must have zero constant term")
+    if any(g.coeff(0) != 0 for g in ops):
+        raise ValueError("operators must have zero constant term")
     if not ops:
-        return AFCertificate(True, None)
-    if A is None:
-        A = AlgebraInput(S.algebra_generators())
-    d = max(S.conductor - 1, 1 + max(g.degree for g in ops), 1)
-    hs = natural_set(A, d)
-    lin = QMatrix.from_rows([[perp(g, h) for h in hs] for g in ops])
-    fs = []
-    for lam in nullspace(lin):
-        f = Series.zero(d)
-        for x, h in zip(lam, hs):
-            if x != 0:
-                f = f + h.scale(x)
-        fs.append(f)
-    pairs = [(a, a) for a in range(len(fs))] + list(combinations(range(len(fs)), 2))
-    for g in ops:
-        low = [truncate(f, g.degree) for f in fs]  # perp(g, .) reads no higher term
-        for a, b in pairs:
-            if perp(g, mul(low[a], low[b])) == 0:
+        return None
+    k, d = len(ops), max(g.degree for g in ops)
+    n = max(S.conductor, d + 1)
+    fact = [math.factorial(i) for i in range(d + 1)]
+    forms = [_integer_row([f * x for f, x in zip(fact, g.coeffs)], n) for g in ops]
+    ech = Echelon(k + n - 1)
+    for b in S.basis:
+        row = _integer_row(b.coeffs, n)
+        ech.insert_coeffs([sum([w * x for w, x in zip(form, row)]) for form in forms] + row)
+    for j in range(max(S.conductor, 1), n):
+        ech.insert_coeffs([form[j] for form in forms] + [0] * j + [1] + [0] * (n - 1 - j))
+    values = [p - k for p in ech.pivots() if p >= k]
+
+    @functools.cache
+    def row(v):
+        return ech.reduce(ech.table[k + v], k + v + 1, full=True)[0][k:]
+
+    @functools.cache
+    def terms(v):  # the row at v up to t^d, sparse
+        return [(j, x) for j, x in enumerate(row(v)[: d + 1]) if x]
+
+    out = (n, values, max(set(range(n)) - set(values)) + 1, row)
+    pos = [v for v in values if v]
+    for i, v1 in enumerate([v for v in pos if v + pos[0] <= d]):
+        # the polar forms b -> g(a*b) of a = row(v1), on the orders b can have
+        polar = [[0] * (d + 1) for _ in forms]
+        for p, form in zip(polar, forms):
+            for j in range(v1, d + 1 - v1):
+                p[j] = sum([x * form[i1 + j] for i1, x in terms(v1) if i1 + j <= d])
+        for v2 in pos[i:]:
+            if v1 + v2 > d:
+                break
+            if not any([sum([p[j] * x for j, x in terms(v2)]) for p in polar]):
                 continue
-            f = fs[a] if a == b else fs[a] + fs[b]
-            for g2 in ops:
-                if perp(g2, f) != 0:
-                    raise InternalError("algebra-forming witness fails linear part")
-            if perp(g, mul(f, f)) == 0:
-                raise InternalError("algebra-forming witness fails quadratic part")
-            return AFCertificate(False, f)
-    return AFCertificate(True, None)
+            a, b = _monic_row(row(v1), v1), _monic_row(row(v2), v2)
+            bb = mul_coeffs(row(v2), row(v2), d + 1)
+            b_fails = any([sum([w * x for w, x in zip(form, bb)]) for form in forms])
+            return (AFCertificate(False, a if v1 == v2 else b if b_fails else a + b),) + out
+    return (AFCertificate(True, None),) + out
+
+
+def _monic_row(r, v: int) -> Series:
+    """The exact polynomial of the int row r divided by its entry at v."""
+    return Series.make([Fraction(x, r[v]) if x else 0 for x in r])
+
+
+def is_algebra_forming(V, S: Staircase) -> AFCertificate:
+    """Certificate that C = Ann(V) ∩ B is a subalgebra, B the algebra of S.
+
+    Window.  With c the conductor of B and d the largest degree in V, let
+    N = max(c, d + 1).  V reads no coefficient above t^d and t^k lies in B
+    for k >= c, so t^N k[[t]] lies in C.
+
+    Kernel.  B mod t^N is spanned by the staircase rows and t^c..t^(N-1)
+    (t..t^(N-1) for B = k[[t]]); C mod t^N is the kernel there of the forms
+    f -> g(f) = sum_i i! g_i f_i.  In one int echelon of the rows
+    [g(f) for g in V | f], form columns first, a row space vector with zero
+    form part is a combination of the rows pivoting past the form columns.
+    Their pivots are C's values below N; C's conductor c_C is one past the
+    last column with no pivot, and c_C > d as d is a gap (g(t^d + ...) =
+    d! g_d for g of degree d).  Fully reduced, the row at v is the one
+    element of C mod t^N that is t^v plus terms on C's gaps.
+
+    Product test.  1 lies in C (no g has a constant term) and t^N k[[t]]
+    is an ideal of k[[t]], so C is a ring exactly when a*b lies in C for
+    all rows a, b of orders 0 < o1 <= o2.  a*b lies in B, so in C exactly
+    when V kills it, as it does when o1 + o2 > d.
+
+    Witness.  Take the first failing pair in ascending (o1, o2).  In
+    characteristic 0, 2ab = (a+b)^2 - a^2 - b^2, so one of a^2, b^2,
+    (a+b)^2 is not in C.  a^2 passed as the pair (o1, o1), and b^2 is in
+    C when 2*o2 > d.  The witness is the first of a, b, a+b whose square
+    fails: a monic exact polynomial in C (o1 < o2 when a != b).
+    """
+    found = _annihilate(V, S)
+    return found[0] if found else AFCertificate(True, None)
 
 
 def annihilator(V, S: Staircase) -> Staircase:
-    """Staircase of {f in the algebra : perp(g, f) = 0 for all g in V}.
+    """Staircase of C = {f in the algebra : perp(g, f) = 0 for all g in V}.
 
     Requires V to be algebra-forming (raises NotAlgebraForming with the
-    failure certificate otherwise).  Solved inside a window wide enough
-    to certify the result's conductor, with the window doubled on
-    demand, then re-closed and verified.
+    failure certificate otherwise).  C mod t^N is the int kernel that
+    ``is_algebra_forming`` proves, and t^N k[[t]] lies in C.  Its staircase
+    is the fully reduced rows at its values below c_C, cut at c_C: t^v plus
+    terms on C's gaps, the canonical form ``closure`` returns.
     """
-    ops = [g for g in V if not g.is_zero()]
-    if not ops:
+    found = _annihilate(V, S)
+    if found is None:
         return S
-    cert = is_algebra_forming(ops, S)
+    cert, n, values, c, row = found
     if not cert.verdict:
         raise NotAlgebraForming(cert)
-    dmax = max(g.degree for g in ops)
-    dim_v = len(_op_echelon(ops, dmax + 1).table)
-    W = max(S.conductor, dmax + 1, 4 * (S.delta + dim_v) + 4)
-    while True:
-        sols = _annihilator_solutions(ops, S, W)
-        try:
-            C = closure(AlgebraInput(tuple(sols)), ceiling=W)
-            break
-        except PrecisionExhausted as ex:
-            W = max(2 * W, ex.required + 4)
-    for b in C.basis:
-        if not membership(b, S):
-            raise InternalError("annihilator left the ambient algebra")
-        for g in ops:
-            if perp(g, b) != 0:
-                raise InternalError("annihilator basis element not annihilated")
-    for j in range(C.conductor, dmax + 1):
-        if any(perp(g, Series.monomial(j)) != 0 for g in ops):
-            raise InternalError("annihilator conductor window not annihilated")
-    return C
-
-
-def _annihilator_solutions(ops, S: Staircase, W: int):
-    span = list(S.basis) + [
-        Series.monomial(j) for j in range(max(S.conductor, 1), W + 1)
-    ]
-    rows = [[perp(g, b) for b in span] for g in ops]
-    vecs = nullspace(QMatrix.from_rows(rows))
-    sols = []
-    for v in vecs:
-        coeffs = [Fraction(0)] * (W + 1)
-        for x, b in zip(v, span):
-            if x != 0:
-                for i, bc in enumerate(b.coeffs[: W + 1]):
-                    coeffs[i] += x * bc
-        s = Series.make(coeffs, W)
-        o = order(s)
-        if o is not None and o > 0:
-            sols.append(s)
-    return sols
+    values = tuple([v for v in values if v < c])
+    gaps = tuple(sorted(set(range(c)) - set(values)))
+    basis = tuple([_monic_row(row(v)[:c], v) for v in values])
+    e0 = values[1] if len(values) > 1 else c
+    return Staircase(basis, values, c, gaps, len(gaps), e0, work_trunc=n - 1)
 
 
 def standard_filtration(A: AlgebraInput, S: Staircase) -> Filtration:
@@ -356,7 +341,7 @@ def standard_filtration(A: AlgebraInput, S: Staircase) -> Filtration:
 
 def _cutting(C: Staircase, g: int) -> CuttingDerivation:
     """phi_g of C (see ``_gap_functionals``), monic in its lowest-degree coefficient."""
-    op = _monic(_gap_functionals(C)[C.gaps.index(g)])
+    op = _monic(_gap_functionals(C, [g])[0])
     return CuttingDerivation(Series.make(list(op.coeffs), None), op)
 
 
@@ -402,26 +387,39 @@ def transport_dual(h: Series, c: int, V2: InverseSystem):
     M is the c x c matrix whose column j holds the coefficients of h^j;
     the dual map acts by the inverse transpose in the divided-power
     bases (1/i!) u^i.  Returns (M, transported system re-reduced).
+
+    M^T X = D, D holding every basis element's divided-power coefficients
+    as a column, is upper triangular (row j holds h^j, of order j) and is
+    solved by back-substitution on ints.  With k_n = h_n / h_1^n and K the
+    lcm of their denominators, 2 <= n < c, l(s) = k(K s)/K has int
+    coefficients k_n K^(n-1) and l_1 = 1, and h(t) = K l(h_1 t / K), so
+    (h^j)_i = K^(j-i) h_1^i (l^j)_i.  With W_i = (h_1/K)^i X_i the system
+    is sum_i (l^j)_i W_i = D_j / K^j, unit upper triangular over the ints:
+    its solution is an int vector U over e K^(c-1), e the lcm of the
+    basis's denominators, found with no division.
     """
     if order(h) != 1:
         raise ValueError("reparametrization series is not a uniformizer")
-    hc = truncate(h, c - 1)
-    cols = []
-    p = Series.one(c - 1)
-    for _ in range(c):
-        cols.append([p.coeff(i) for i in range(c)])
-        p = mul(p, hc)
-    M = QMatrix.from_rows([[cols[j][i] for j in range(c)] for i in range(c)])
-    # One elimination of [M^T | D], D holding every basis element's
-    # divided-power coefficients as a column: its rref is [I | X].
-    rhs = [[g.coeff(i) * math.factorial(i) for g in V2.basis] for i in range(c)]
-    R, pivots = rref(QMatrix.from_rows([cols[i] + rhs[i] for i in range(c)]))
-    if pivots != list(range(c)):
-        raise InternalError("transport matrix is singular")
-    new_ops = [
-        DiffOp.make([R.at(i, c + j) / math.factorial(i) for i in range(c)])
-        for j in range(len(V2.basis))
-    ]
+    h1 = h.coeff(1)
+    K = math.lcm(*[(h.coeff(n) / h1**n).denominator for n in range(2, c)])
+    l = [0] + [(h.coeff(n) * K ** (n - 1) / h1**n).numerator for n in range(1, c)]
+    L = [[1] + [0] * (c - 1)]  # L[j] = l^j mod s^c
+    for _ in range(1, c):
+        L.append(mul_coeffs(L[-1], l, c))
+    hp = [h1**i for i in range(c)]
+    M = QMatrix.from_rows([[Fraction(L[j][i] * hp[i].numerator, hp[i].denominator * K ** (i - j))
+                            if i >= j else 0 for j in range(c)] for i in range(c)])
+    e = math.lcm(*[x.denominator for g in V2.basis for x in g.coeffs])
+    fact = [math.factorial(i) for i in range(c)]
+    U = [[0] * c for _ in V2.basis]
+    for j in range(c - 1, -1, -1):
+        rest = [(i, x) for i, x in enumerate(L[j]) if i > j and x]
+        scale = e * K ** (c - 1 - j) * fact[j]
+        for u, g in zip(U, V2.basis):
+            u[j] = (g.coeff(j) * scale).numerator - sum([x * u[i] for i, x in rest])
+    # X_i / i! = U_i / (e K^(c-1-i) h_1^i i!)
+    den = [e * K ** (c - 1 - i) * fact[i] * hp[i] for i in range(c)]
+    new_ops = [DiffOp.make([Fraction(x * d.denominator, d.numerator) for x, d in zip(u, den)]) for u in U]
     basis = _reduce_ops(new_ops, c)
     return M, InverseSystem(tuple(basis), len(basis), c)
 

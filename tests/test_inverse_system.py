@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchdual.errors import NotAlgebraForming
-from branchdual.expressions import parse_series
+from branchdual import cli, linalg
+from branchdual.expressions import parse_operators, parse_series
 from branchdual.inverse_system import (
     InverseSystem,
+    _reduce_ops,
     annihilator,
     cutting_derivation,
     inverse_system,
@@ -25,9 +27,9 @@ from branchdual.inverse_system import (
     transport_dual,
     verify_duality,
 )
-from branchdual.linalg import QMatrix, nullspace
+from branchdual.linalg import QMatrix, nullspace, rref
 from branchdual.series import DiffOp, Series, mul, order, perp, truncate
-from branchdual.subalgebra import AlgebraInput, closure
+from branchdual.subalgebra import AlgebraInput, closure, membership
 
 from test_subalgebra import LADDER as SUBALGEBRA_LADDER
 
@@ -256,6 +258,16 @@ def test_af_element_for_three_four_five():
     assert cert.verdict
 
 
+def test_af_witness_is_b_when_ab_and_b_squared_fail():
+    # in k[[t^2, t^3]] under u^6 - u^5 the first failing pair is (t^2, t^3):
+    # (t^2)^2 = t^4 passes, (t^3)^2 = t^6 fails, so the witness is t^3
+    B = closure(alg({2: 1}, {3: 1}))
+    ops = [op({5: -1, 6: 1})]
+    cert = is_algebra_forming(ops, B)
+    assert not cert.verdict and cert.witness == S({3: 1})
+    check_witness(cert.witness, ops, B)
+
+
 def test_af_rejects_constant_term():
     with pytest.raises(ValueError):
         is_algebra_forming([op({0: 1, 2: 1})], closure(GAMMA))
@@ -298,7 +310,9 @@ def test_af_matches_brute_force_on_random_pairs():
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_af_matches_quadric_reference_on_random_branches(seed):
-    # same verdict and witness as the Q-matrix form of the quadric test
+    # same verdict as the Q-matrix form of the quadric test over the natural
+    # set; the witness comes from another basis of the solutions, so it is
+    # checked for what it must be: f in B, V perp f = 0, V perp f^2 != 0
     rng = random.Random(seed)
     A = AlgebraInput.make([S(d) for d in random_branch(rng, max_delta=5)])
     Sx = closure(A)
@@ -306,16 +320,25 @@ def test_af_matches_quadric_reference_on_random_branches(seed):
     for _ in range(rng.randint(1, 3)):
         deg = rng.randint(1, 8)
         ops.append(op({deg: 1, **{e: F(rng.randint(-3, 3)) for e in range(1, deg) if rng.random() < 0.4}}))
-    cert = is_algebra_forming(ops, Sx, A)
+    cert = is_algebra_forming(ops, Sx)
     d = max(Sx.conductor - 1, 1 + max(g.degree for g in ops))
     hs = natural_set(A, d)
     null = nullspace(QMatrix.from_rows([[perp(g, h) for h in hs] for g in ops]))
-    verdict, witness = quadric_algebra_forming(
+    verdict, _ = quadric_algebra_forming(
         [list(g.coeffs) for g in ops], [list(h.coeffs) for h in hs], null, d
     )
     assert cert.verdict == verdict
     if not verdict:
-        assert [cert.witness.coeff(i) for i in range(d + 1)] == witness
+        check_witness(cert.witness, ops, Sx)
+    else:
+        assert cert.witness is None
+
+
+def check_witness(f, ops, B):
+    assert f.exact and order(f) > 0 and f.coeff(order(f)) == 1
+    assert membership(f, B)
+    assert all(perp(g, f) == 0 for g in ops)
+    assert any(perp(g, mul(f, f)) != 0 for g in ops)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +374,109 @@ def test_annihilator_inclusion_reversing_with_inverse_system():
     Sx = closure(TOY)
     V = inverse_system(TOY, Sx)
     assert annihilator(list(V.basis), Sx) == Sx
+
+
+def oracle_annihilator(gens, ops, n):
+    """Staircase of Ann(V) in the algebra of ``gens``, from the oracles' solution span.
+
+    n must be at least the algebra's conductor and above every operator
+    degree.  The solutions mod t^n, from ``algebra_span`` and
+    ``gauss_nullspace``, are exact polynomials in the annihilator, and so
+    are t^n..t^(2n-1); ``closure`` of them, constant terms dropped, is it.
+    """
+    span = algebra_span(gens, n - 1)
+    cond = [[perp_list(list(g.coeffs), b) for b in span] for g in ops]
+    sols = [Series.monomial(j) for j in range(n, 2 * n)]
+    for v in gauss_nullspace(cond, len(span)):
+        f = [sum(x * b[i] for x, b in zip(v, span)) for i in range(n)]
+        if any(f[1:]):
+            sols.append(Series.make([0] + f[1:]))
+    return closure(AlgebraInput.make(sols))
+
+
+def check_annihilator_against_oracle(gens, ops):
+    B = closure(AlgebraInput.make([Series.make(g) for g in gens]))
+    C = annihilator(ops, B)
+    dmax = max(g.degree for g in ops)
+    assert C == oracle_annihilator(gens, ops, max(B.conductor, dmax + 1))
+    assert (C.gaps, C.delta, C.e0) == (
+        tuple(sorted(set(range(C.conductor)) - set(C.values))),
+        C.conductor - len(C.values),
+        min([v for v in C.values if v] + [C.conductor]),
+    )
+    # what ``annihilator`` checked after its closure before, now a test
+    for b in C.basis:
+        assert membership(b, B) and all(perp(g, b) == 0 for g in ops)
+    for j in range(C.conductor, dmax + 1):
+        assert all(perp(g, Series.monomial(j)) == 0 for g in ops)
+    return C
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_annihilator_matches_oracle_solution_span_on_random_branches(seed):
+    rng = random.Random(seed)
+    dicts = random_branch(rng, max_delta=5)
+    gens = [coeff_dict_to_list(d) for d in dicts]
+    B = closure(AlgebraInput.make([S(d) for d in dicts]))
+    ops = []
+    for _ in range(rng.randint(1, 2)):
+        deg = rng.randint(1, 9)
+        ops.append(op({deg: 1, **{e: F(rng.randint(-3, 3)) for e in range(1, deg) if rng.random() < 0.4}}))
+    if rng.random() < 0.5:  # one element of the inverse system: C = B
+        ops.append(rng.choice(inverse_system(AlgebraInput(B.algebra_generators()), B).basis))
+    cert = is_algebra_forming(ops, B)
+    if not cert.verdict:
+        with pytest.raises(NotAlgebraForming) as ex:
+            annihilator(ops, B)
+        assert ex.value.certificate == cert
+        check_witness(cert.witness, ops, B)
+        return
+    check_annihilator_against_oracle(gens, ops)
+
+
+@pytest.mark.parametrize("name, v", [("d4", "u^2"), ("d27", "u^3;u^9"), ("d30", "u^5")])
+def test_ladder_annihilator_matches_oracle_solution_span(name, v):
+    # the operators of the benchmark's check-af jobs on these rungs
+    C = check_annihilator_against_oracle(ladder_gens(name), parse_operators(v))
+    assert C.delta > 0
+
+
+def test_annihilate_high_degree_operator_exits_4_with_a_valid_witness():
+    gens = ["t^5+t^6", "t^7"]
+    report, code = cli.run(cli.JobSpec("annihilate", gens, {"v": "u^1000"}))
+    assert code == 4 and report["error"]["type"] == "NotAlgebraForming"
+    B = closure(AlgebraInput.make([parse_series(g) for g in gens]))
+    check_witness(parse_series(report["error"]["witness"]), [DiffOp.monomial(1000)], B)
+
+
+def test_check_af_and_annihilate_close_only_the_job_and_run_no_fraction_elimination(monkeypatch):
+    closures = []
+
+    def counting(A, ceiling):
+        closures.append(ceiling)
+        return closure(A, ceiling)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the algebra-forming path")
+
+    # the package's ``inverse_system`` attribute is the function, not the module
+    module = importlib.import_module("branchdual.inverse_system")
+    monkeypatch.setattr(cli, "closure", counting)
+    for name in ("closure", "natural_set", "nullspace"):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(linalg, "_reduced_rows", refuse)  # rref, nullspace and solve
+    jobs = [
+        ("check-af", ["t^5+t^6", "t^7"], "u^2", 0),
+        ("check-af", ["t^5+t^6", "t^7"], "u^12", 0),
+        ("annihilate", ["t^5+t^6", "t^7"], "u^4;u^3", 0),
+        ("annihilate", ["t^5+t^6", "t^7"], "u^12", 4),
+        ("annihilate", LADDER["d30"].split(","), "u^5", 0),
+    ]
+    for command, gens, v, code in jobs:
+        closures.clear()
+        report, got = cli.run(cli.JobSpec(command, gens, {"v": v}))
+        assert (got, len(closures)) == (code, 1), report
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +760,29 @@ def test_transport_annihilates_reparametrized_generators():
     for g in V1.basis:
         assert perp(g, h2) == 0
         assert perp(g, h7) == 0
+
+
+@pytest.mark.parametrize("name", ["d4", "d11", "d27"])
+@pytest.mark.parametrize("h", ["t+t^2", "2 t-1/3 t^2+5/7 t^5", "-1/2 t+t^3-3/4 t^4"])
+def test_transport_back_substitution_matches_an_rref_solve(name, h):
+    A = AlgebraInput.make([parse_series(g) for g in LADDER[name].split(",")])
+    Sx = closure(A)
+    c = Sx.conductor
+    V2 = inverse_system(A, Sx)
+    M, V1 = transport_dual(parse_series(h), c, V2)
+    hc, p, powers = truncate(parse_series(h), c - 1), Series.one(c - 1), []
+    for _ in range(c):
+        powers.append([p.coeff(i) for i in range(c)])
+        p = mul(p, hc)
+    assert M.to_rows() == [[powers[j][i] for j in range(c)] for i in range(c)]
+    # reference: the reduced echelon form of [M^T | D] is [I | X]
+    rhs = [[g.coeff(i) * math.factorial(i) for g in V2.basis] for i in range(c)]
+    R, pivots = rref(QMatrix.from_rows([powers[i] + rhs[i] for i in range(c)]))
+    assert pivots == list(range(c))
+    ops = [DiffOp.make([R.at(i, c + j) / math.factorial(i) for i in range(c)])
+           for j in range(V2.dim)]
+    assert V1.basis == tuple(_reduce_ops(ops, c))
+    assert V1.dim == V2.dim
 
 
 def test_transport_rejects_non_uniformizer():
