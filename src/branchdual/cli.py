@@ -136,7 +136,7 @@ def _staircase_summary(S):
 
 
 def _run_analyze(job, A, S):
-    h = hilbert(A, S)
+    h = hilbert(S)
     out = _staircase_summary(S)
     out["e1"] = h.e1
     out["mu"] = 2 * S.delta
@@ -146,7 +146,7 @@ def _run_analyze(job, A, S):
 
 
 def _run_inverse_system(job, A, S):
-    V = inverse_system(A, S)
+    V = inverse_system(S)
     return {
         "delta": S.delta,
         "conductor": S.conductor,
@@ -171,7 +171,7 @@ def _run_annihilate(job, A, S):
 
 
 def _run_filtration(job, A, S):
-    filt = standard_filtration(A, S)
+    filt = standard_filtration(S)
     return {
         "steps": [
             {
@@ -257,7 +257,7 @@ def _run_transport(job, A, S):
     if not text:
         raise ExpressionError("this command requires a reparametrization (--h)")
     h = parse_series(text)
-    V2 = inverse_system(A, S)
+    V2 = inverse_system(S)
     M, V1 = transport_dual(h, S.conductor, V2)
     return {
         "conductor": S.conductor,
@@ -279,7 +279,7 @@ def _run_blowup_chain(job, A, S):
 
 
 def _run_canonical(job, A, S):
-    V = inverse_system(A, S)
+    V = inverse_system(S)
     return {
         "conductor": S.conductor,
         "basis": [

@@ -53,8 +53,6 @@ def _parse_terms(text: str):
             break
         sign = Fraction(1)
         if text[pos] in "+-":
-            if not saw_term and text[pos] == "+":
-                pass
             if text[pos] == "-":
                 sign = -sign
             pos += 1

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, NotAlgebraForming
-from .linalg import Echelon, QMatrix, _integer_row, nullspace
-from .series import DiffOp, Series, mul, mul_coeffs, order, perp, truncate
+from .linalg import Echelon, QMatrix, _integer_row
+from .series import DiffOp, Series, mul, mul_coeffs, order, truncate
 from .subalgebra import (
     AlgebraInput,
     Staircase,
@@ -94,8 +94,8 @@ def _reduce_ops(ops, width: int):
 
     Echelon by leading (highest) degree, fully reduced, each row then
     rescaled monic in its lowest-degree coefficient, returned by
-    increasing degree.  ``width`` bounds degrees: all input degrees must
-    be < width.
+    increasing degree.  Only degrees below ``width`` are read, so every
+    output degree is < width.
     """
     ech = Echelon(width - 1)  # columns from degree width-1 down: a pivot is a leading degree
     for g in ops:
@@ -104,15 +104,38 @@ def _reduce_ops(ops, width: int):
     return sorted(out, key=lambda g: g.degree)
 
 
-def _pairing_nullspace(elems, lo: int, hi: int):
-    """Nullspace of the rows (i! e_i for i in [lo, hi)), one row per element.
+def _forms(ops, n: int):
+    """The pairing's int forms f -> sum_i i! g_i f_i, one row of n entries per operator g."""
+    return [_integer_row([math.factorial(i) * x if x else 0 for i, x in enumerate(g.coeffs[:n])], n)
+            for g in ops]
 
-    With no elements the matrix still has hi - lo columns, so the
-    nullspace is the identity basis.
+
+def _values(forms, row):
+    """Each form's value on the int row."""
+    return [sum([w * x for w, x in zip(form, row)]) for form in forms]
+
+
+def _failing_pair(rows, forms, d: int):
+    """The first pair of orders v1 <= v2 whose rows' product a form does not kill, or None.
+
+    Pairs ascend up to v1 + v2 <= d (``forms`` read nothing above t^d).  The
+    row a at v1 is tested through its polar forms b -> form(a*b) on b's orders.
     """
-    fact = [math.factorial(i) for i in range(lo, hi)]
-    entries = tuple([f * e.coeff(lo + k) for e in elems for k, f in enumerate(fact)])
-    return nullspace(QMatrix(len(elems), hi - lo, entries))
+    terms = {v: [(j, x) for j, x in enumerate(r[: d + 1]) if x] for v, r in rows.items()}
+    orders = sorted(terms)
+    for i, v1 in enumerate(orders):
+        if 2 * v1 > d:
+            break
+        polar = [[0] * (d + 1) for _ in forms]
+        for p, form in zip(polar, forms):
+            for j in range(v1, d + 1 - v1):
+                p[j] = sum([x * form[i1 + j] for i1, x in terms[v1] if i1 + j <= d])
+        for v2 in orders[i:]:
+            if v1 + v2 > d:
+                break
+            if any([sum([p[j] * x for j, x in terms[v2]]) for p in polar]):
+                return v1, v2
+    return None
 
 
 def _gap_functionals(S: Staircase, gaps=None):
@@ -174,13 +197,13 @@ def natural_set(A: AlgebraInput, d: int):
     return sorted(out, key=order)
 
 
-def inverse_system(A: AlgebraInput, S: Staircase) -> InverseSystem:
-    """The space of operators g with perp(g, f) = 0 for all f in the algebra.
+def inverse_system(S: Staircase) -> InverseSystem:
+    """The space of operators g with perp(g, f) = 0 for all f in the algebra of S.
 
-    Read off the reduced staircase S of A (see ``_gap_functionals``): one
+    Read off the reduced staircase S (see ``_gap_functionals``): one
     operator per gap, in reduced echelon form by leading degree, each made
-    monic in its lowest-degree coefficient.  ``verify_duality`` checks it
-    against an independent solve over the natural spanning set.
+    monic in its lowest-degree coefficient.  ``verify_duality`` certifies it
+    against the natural spanning set of the generators.
     """
     basis = tuple([_monic(g) for g in _gap_functionals(S)])
     return InverseSystem(basis, len(basis), S.conductor)
@@ -199,12 +222,11 @@ def _annihilate(V, S: Staircase):
         return None
     k, d = len(ops), max(g.degree for g in ops)
     n = max(S.conductor, d + 1)
-    fact = [math.factorial(i) for i in range(d + 1)]
-    forms = [_integer_row([f * x for f, x in zip(fact, g.coeffs)], n) for g in ops]
+    forms = _forms(ops, n)
     ech = Echelon(k + n - 1)
     for b in S.basis:
         row = _integer_row(b.coeffs, n)
-        ech.insert_coeffs([sum([w * x for w, x in zip(form, row)]) for form in forms] + row)
+        ech.insert_coeffs(_values(forms, row) + row)
     for j in range(max(S.conductor, 1), n):
         ech.insert_coeffs([form[j] for form in forms] + [0] * j + [1] + [0] * (n - 1 - j))
     values = [p - k for p in ech.pivots() if p >= k]
@@ -213,28 +235,15 @@ def _annihilate(V, S: Staircase):
     def row(v):
         return ech.reduce(ech.table[k + v], k + v + 1, full=True)[0][k:]
 
-    @functools.cache
-    def terms(v):  # the row at v up to t^d, sparse
-        return [(j, x) for j, x in enumerate(row(v)[: d + 1]) if x]
-
     out = (n, values, max(set(range(n)) - set(values)) + 1, row)
     pos = [v for v in values if v]
-    for i, v1 in enumerate([v for v in pos if v + pos[0] <= d]):
-        # the polar forms b -> g(a*b) of a = row(v1), on the orders b can have
-        polar = [[0] * (d + 1) for _ in forms]
-        for p, form in zip(polar, forms):
-            for j in range(v1, d + 1 - v1):
-                p[j] = sum([x * form[i1 + j] for i1, x in terms(v1) if i1 + j <= d])
-        for v2 in pos[i:]:
-            if v1 + v2 > d:
-                break
-            if not any([sum([p[j] * x for j, x in terms(v2)]) for p in polar]):
-                continue
-            a, b = _monic_row(row(v1), v1), _monic_row(row(v2), v2)
-            bb = mul_coeffs(row(v2), row(v2), d + 1)
-            b_fails = any([sum([w * x for w, x in zip(form, bb)]) for form in forms])
-            return (AFCertificate(False, a if v1 == v2 else b if b_fails else a + b),) + out
-    return (AFCertificate(True, None),) + out
+    pair = _failing_pair({v: row(v) for v in pos if v + pos[0] <= d}, forms, d)
+    if pair is None:
+        return (AFCertificate(True, None),) + out
+    v1, v2 = pair
+    a, b = _monic_row(row(v1), v1), _monic_row(row(v2), v2)
+    b_fails = any(_values(forms, mul_coeffs(row(v2), row(v2), d + 1)))
+    return (AFCertificate(False, a if v1 == v2 else b if b_fails else a + b),) + out
 
 
 def _monic_row(r, v: int) -> Series:
@@ -296,8 +305,8 @@ def annihilator(V, S: Staircase) -> Staircase:
     return Staircase(basis, values, c, gaps, len(gaps), e0, work_trunc=n - 1)
 
 
-def standard_filtration(A: AlgebraInput, S: Staircase) -> Filtration:
-    """Adjoin the gap monomials t^(c-1), ..., t one at a time to A, S its staircase.
+def standard_filtration(S: Staircase) -> Filtration:
+    """Adjoin the gap monomials t^(c-1), ..., t one at a time to the algebra of S.
 
     Each step raises the dimension by exactly one and ends at k[[t]];
     every step records the cutting element whose kernel recovers the
@@ -334,8 +343,6 @@ def standard_filtration(A: AlgebraInput, S: Staircase) -> Filtration:
             raise InternalError("filtration step did not raise dimension by one")
         steps.append(FiltrationStep(g_exp, Si, _cutting(prev, g_exp).l))
         prev = Si
-    if steps and not steps[-1].new_algebra.is_whole_ring():
-        raise InternalError("filtration did not reach k[[t]]")
     return Filtration(tuple(steps))
 
 
@@ -372,13 +379,18 @@ def cutting_derivation(C: Staircase, B: Staircase) -> CuttingDerivation:
 
 
 def is_derivation(g: DiffOp, S: Staircase) -> bool:
-    """Whether g induces a derivation: zero on the square of the maximal ideal."""
-    span = S.maximal_ideal_spanning(g.degree)
-    for i, f1 in enumerate(span):
-        for f2 in span[i:]:
-            if order(f1) + order(f2) <= g.degree and perp(g, mul(f1, f2)) != 0:
-                return False
-    return True
+    """Whether g induces a derivation: zero on the square of the maximal ideal m.
+
+    Window.  With W = max(c, 1) + e0 and j >= W, t^j = x * (t^j/x) for x in m of
+    order e0, and t^j/x, of order >= max(c, 1), lies in m: t^W k[[t]] lies in m^2,
+    so g_j = 0 is needed for j >= W.  Then g kills t^W k[[t]], m^2 mod t^W is
+    spanned by products of rows of m of order < W, and g reads nothing above
+    D = min(deg g, W - 1): it remains to test those of orders o1 + o2 <= D.
+    """
+    w = max(S.conductor, 1) + S.e0
+    d = min(g.degree, w - 1)
+    rows = {order(f): _integer_row(f.coeffs, d + 1) for f in S.maximal_ideal_spanning(d)}
+    return not any(g.coeffs[w:]) and _failing_pair(rows, _forms([g], d + 1), d) is None
 
 
 def transport_dual(h: Series, c: int, V2: InverseSystem):
@@ -425,32 +437,25 @@ def transport_dual(h: Series, c: int, V2: InverseSystem):
 
 
 def verify_duality(A: AlgebraInput, S: Staircase) -> bool:
-    """Check the inverse system of A, S its staircase, independently, then its round trip.
+    """Certify the inverse system V of S against A's generators, and Ann(V) = S.
 
-    Solves the pairing conditions over the natural spanning set of A in
-    degrees up to c-1, built from A's generators and not from the
-    staircase basis, and requires the reduced solution basis to equal
-    ``inverse_system(A, S).basis``.  Then solves the dual linear system
-    mod t^c and requires its span to be the staircase's: the annihilator
-    of the inverse system is the algebra again.
+    With c = max(conductor, 1) and delta = c - #values below c: N =
+    ``natural_set(A, c - 1)`` has c - 1 - delta elements, and V has delta, is
+    its own ``_reduce_ops`` basis (so of degrees < c), and its forms kill N and
+    the staircase rows (so, as b_0 = 1, it has no constant term).  Proof.  N,
+    products of A's generators each adding a pivot, is independent, so the
+    operators in degrees 1..c-1 killing it, Ann(N), have dimension
+    c - 1 - |N| = delta: V, with delta independent elements there, is its
+    canonical reduced basis.  The pairing is perfect in degrees < c, so
+    Ann(V) mod t^c has dimension c - delta = #values and is spanned by the
+    staircase rows it holds (distinct orders).  Conversely, these give each clause.
     """
-    V = inverse_system(A, S)
-    c = S.conductor
-    if c == 0:
-        return V.dim == 0
-    vecs = _pairing_nullspace(natural_set(A, c - 1), 1, c)
-    if _reduce_ops([DiffOp.make([0] + list(v)) for v in vecs], c) != list(V.basis):
-        return False
-    sols = _pairing_nullspace(V.basis, 0, c)
-    ech = Echelon(c - 1)
-    for v in sols:
-        ech.insert_coeffs(_integer_row(v, c))
-    if len(ech.table) != len(S.values):
-        return False
-    for b in S.basis:
-        if ech.insert(truncate(b, c - 1)) is not None:
-            return False
-    return True
+    V = inverse_system(S)
+    c = max(S.conductor, 1)
+    delta, ops, N = c - len(S.values), list(V.basis), natural_set(A, c - 1)
+    forms = _forms(ops, c)
+    return (len(N) == c - 1 - delta and len(ops) == delta and _reduce_ops(ops, c) == ops
+            and not any([any(_values(forms, _integer_row(f.coeffs, c))) for f in N + list(S.basis)]))
 
 
 def rosenlicht(g: DiffOp, c: int):

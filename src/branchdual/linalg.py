@@ -1,18 +1,14 @@
 """Exact linear algebra over the rationals.
 
-:class:`Echelon` is the package's one elimination kernel: every row
-reduction (staircases of subalgebras, operator spans, nullspaces and
-linear solving) runs through it.  Elimination is fraction-free: inside
-the kernel rows are Python ints, reduced by integer combinations (Bareiss)
-with the content divided out, and ``Echelon.reduce`` and
-``Echelon.insert_coeffs`` take int rows as they are.  A rational row has
-its denominators cleared once, by ``_integer_row``, where it enters:
-``Echelon.insert`` (a series), ``_reduced_rows``, and the operator and
-nullspace rows of ``inverse_system``.  Products of int rows
-(``series.mul_coeffs``) are ints already and go straight in.  Results
-leave the kernel as exact rationals (``fractions.Fraction``), and dense
-matrices (:class:`QMatrix`) hold ``Fraction`` entries.  No floating point
-is used anywhere.
+:class:`Echelon` is the package's one elimination kernel.  It is
+fraction-free: rows are Python ints, reduced by integer combinations
+(Bareiss) with the content divided out.  A rational row has its
+denominators cleared once, by ``_integer_row``, where it enters; products
+of int rows (``series.mul_coeffs``) go straight in.  Results leave as
+exact rationals (``fractions.Fraction``).  ``rref``, ``nullspace`` and
+``solve`` reduce ``Fraction`` matrices (:class:`QMatrix`) through the same
+kernel, but no engine path calls them: :class:`QMatrix` only carries
+``transport_dual``'s matrix.  No floating point is used anywhere.
 
 Tuples built on hot paths come from lists, not generators.  CPython
 builds a tuple from a generator by resizing a 10-slot one, and frees the

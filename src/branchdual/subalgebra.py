@@ -62,7 +62,7 @@ class Staircase:
         return {order(b): b for b in self.basis}
 
     def positive_basis(self):
-        return tuple([b for b in self.basis if order(b) and order(b) > 0])
+        return self.basis[1:]  # b_0 = 1 leads every staircase
 
     def is_whole_ring(self) -> bool:
         return self.delta == 0
@@ -245,8 +245,8 @@ def membership(f: Series, S: Staircase) -> bool:
     return all(f.coeff(j) == sum(x * b.coeff(j) for x, b in fv) for j in S.gaps)
 
 
-def hilbert(A: AlgebraInput, S: Staircase) -> HilbertData:
-    """Hilbert function of the local ring, its partial sums, and e1.
+def hilbert(S: Staircase) -> HilbertData:
+    """Hilbert function of the local ring of S, its partial sums, and e1.
 
     HF(i) = dim m^i/m^(i+1), HF1(i) = dim B/m^(i+1).  With c the conductor
     (1 for B = k[[t]]), x of value e0 and L_i = c + i*e0:

@@ -421,3 +421,18 @@ def random_branch(rng: random.Random, max_delta=6):
 def coeff_dict_to_list(d):
     n = max(d) + 1 if d else 0
     return [Fraction(d.get(i, 0)) for i in range(n)]
+
+
+def derivation_naive(g_coeffs, B):
+    """Whether the operator g kills the square of B's maximal ideal, by every pair.
+
+    Every two spanning rows of the maximal ideal mod t^(d+1), d = deg g,
+    whose orders add up to at most d; no window.  ``B`` is a staircase.
+    """
+    d = len(g_coeffs) - 1
+    rows = _maximal_ideal_rows(B, d)
+    for i, a in enumerate(rows):
+        for b in rows[i:]:
+            if _order_list(a) + _order_list(b) <= d and perp_list(g_coeffs, poly_mul(a, b, d)) != 0:
+                return False
+    return True

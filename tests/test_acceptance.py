@@ -66,7 +66,7 @@ def test_criterion_01_toy_branch_invariants_and_inverse_system():
     S = closure(A)
     assert S.delta == 4
     assert S.conductor == 8
-    V = inverse_system(A, S)
+    V = inverse_system(S)
     assert [op_dict(g) for g in V.basis] == [
         {1: F(1)},
         {2: F(1)},
@@ -99,7 +99,7 @@ def test_criterion_02_three_generator_even_branch_blowup_chain():
     blowup_values = span_orders([coeff_dict_to_list(d) for d in first_blowup], T)
     blowup_delta = sum(1 for n in range(T + 1) if n not in blowup_values)
     assert S.delta - blowup_delta == ch.e1_sequence()[0]
-    assert hilbert(A, S).e1 == 8
+    assert hilbert(S).e1 == 8
     assert time.monotonic() - t0 < 10.0
 
 
@@ -108,7 +108,7 @@ def test_criterion_03_monomial_branch_dual_basis_and_laurent_forms():
     S = closure(A)
     assert S.conductor == 11
     assert S.delta == 6
-    V = inverse_system(A, S)
+    V = inverse_system(S)
     assert [g.support() for g in V.basis] == [(1,), (2,), (3,), (5,), (6,), (10,)]
     laurent_exponents = []
     for g in V.basis:
@@ -207,7 +207,7 @@ def test_criterion_08_algebra_forming_matches_brute_force():
 
 def test_criterion_09_standard_filtration_chain_and_cutting_kernels():
     A = alg({3: 1, 4: 1}, {5: 1})
-    filt = standard_filtration(A, closure(A))
+    filt = standard_filtration(closure(A))
     expected_chain = [
         closure(alg({3: 1, 4: 1}, {5: 1}, {7: 1})),
         closure(alg({3: 1}, {4: 1}, {5: 1})),
@@ -244,7 +244,7 @@ def test_criterion_10_transport_matrix_identity_and_residue_pairing():
     S = closure(A)
     c = S.conductor
     assert c == 6
-    V = inverse_system(A, S)
+    V = inverse_system(S)
     # h with h_2 = 1 and all higher coefficients zero
     h = series({1: 1, 2: 1})
     M, _ = transport_dual(h, c, V)

@@ -15,6 +15,7 @@ import pathlib
 
 import pytest
 
+from branchdual import linalg
 from branchdual.cli import main
 
 CORPUS = json.loads(
@@ -22,8 +23,7 @@ CORPUS = json.loads(
 )
 
 
-@pytest.mark.parametrize("entry", CORPUS, ids=[e["id"] for e in CORPUS])
-def test_cli_report_unchanged(entry, capsys, tmp_path):
+def check_entry(entry, capsys, tmp_path):
     argv = list(entry["argv"])
     if "job" in entry:
         path = tmp_path / "job.json"
@@ -32,8 +32,23 @@ def test_cli_report_unchanged(entry, capsys, tmp_path):
     code = main(argv + ["--json"])
     report = json.loads(capsys.readouterr().out)
     del report["diagnostics"]["elapsed_ms"]
-    assert code == entry["exit"]
-    assert json.dumps(report) == json.dumps(entry["report"])
+    assert code == entry["exit"], entry["id"]
+    assert json.dumps(report) == json.dumps(entry["report"]), entry["id"]
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=[e["id"] for e in CORPUS])
+def test_cli_report_unchanged(entry, capsys, tmp_path):
+    check_entry(entry, capsys, tmp_path)
+
+
+def test_corpus_runs_no_fraction_elimination(capsys, tmp_path, monkeypatch):
+    # rref, nullspace and solve all eliminate through _reduced_rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction elimination on a CLI path")
+
+    monkeypatch.setattr(linalg, "_reduced_rows", refuse)
+    for entry in CORPUS:
+        check_entry(entry, capsys, tmp_path)
 
 
 def test_corpus_covers_every_command_and_exit_code():

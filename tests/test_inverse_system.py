@@ -38,6 +38,7 @@ from oracles import (
     brute_force_algebra_forming,
     canonical_operator_basis,
     coeff_dict_to_list,
+    derivation_naive,
     enumerate_semigroups,
     gaps_to_generators,
     gauss_nullspace,
@@ -123,7 +124,7 @@ def test_natural_set_monomial_prunes_above_bound():
 
 
 def test_toy_inverse_system_exact():
-    V = inverse_system(TOY, closure(TOY))
+    V = inverse_system(closure(TOY))
     assert [op_dict(g) for g in V.basis] == [
         {1: 1},
         {2: 1},
@@ -135,7 +136,7 @@ def test_toy_inverse_system_exact():
 
 def test_monomial_inverse_system_gaps():
     A = alg({4: 1}, {7: 1}, {9: 1})
-    V = inverse_system(A, closure(A))
+    V = inverse_system(closure(A))
     assert [op_dict(g) for g in V.basis] == [
         {1: 1},
         {2: 1},
@@ -147,7 +148,7 @@ def test_monomial_inverse_system_gaps():
 
 
 def test_whole_ring_inverse_system_empty():
-    V = inverse_system(GAMMA, closure(GAMMA))
+    V = inverse_system(closure(GAMMA))
     assert V.basis == () and V.dim == 0
 
 
@@ -157,7 +158,7 @@ def test_two_five_tail_algebra_coefficient_forced_by_solver():
     # (a scalar multiple of the commonly quoted 6 u^2 - ... form either
     # way; the solver's exact nullspace is authoritative here).
     A = alg({2: 1, 3: 1}, {5: 1})
-    V = inverse_system(A, closure(A))
+    V = inverse_system(closure(A))
     assert [op_dict(g) for g in V.basis] == [{1: 1}, {2: 1, 3: F(-1, 3)}]
     for g in V.basis:
         assert perp(g, S({2: 1, 3: 1})) == 0
@@ -168,7 +169,7 @@ def test_even_sextic_branch_relation_pattern_from_solver():
     # solve (the sign is forced by 8! a_8 + 11! a_11 = 0); the published
     # opposite sign cannot satisfy the pairing.
     A = alg({6: 1}, {8: 1, 11: 1}, {10: 1, 13: 1})
-    V = inverse_system(A, closure(A))
+    V = inverse_system(closure(A))
     basis = {g.degree: op_dict(g) for g in V.basis}
     assert V.dim == 11
     assert basis[11] == {8: 1, 11: F(-1, 990)}
@@ -181,7 +182,7 @@ def test_even_sextic_branch_relation_pattern_from_solver():
 def test_inverse_system_annihilates_generators():
     for A in [TOY, alg({2: 1, 3: 1}, {5: 1}), alg({4: 1}, {6: 1}, {9: 1})]:
         Sx = closure(A)
-        V = inverse_system(A, Sx)
+        V = inverse_system(Sx)
         for g in V.basis:
             for f in A.gens:
                 assert perp(g, f) == 0
@@ -202,7 +203,7 @@ def check_inverse_system_against_oracle(gens):
     A = AlgebraInput.make([Series.make(g) for g in gens])
     Sx = closure(A)
     c = Sx.conductor
-    V = inverse_system(A, Sx)
+    V = inverse_system(Sx)
     assert [op_dict(g) for g in V.basis] == oracle_inverse_system(gens, c)
     # Facts that hold by construction, checked here against the oracles.
     rows = op_rows(V.basis, c)
@@ -228,7 +229,7 @@ def test_ladder_inverse_system_matches_oracle_nullspace(name):
 def test_low_degree_monomials_always_present():
     for A in [TOY, alg({4: 1}, {6: 1}, {9: 1}), alg({5: 1}, {7: 1}, {9: 1}, {11: 1})]:
         Sx = closure(A)
-        V = inverse_system(A, Sx)
+        V = inverse_system(Sx)
         degs = {g.degree for g in V.basis}
         for i in range(1, Sx.e0):
             assert any(d == i for d in degs) or any(
@@ -372,7 +373,7 @@ def test_annihilator_raises_on_non_algebra_forming():
 def test_annihilator_inclusion_reversing_with_inverse_system():
     # Ann of the full inverse system recovers the algebra itself
     Sx = closure(TOY)
-    V = inverse_system(TOY, Sx)
+    V = inverse_system(Sx)
     assert annihilator(list(V.basis), Sx) == Sx
 
 
@@ -424,7 +425,7 @@ def test_annihilator_matches_oracle_solution_span_on_random_branches(seed):
         deg = rng.randint(1, 9)
         ops.append(op({deg: 1, **{e: F(rng.randint(-3, 3)) for e in range(1, deg) if rng.random() < 0.4}}))
     if rng.random() < 0.5:  # one element of the inverse system: C = B
-        ops.append(rng.choice(inverse_system(AlgebraInput(B.algebra_generators()), B).basis))
+        ops.append(rng.choice(inverse_system(B).basis))
     cert = is_algebra_forming(ops, B)
     if not cert.verdict:
         with pytest.raises(NotAlgebraForming) as ex:
@@ -463,7 +464,7 @@ def test_check_af_and_annihilate_close_only_the_job_and_run_no_fraction_eliminat
     # the package's ``inverse_system`` attribute is the function, not the module
     module = importlib.import_module("branchdual.inverse_system")
     monkeypatch.setattr(cli, "closure", counting)
-    for name in ("closure", "natural_set", "nullspace"):
+    for name in ("closure", "natural_set"):
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(linalg, "_reduced_rows", refuse)  # rref, nullspace and solve
     jobs = [
@@ -484,7 +485,7 @@ def test_check_af_and_annihilate_close_only_the_job_and_run_no_fraction_eliminat
 
 
 def test_standard_filtration_toy_chain():
-    filt = standard_filtration(TOY, closure(TOY))
+    filt = standard_filtration(closure(TOY))
     assert [st.gap_exponent for st in filt.steps] == [7, 4, 2, 1]
     expected_chain = [
         closure(alg({3: 1, 4: 1}, {5: 1}, {7: 1})),
@@ -504,12 +505,12 @@ def test_standard_filtration_toy_chain():
 
 
 def test_standard_filtration_whole_ring_empty():
-    assert standard_filtration(GAMMA, closure(GAMMA)).steps == ()
+    assert standard_filtration(closure(GAMMA)).steps == ()
 
 
 def test_standard_filtration_monomial_gap_order():
     A = alg({4: 1}, {6: 1}, {9: 1})
-    filt = standard_filtration(A, closure(A))
+    filt = standard_filtration(closure(A))
     assert [st.gap_exponent for st in filt.steps] == [11, 7, 5, 3, 2, 1]
 
 
@@ -518,7 +519,7 @@ def check_filtration_steps_match_closure_at_the_default_ceiling(A):
     # closes the same generators at the default ceiling
     Sx = closure(A)
     gaps = sorted(Sx.gaps, reverse=True)
-    filt = standard_filtration(A, Sx)
+    filt = standard_filtration(Sx)
     assert [step.gap_exponent for step in filt.steps] == gaps
     for i, step in enumerate(filt.steps):
         adjoined = tuple([Series.monomial(j) for j in gaps[: i + 1]])
@@ -550,7 +551,7 @@ def test_filtration_closes_each_step_in_its_own_window(name, monkeypatch):
     A = rung_input(name)
     Sx = closure(A)
     gaps = sorted(Sx.gaps, reverse=True)
-    filt = standard_filtration(A, Sx)
+    filt = standard_filtration(Sx)
     assert len(ceilings) == len(filt.steps) == Sx.delta
     for i, (ceiling, step) in enumerate(zip(ceilings, filt.steps)):
         B, g = step.new_algebra, step.gap_exponent
@@ -641,21 +642,20 @@ def test_cutting_derivation_matches_two_pass_reference_on_annihilators(seed):
 def test_cutting_elements_match_two_pass_reference_along_filtrations(seed):
     A = AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=6)])
     prev = closure(A)
-    for step in standard_filtration(A, prev).steps:
+    for step in standard_filtration(prev).steps:
         assert list(step.cutting_element.coeffs) == two_pass_cutting_element(
             prev, step.new_algebra)
         prev = step.new_algebra
+    assert prev.is_whole_ring()  # the last step reaches k[[t]]
 
 
 def test_inverse_systems_shrink_along_filtration():
-    filt = standard_filtration(TOY, closure(TOY))
-    prev_A = TOY
+    filt = standard_filtration(closure(TOY))
     prev_S = closure(TOY)
-    prev_V = inverse_system(prev_A, prev_S)
+    prev_V = inverse_system(prev_S)
     for step in filt.steps:
         cur_S = step.new_algebra
-        cur_A = AlgebraInput(cur_S.algebra_generators())
-        cur_V = inverse_system(cur_A, cur_S)
+        cur_V = inverse_system(cur_S)
         # smaller algebra has the bigger inverse system; check span inclusion
         width = prev_S.conductor
         prev_rows = op_rows(prev_V.basis, width)
@@ -669,7 +669,7 @@ def test_inverse_systems_shrink_along_filtration():
 def test_cutting_elements_separate_each_filtration_step(name):
     gens = ladder_gens(name)
     A = AlgebraInput.make([Series.make(g) for g in gens])
-    filt = standard_filtration(A, closure(A))
+    filt = standard_filtration(closure(A))
     prev = list(gens)
     for step in filt.steps:
         l = list(step.cutting_element.coeffs)
@@ -703,6 +703,55 @@ def test_is_derivation_toy_element():
     assert is_derivation(DiffOp.make([]), Sx)
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_is_derivation_matches_the_pair_loop_on_random_branches(seed):
+    rng = random.Random(seed)
+    B = closure(AlgebraInput.make([S(d) for d in random_branch(rng, max_delta=6)]))
+    w = max(B.conductor, 1) + B.e0  # the window of ``is_derivation``
+    ops = []
+    for deg in (rng.randint(0, w - 1), w - 1, rng.randint(w, w + 6)):
+        ops.append(op({deg: 1, **{e: F(rng.randint(-3, 3), rng.randint(1, 3))
+                                  for e in range(deg) if rng.random() < 0.4}}))
+    if B.delta:  # an inverse-system element kills B, so m^2: a derivation
+        ops.append(rng.choice(inverse_system(B).basis) + DiffOp.monomial(0, rng.randint(-2, 2)))
+    for g in ops:
+        assert is_derivation(g, B) == derivation_naive(list(g.coeffs), B)
+
+
+# The derivations jobs of the benchmark ladder, with their operators.
+DERIVATION_JOBS = [
+    ("t^3+t^4, t^5", "u;u^2;u^5;u^9"),
+    ("t^4+t^5, t^6", "u;u^2;u^5;u^9"),
+    ("t^4, t^6+t^7", "u;u^2;u^5;u^9"),
+    ("t^6, t^8+t^11, t^10+t^13", "u;u^2;u^5;u^9"),
+    ("t^5+t^6, t^7", "u;u^2;u^5;u^9"),
+    ("t^5+t^6, t^7", "u;u^2;u^11"),
+]
+
+
+@pytest.mark.parametrize("gens, v", DERIVATION_JOBS)
+def test_ladder_derivations_match_the_pair_loop(gens, v):
+    B = closure(AlgebraInput.make([parse_series(g) for g in gens.split(",")]))
+    for g in parse_operators(v):
+        assert is_derivation(g, B) == derivation_naive(list(g.coeffs), B)
+
+
+def test_is_derivation_tests_products_at_the_top_of_the_window():
+    # k[[t^4, t^5]]: c + e0 - 1 = 15 = 5 + 10, and t^5 * t^10 lies in m^2
+    B = closure(alg({4: 1}, {5: 1}))
+    assert max(B.conductor, 1) + B.e0 - 1 == 15
+    assert not is_derivation(op({15: 1}), B)
+    assert is_derivation(op({11: 1}), B)  # 11 is a gap
+
+
+def test_derivations_of_a_high_degree_operator_stop_at_the_window():
+    # u^9000 reads t^9000, which lies in m^2 as 9000 >= c + e0 = 11
+    report, code = cli.run(cli.JobSpec("derivations", ["t^3+t^4", "t^5"], {"v": "u^9000"}))
+    assert code == 0
+    assert report["result"]["results"] == [{"operator": "u^9000", "is_derivation": False}]
+
+
 # ---------------------------------------------------------------------------
 # transport
 
@@ -710,7 +759,7 @@ def test_is_derivation_toy_element():
 def test_transport_identity():
     A = alg({2: 1}, {7: 1})
     Sx = closure(A)
-    V2 = inverse_system(A, Sx)
+    V2 = inverse_system(Sx)
     M, V1 = transport_dual(Series.make([0, 1], trunc=16), Sx.conductor, V2)
     assert V1.basis == V2.basis
     assert all(
@@ -724,7 +773,7 @@ def test_transport_matrix_columns_are_powers():
     h = S({1: 1, 2: 1, 3: F(1, 2)})
     c = 6
     A = alg({2: 1}, {7: 1})
-    M, _ = transport_dual(h, c, inverse_system(A, closure(A)))
+    M, _ = transport_dual(h, c, inverse_system(closure(A)))
     p = Series.one(c - 1)
     for j in range(c):
         for i in range(c):
@@ -739,7 +788,7 @@ def test_transport_six_by_six_entries():
     h = S({1: 1, 2: 1})
     A = alg({2: 1}, {7: 1})
     Sx = closure(A)
-    M, _ = transport_dual(h, 6, inverse_system(A, Sx))
+    M, _ = transport_dual(h, 6, inverse_system(Sx))
     assert M.at(2, 2) == 1 and M.at(3, 2) == 2  # (t+t^2)^2 = t^2 + 2t^3 + ...
     assert M.at(4, 3) == 3 and M.at(5, 3) == 3  # coefficient rows of h^3
     assert M.at(5, 4) == 4  # h^4 = t^4 + 4 t^5 + ...
@@ -749,7 +798,7 @@ def test_transport_six_by_six_entries():
 def test_transport_annihilates_reparametrized_generators():
     A = alg({2: 1}, {7: 1})
     Sx = closure(A)
-    V2 = inverse_system(A, Sx)
+    V2 = inverse_system(Sx)
     h = S({1: 1, 2: 1})
     _, V1 = transport_dual(h, Sx.conductor, V2)
     hc = truncate(h, Sx.conductor - 1)
@@ -768,7 +817,7 @@ def test_transport_back_substitution_matches_an_rref_solve(name, h):
     A = AlgebraInput.make([parse_series(g) for g in LADDER[name].split(",")])
     Sx = closure(A)
     c = Sx.conductor
-    V2 = inverse_system(A, Sx)
+    V2 = inverse_system(Sx)
     M, V1 = transport_dual(parse_series(h), c, V2)
     hc, p, powers = truncate(parse_series(h), c - 1), Series.one(c - 1), []
     for _ in range(c):
@@ -786,7 +835,7 @@ def test_transport_back_substitution_matches_an_rref_solve(name, h):
 
 
 def test_transport_rejects_non_uniformizer():
-    V = inverse_system(TOY, closure(TOY))
+    V = inverse_system(closure(TOY))
     with pytest.raises(ValueError):
         transport_dual(S({2: 1}), 8, V)
 
@@ -808,8 +857,8 @@ def test_verify_duality_examples():
 def test_verify_duality_rejects_a_perturbed_inverse_system(A, monkeypatch):
     exact = inverse_system
 
-    def perturbed(A, S):
-        V = exact(A, S)
+    def perturbed(S):
+        V = exact(S)
         g = V.basis[-1]
         bumped = g + DiffOp.monomial(g.degree)
         return InverseSystem(V.basis[:-1] + (bumped,), V.dim, V.conductor_bound)
@@ -819,6 +868,52 @@ def test_verify_duality_rejects_a_perturbed_inverse_system(A, monkeypatch):
     module = importlib.import_module("branchdual.inverse_system")
     monkeypatch.setattr(module, "inverse_system", perturbed)
     assert not verify_duality(A, closure(A))
+
+
+# Ways to break a property of the inverse system that ``verify_duality``'s
+# certificate proves: its size, its degrees, its constant terms, its normal form.
+CERTIFICATE_BREAKS = {
+    "one element dropped": lambda basis, c: basis[:-1],
+    "a term at degree c": lambda basis, c: basis[:-1] + (basis[-1] + DiffOp.monomial(c),),
+    "a constant term": lambda basis, c: (basis[0] + DiffOp.monomial(0),) + basis[1:],
+    "not monic": lambda basis, c: (basis[0].scale(2),) + basis[1:],
+}
+
+
+@pytest.mark.parametrize("A", [TOY, alg({6: 1}, {8: 1, 11: 1}, {10: 1, 13: 1})])
+@pytest.mark.parametrize("brk", sorted(CERTIFICATE_BREAKS))
+def test_verify_duality_rejects_each_broken_certificate_clause(A, brk, monkeypatch):
+    exact = inverse_system
+
+    def broken(S):
+        V = exact(S)
+        return InverseSystem(CERTIFICATE_BREAKS[brk](V.basis, S.conductor), V.dim, V.conductor_bound)
+
+    assert verify_duality(A, closure(A))
+    # the package's ``inverse_system`` attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("branchdual.inverse_system"), "inverse_system", broken)
+    assert not verify_duality(A, closure(A))
+
+
+@pytest.mark.parametrize("A", [TOY, alg({6: 1}, {8: 1, 11: 1}, {10: 1, 13: 1})])
+def test_verify_duality_rejects_a_natural_set_one_short(A, monkeypatch):
+    exact = natural_set
+    module = importlib.import_module("branchdual.inverse_system")
+    monkeypatch.setattr(module, "natural_set", lambda A, d: exact(A, d)[:-1])
+    assert not verify_duality(A, closure(A))
+
+
+def test_verify_duality_rejects_the_staircase_of_another_algebra(monkeypatch):
+    # k[[t^3, t^5]] has TOY's semigroup, so every count of the certificate holds
+    other = closure(alg({3: 1}, {5: 1}))
+    assert other.gaps == closure(TOY).gaps
+    # its inverse system does not kill TOY's natural set ...
+    assert not verify_duality(TOY, other)
+    # ... and TOY's does not kill its staircase rows
+    mine = inverse_system(closure(TOY))
+    module = importlib.import_module("branchdual.inverse_system")
+    monkeypatch.setattr(module, "inverse_system", lambda S: mine)
+    assert not verify_duality(TOY, other)
 
 
 def test_verify_duality_closes_nothing(monkeypatch):

@@ -120,7 +120,7 @@ def test_monomial_inverse_system_agrees_with_solver_small_genus():
         A = AlgebraInput.make(
             [Series.make([0] * a + [1]) for a in gens]
         )
-        V = inverse_system(A, closure(A))
+        V = inverse_system(closure(A))
         assert [g.support() for g in V.basis] == [
             (i,) for i in D.gaps
         ]

@@ -142,14 +142,14 @@ def test_membership_matches_span_rank_oracle(seed, off_the_algebra):
 
 def test_hilbert_tail_cusp():
     A = alg({2: 1}, {5: 1})
-    h = hilbert(A, closure(A))
+    h = hilbert(closure(A))
     assert h.hf1 == (1, 3, 5)
     assert h.hf == (1, 2, 2)
     assert h.e1 == 1
 
 
 def test_hilbert_toy():
-    h = hilbert(TOY, closure(TOY))
+    h = hilbert(closure(TOY))
     assert h.e1 == 3
     assert h.hf[0] == 1 and h.hf[1] == 2
 
@@ -195,7 +195,7 @@ def test_three_generator_even_semigroup_with_tails():
     ch = blowup_chain(closure(A))
     assert ch.multiplicities() == (6, 2, 2, 2, 1)
     assert ch.e1_sequence() == (8, 1, 1, 1, 0)
-    assert hilbert(A, st).e1 == 8
+    assert hilbert(st).e1 == 8
 
 
 def test_closure_values_match_naive_span_oracle():
@@ -289,7 +289,7 @@ def ladder_input(name):
 
 def check_hilbert_against_oracle(A):
     st_ = closure(A)
-    h = hilbert(A, st_)
+    h = hilbert(st_)
     n = len(h.hf1) - 1
     oracle = hilbert_naive([list(g.coeffs) for g in A.gens], n, max(st_.conductor, 1) + n * st_.e0)
     assert list(h.hf1) == oracle
@@ -336,7 +336,7 @@ def test_ladder_hilbert_matches_naive_oracle(name):
 
 
 def test_hilbert_of_the_whole_ring():
-    h = hilbert(GAMMA, closure(GAMMA))
+    h = hilbert(closure(GAMMA))
     assert (h.hf, h.hf1, h.e1) == ((1, 1, 1), (1, 2, 3), 0)
 
 
@@ -347,7 +347,7 @@ def test_chain_first_e1_equals_hilbert_e1_on_random_branches(seed):
     # delta(B) - delta(B') that the chain uses
     A = AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=8)])
     st_ = closure(A)
-    assert blowup_chain(closure(A)).e1_sequence()[0] == hilbert(A, st_).e1
+    assert blowup_chain(closure(A)).e1_sequence()[0] == hilbert(st_).e1
 
 
 @given(st.integers(0, 2**32 - 1))
