@@ -58,17 +58,19 @@ class Echelon:
         return self._free_top < s
 
     def reduce(self, coeffs, start: int = 0, full: bool = False):
-        """Reduce ``coeffs``, an int row of trunc+1 entries.
+        """Reduce ``coeffs``, an int row of at most trunc+1 entries.
 
         Integer combinations with table rows clear pivot columns from
         ``start`` on, up to the first nonzero entry in a column without a
         pivot.  Returns (row, that column), or (row, None) when the row is
         zero from ``start`` on; the row is a rational multiple of the
         reduced input.  With ``full`` the scan goes on and clears every
-        later pivot column too: the reduced row echelon step.
+        later pivot column too: the reduced row echelon step.  A row of n
+        entries is reduced as the first n columns of the table: a table
+        row touches no column before its pivot, so the rest cannot matter.
         """
-        n = self.trunc + 1
         row = list(coeffs)
+        n = len(row)
         lo = next((i for i, x in enumerate(row) if x), n)  # row is zero before lo
         lead = None
         for j in range(max(start, lo), n):
@@ -117,11 +119,29 @@ class Echelon:
         """Insert a series by its coefficients, cut or zero-padded to trunc+1."""
         return self.insert_coeffs(_integer_row(f.coeffs, self.trunc + 1))
 
-    def reduce_fully(self, o: int):
-        """Monic rational row at pivot o with every other pivot column eliminated."""
-        row = self.reduce(self.table[o], o + 1, full=True)[0]
+    def reduce_fully(self, o: int, stop: int | None = None):
+        """Monic rational row at pivot o with every other pivot column eliminated.
+
+        With ``stop`` only columns 0..stop-1 are reduced and returned: the
+        row of the reduced echelon form cut at t^stop, with none of the
+        work on the columns past it.
+        """
+        row = self.reduce(self.table[o][:stop], o + 1, full=True)[0]
         lead = row[o]
         return [Fraction(a, lead) if a else QZERO for a in row]
+
+    def set_monomials(self, lo: int, hi: int):
+        """Make t^lo..t^(hi-1) the rows at pivots lo..hi-1, with no reduction.
+
+        For a caller that knows these monomials lie in the space it builds
+        and that t^hi..t^trunc are in the span already: each row replaced
+        has order >= lo, so the span only grows, and stays in that space.
+        """
+        n = self.trunc + 1
+        for k in range(lo, hi):
+            self.table[k] = (0,) * k + (1,) + (0,) * (n - 1 - k)
+        while self._free_top in self.table:
+            self._free_top -= 1
 
 
 @dataclass(frozen=True)

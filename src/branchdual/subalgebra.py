@@ -130,7 +130,11 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
     """Canonical staircase of the algebra generated by A.
 
     Works at an adaptive truncation, doubling until the conductor is
-    certified by a run of e0 consecutive values.  Raises
+    certified by a run of e0 consecutive values.  Within a window w no
+    product is computed above the range the pivots' semigroup covers:
+    once the sums of pivots hold all of [a, w], t^a..t^w go in as rows
+    (proof in ``_closure_at``).  The window and ``work_trunc`` are those
+    of the plain closure.  Raises
     InfiniteCodimension when the value set stabilizes with gcd > 1, and
     PrecisionExhausted when the ceiling (or a generator's own truncation)
     is insufficient.
@@ -161,13 +165,49 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
 
 
 def _closure_at(gens, w: int, gcd_window: int) -> Staircase:
+    """Staircase of B_w, the algebra generated by ``gens`` mod t^(w+1).
+
+    Every pair of table rows is multiplied once and the product inserted,
+    unless all of t^(o1+o2) k[t] is in the table already.
+
+    Fill.  Every row is an element of B_w, so every pivot is a value of
+    B_w, and the values of B_w below w+1 are closed under sums that stay
+    at most w.  So every k in ``reach``, the sums of pivots found so far
+    cut at w, is a value of B_w.  Once ``reach`` holds all of [a, w], B_w
+    has an element of each order a..w; these span t^a k[t] mod t^(w+1),
+    so t^a..t^w lie in B_w.  The rows at pivots a..w, all in t^a k[t],
+    become those monomials: the span only grows, and stays inside B_w.
+    The monomials are not multiplied: their products lie in t^(a+1) k[t],
+    already in the table.  The final span is B_w either way, so pivots,
+    staircase and errors are those of the closure with no fill.  A pivot
+    already in ``reach`` leaves it as it is; any other adds its multiples,
+    by doubling shifts of a bit set.
+    """
     ech = Echelon(w)
     ech.insert(Series.one(w))
+    mask = (1 << (w + 1)) - 1
+    reach = 1  # bit k: k is a sum of pivots found so far
+    filled = w + 1  # the rows at pivots filled..w are monomials
     queue = []
+
+    def found(p):
+        nonlocal reach, filled
+        if p is None:
+            return
+        queue.append(p)
+        if reach >> p & 1:
+            return
+        s = p
+        while s <= w:
+            reach |= (reach << s) & mask
+            s *= 2
+        a = (mask ^ reach).bit_length()  # [a, w] is the top run of reach
+        if a < filled:
+            ech.set_monomials(a, filled)
+            filled = a
+
     for g in gens:
-        p = ech.insert(g.extended(w))
-        if p is not None:
-            queue.append(p)
+        found(ech.insert(g.extended(w)))
     while queue:
         o1 = queue.pop()
         a = ech.table[o1]
@@ -175,11 +215,7 @@ def _closure_at(gens, w: int, gcd_window: int) -> Staircase:
             # o2 ascends and _free_top only falls: once true, true for every later o2
             if o1 + o2 > w or ech.complete_from(o1 + o2):
                 break
-            b = ech.table[o2]
-            prod = mul_coeffs(a, b, w + 1)
-            p = ech.insert_coeffs(prod)
-            if p is not None:
-                queue.append(p)
+            found(ech.insert_coeffs(mul_coeffs(a, ech.table[o2], w + 1)))
 
     pivots = set(ech.table)
     positive = sorted(p for p in pivots if p > 0)
@@ -214,8 +250,7 @@ def _closure_at(gens, w: int, gcd_window: int) -> Staircase:
     values = tuple([p for p in sorted(pivots) if p < c])
     basis = []
     for v in values:
-        row = ech.reduce_fully(v)
-        basis.append(Series.make(row[:c], None))
+        basis.append(Series.make(ech.reduce_fully(v, c), None))
     return Staircase(
         basis=tuple(basis),
         values=values,

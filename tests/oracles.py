@@ -247,6 +247,22 @@ def span_orders(gen_coeff_lists, T):
     return {next(i for i, c in enumerate(r) if c != 0) for r in rows}
 
 
+def staircase_naive(gen_coeff_lists, T):
+    """(gaps, reduced rows below the conductor) of the algebra, read off ``algebra_span``.
+
+    The gaps are the orders in [1, T] of no row of the span mod t^(T+1),
+    and the conductor c is one past the last of them.  The rows are the
+    span cut to its first c columns, by naive Gauss-Jordan: one monic row
+    per value below c, zero at every other value.  Meaningful once T is
+    at least c + e0 - 1, so that the run of values from c is seen.
+    """
+    rows = algebra_span(gen_coeff_lists, T)
+    orders = {next(i for i, x in enumerate(r) if x) for r in rows}
+    gaps = tuple(sorted(set(range(1, T + 1)) - orders))
+    c = gaps[-1] + 1 if gaps else 0
+    return gaps, _gauss_jordan([r[:c] for r in rows], c)[0]
+
+
 def hilbert_naive(gen_coeff_lists, n, T):
     """[dim B/m^(i+1) for i in 0..n] for B generated by the inputs, counted mod t^(T+1).
 

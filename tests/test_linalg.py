@@ -151,6 +151,8 @@ def test_echelon_rows_are_primitive_integer_rows(rows):
         full = ech.reduce_fully(p)
         assert full[p] == 1 and all(type(x) is Fraction for x in full)
         assert all(full[q] == 0 for q in ech.table if q != p)
+        for stop in range(p + 1, 8):
+            assert ech.reduce_fully(p, stop) == full[:stop]
 
 
 int_rows = st.lists(st.integers(-9, 9), min_size=1, max_size=7)

@@ -30,6 +30,7 @@ from oracles import (
     semigroup_data,
     span_orders,
     span_rank,
+    staircase_naive,
 )
 
 F = Fraction
@@ -198,15 +199,23 @@ def test_three_generator_even_semigroup_with_tails():
     assert hilbert(st).e1 == 8
 
 
+def check_staircase_against_span(st, gen_coeff_lists):
+    # the whole staircase, not only its values: a wrong row at a value
+    # (a monomial put in where the algebra has none) shows in its tail
+    gaps, rows = staircase_naive(gen_coeff_lists, st.conductor + st.e0 + 2)
+    c = st.conductor
+    assert st.gaps == gaps
+    assert st.delta == len(gaps)
+    assert c == gaps[-1] + 1
+    assert [list(b.coeffs) + [0] * (c - len(b.coeffs)) for b in st.basis] == rows
+
+
 def test_closure_values_match_naive_span_oracle():
     rng = random.Random(20240817)
-    for _ in range(8):
-        dicts = random_branch(rng, max_delta=5)
+    for _ in range(40):
+        dicts = random_branch(rng, max_delta=9)
         st = closure(AlgebraInput.make([S(d) for d in dicts]))
-        T = st.conductor + st.e0 + 2
-        oracle = span_orders([coeff_dict_to_list(d) for d in dicts], T)
-        got = set(st.values) | set(range(st.conductor, T + 1))
-        assert got == oracle
+        check_staircase_against_span(st, [coeff_dict_to_list(d) for d in dicts])
 
 
 def test_staircase_equality_semantics():
@@ -229,14 +238,26 @@ def test_staircase_equality_semantics():
 )
 def test_ladder_closure_matches_naive_span_oracle(gens):
     series = [parse_series(g) for g in gens.split(",")]
-    st = closure(AlgebraInput.make(series))
-    T = st.conductor + st.e0 + 2
-    orders = span_orders([list(g.coeffs) for g in series], T)
-    gaps = tuple(sorted(set(range(1, T + 1)) - orders))
-    assert st.values == tuple(sorted(v for v in orders if v < st.conductor))
-    assert st.gaps == gaps
-    assert st.delta == len(gaps)
-    assert st.conductor == gaps[-1] + 1
+    check_staircase_against_span(closure(AlgebraInput.make(series)), [list(g.coeffs) for g in series])
+
+
+@pytest.mark.parametrize("ceiling", [64, 128])
+@pytest.mark.parametrize(
+    "gens",
+    [f"t^4, t^6+t^{m}" for m in (7, 13, 29, 41, 51, 53, 61)]
+    + [f"t^6, t^9+t^{k}" for k in (10, 11, 20, 31, 44, 53, 61)],
+)
+def test_near_miss_gcd_family_closes_or_runs_out_of_precision(gens, ceiling):
+    # every value below the tail's order is even (a multiple of 3), so the
+    # reach of the pivots covers no run until the cancellations reveal a
+    # coprime value; the gcd is 1, so codimension is finite
+    series = [parse_series(g) for g in gens.split(",")]
+    try:
+        st = closure(AlgebraInput.make(series), ceiling)
+    except PrecisionExhausted as ex:
+        assert ex.required > ceiling
+        return
+    check_staircase_against_span(st, [list(g.coeffs) for g in series])
 
 
 @pytest.mark.parametrize(
