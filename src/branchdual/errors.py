@@ -22,8 +22,8 @@ class InfiniteCodimension(BranchDualError):
 class PrecisionExhausted(BranchDualError):
     """A computation needs more series precision than is available.
 
-    ``required`` is the minimum truncation order that would let the
-    computation proceed.
+    ``required`` is the next truncation order the computation would try,
+    above the one that ran out; not always the least that suffices.
     """
 
     def __init__(self, required, message=None):
@@ -51,8 +51,9 @@ class NonCoprime(BranchDualError):
 class GeneratorError(BranchDualError, ValueError):
     """Generators that define no subalgebra of positive-order series.
 
-    Raised for a generator of order 0 (a unit) and for a list whose
-    generators are all zero; an input error, like ExpressionError.
+    Raised for a generator of order 0 (a unit), for only zero generators,
+    and for semigroup generators whose Schur bound exceeds
+    ``semigroup.MAX_SIEVE``; an input error, like ExpressionError.
     """
 
 

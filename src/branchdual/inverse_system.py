@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, NotAlgebraForming
-from .linalg import Echelon, QMatrix, _integer_row
+from .linalg import Echelon, QMatrix, _integer_row, _rational_row
 from .series import DiffOp, Series, mul, mul_coeffs, order, truncate
 from .subalgebra import (
     AlgebraInput,
@@ -143,9 +143,10 @@ def _gap_functionals(S: Staircase, gaps=None):
 
     For each gap j of ``gaps`` (default: all, in increasing order), returns
     j! phi_j with phi_j = u^j/j! - sum_v (b_v)_j u^v/v!, summed over the
-    positive values v, b_v the staircase element of order v.  These are the
-    vectors ``_pairing_nullspace(S.positive_basis(), 1, c)`` yields, one per
-    free (gap) column, found without elimination.
+    positive values v, b_v the staircase element of order v: (b_v)_j is
+    r_j / r_v for its int row r in ``S.rows``.  These are the nullspace
+    vectors of the positive rows, one per free (gap) column, found without
+    elimination.
 
     Proof.  Under ``perp``, phi_j is the functional f -> f_j - sum_v (b_v)_j f_v.
     The staircase is reduced: b_0 = 1 and each other b_w is t^w plus terms
@@ -166,11 +167,11 @@ def _gap_functionals(S: Staircase, gaps=None):
     for j in gaps:
         coeffs = [0] * (j + 1)
         coeffs[j] = 1
-        for v, b in zip(S.values[1:], S.basis[1:]):
+        for v, r in S.rows.items():  # the row of b_0 = 1 is 0 at every gap
             if v > j:
                 break
-            if j < len(b.coeffs) and b.coeffs[j]:
-                coeffs[v] = -fact[j] * b.coeffs[j] / fact[v]
+            if r[j]:
+                coeffs[v] = Fraction(-fact[j] * r[j], fact[v] * r[v])
         out.append(DiffOp.make(coeffs))
     return out
 
@@ -187,12 +188,12 @@ def natural_set(A: AlgebraInput, d: int):
     base = [truncate(g, d) for g in gens]
     base = [g for g in base if order(g) is not None]
     ech = Echelon(d)
-    out = [g for g in base if ech.insert(g) is not None]
+    out = [g for g in base if ech.insert_coeffs(_integer_row(g.coeffs, d + 1)) is not None]
     for f in out:  # out grows as it is read: breadth first
         for g0 in base:
             if order(f) + order(g0) <= d:
                 p = mul(f, g0)
-                if ech.insert(p) is not None:
+                if ech.insert_coeffs(_integer_row(p.coeffs, d + 1)) is not None:
                     out.append(p)
     return sorted(out, key=order)
 
@@ -212,8 +213,8 @@ def inverse_system(S: Staircase) -> InverseSystem:
 def _annihilate(V, S: Staircase):
     """C = Ann(V) ∩ B mod t^N and its certificate, as ``is_algebra_forming`` proves.
 
-    None when V has no nonzero operator, else (certificate, N, C's values
-    below N, C's conductor, v -> C's fully reduced row at v as N ints).
+    None when V has no nonzero operator, else (certificate, N, C's values below N,
+    C's conductor, (v, stop=N) -> C's fully reduced int row at v cut at t^stop).
     """
     ops = [g for g in V if not g.is_zero()]
     if any(g.coeff(0) != 0 for g in ops):
@@ -224,16 +225,13 @@ def _annihilate(V, S: Staircase):
     n = max(S.conductor, d + 1)
     forms = _forms(ops, n)
     ech = Echelon(k + n - 1)
-    for b in S.basis:
-        row = _integer_row(b.coeffs, n)
+    for row in S.span(n).values():
         ech.insert_coeffs(_values(forms, row) + row)
-    for j in range(max(S.conductor, 1), n):
-        ech.insert_coeffs([form[j] for form in forms] + [0] * j + [1] + [0] * (n - 1 - j))
     values = [p - k for p in ech.pivots() if p >= k]
 
     @functools.cache
-    def row(v):
-        return ech.reduce(ech.table[k + v], k + v + 1, full=True)[0][k:]
+    def row(v, stop=n):
+        return ech.reduce_fully(k + v, k + stop)[k:]
 
     out = (n, values, max(set(range(n)) - set(values)) + 1, row)
     pos = [v for v in values if v]
@@ -241,14 +239,9 @@ def _annihilate(V, S: Staircase):
     if pair is None:
         return (AFCertificate(True, None),) + out
     v1, v2 = pair
-    a, b = _monic_row(row(v1), v1), _monic_row(row(v2), v2)
+    a, b = [Series.make(_rational_row(row(v), v)) for v in pair]
     b_fails = any(_values(forms, mul_coeffs(row(v2), row(v2), d + 1)))
     return (AFCertificate(False, a if v1 == v2 else b if b_fails else a + b),) + out
-
-
-def _monic_row(r, v: int) -> Series:
-    """The exact polynomial of the int row r divided by its entry at v."""
-    return Series.make([Fraction(x, r[v]) if x else 0 for x in r])
 
 
 def is_algebra_forming(V, S: Staircase) -> AFCertificate:
@@ -298,11 +291,7 @@ def annihilator(V, S: Staircase) -> Staircase:
     cert, n, values, c, row = found
     if not cert.verdict:
         raise NotAlgebraForming(cert)
-    values = tuple([v for v in values if v < c])
-    gaps = tuple(sorted(set(range(c)) - set(values)))
-    basis = tuple([_monic_row(row(v)[:c], v) for v in values])
-    e0 = values[1] if len(values) > 1 else c
-    return Staircase(basis, values, c, gaps, len(gaps), e0, work_trunc=n - 1)
+    return Staircase({v: row(v, c) for v in values if v < c}, c, n - 1)
 
 
 def standard_filtration(S: Staircase) -> Filtration:
@@ -389,7 +378,7 @@ def is_derivation(g: DiffOp, S: Staircase) -> bool:
     """
     w = max(S.conductor, 1) + S.e0
     d = min(g.degree, w - 1)
-    rows = {order(f): _integer_row(f.coeffs, d + 1) for f in S.maximal_ideal_spanning(d)}
+    rows = {v: r for v, r in S.span(d + 1).items() if v}
     return not any(g.coeffs[w:]) and _failing_pair(rows, _forms([g], d + 1), d) is None
 
 
@@ -454,8 +443,9 @@ def verify_duality(A: AlgebraInput, S: Staircase) -> bool:
     c = max(S.conductor, 1)
     delta, ops, N = c - len(S.values), list(V.basis), natural_set(A, c - 1)
     forms = _forms(ops, c)
+    rows = [_integer_row(f.coeffs, c) for f in N] + list(S.span(c).values())
     return (len(N) == c - 1 - delta and len(ops) == delta and _reduce_ops(ops, c) == ops
-            and not any([any(_values(forms, _integer_row(f.coeffs, c))) for f in N + list(S.basis)]))
+            and not any([any(_values(forms, r)) for r in rows]))
 
 
 def rosenlicht(g: DiffOp, c: int):

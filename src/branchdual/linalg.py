@@ -4,11 +4,12 @@
 fraction-free: rows are Python ints, reduced by integer combinations
 (Bareiss) with the content divided out.  A rational row has its
 denominators cleared once, by ``_integer_row``, where it enters; products
-of int rows (``series.mul_coeffs``) go straight in.  Results leave as
-exact rationals (``fractions.Fraction``).  ``rref``, ``nullspace`` and
-``solve`` reduce ``Fraction`` matrices (:class:`QMatrix`) through the same
-kernel, but no engine path calls them: :class:`QMatrix` only carries
-``transport_dual``'s matrix.  No floating point is used anywhere.
+of int rows (``series.mul_coeffs``) go straight in.  Rows leave as
+primitive ints; ``_rational_row`` makes one exact rationals
+(``fractions.Fraction``).  ``rref``, ``nullspace`` and ``solve`` reduce
+``Fraction`` matrices (:class:`QMatrix`) through the same kernel, but no
+engine path calls them: :class:`QMatrix` only carries ``transport_dual``'s
+matrix.  No floating point is used anywhere.
 
 Tuples built on hot paths come from lists, not generators.  CPython
 builds a tuple from a generator by resizing a 10-slot one, and frees the
@@ -33,6 +34,17 @@ def _integer_row(coeffs, n: int) -> list:
     row += [0] * (n - len(row))
     den = math.lcm(*[x.denominator for x in row if x])
     return [x.numerator * (den // x.denominator) if x else 0 for x in row]
+
+
+def _primitive(row, o: int) -> tuple:
+    """The int row divided by its content, positive at column o."""
+    content = math.gcd(*row) * (-1 if row[o] < 0 else 1)
+    return tuple(row) if content == 1 else tuple([a // content for a in row])
+
+
+def _rational_row(row, o: int) -> list:
+    """The int row divided by its entry at column o, as exact rationals."""
+    return [Fraction(a, row[o]) if a else QZERO for a in row]
 
 
 class Echelon:
@@ -105,30 +117,19 @@ class Echelon:
         row, o = self.reduce(coeffs)
         if o is None:
             return None
-        content = math.gcd(*row)
-        if row[o] < 0:
-            content = -content
-        if content != 1:
-            row = [a // content for a in row]
-        self.table[o] = tuple(row)
+        self.table[o] = _primitive(row, o)
         while self._free_top in self.table:
             self._free_top -= 1
         return o
 
-    def insert(self, f):
-        """Insert a series by its coefficients, cut or zero-padded to trunc+1."""
-        return self.insert_coeffs(_integer_row(f.coeffs, self.trunc + 1))
-
-    def reduce_fully(self, o: int, stop: int | None = None):
-        """Monic rational row at pivot o with every other pivot column eliminated.
+    def reduce_fully(self, o: int, stop: int | None = None) -> tuple:
+        """Primitive int row at pivot o with every other pivot column eliminated.
 
         With ``stop`` only columns 0..stop-1 are reduced and returned: the
         row of the reduced echelon form cut at t^stop, with none of the
         work on the columns past it.
         """
-        row = self.reduce(self.table[o][:stop], o + 1, full=True)[0]
-        lead = row[o]
-        return [Fraction(a, lead) if a else QZERO for a in row]
+        return _primitive(self.reduce(self.table[o][:stop], o + 1, full=True)[0], o)
 
     def set_monomials(self, lo: int, hi: int):
         """Make t^lo..t^(hi-1) the rows at pivots lo..hi-1, with no reduction.
@@ -181,7 +182,7 @@ def _reduced_rows(rows, width: int):
     ech = Echelon(width - 1)
     for r in rows:
         ech.insert_coeffs(_integer_row(r, width))
-    return {p: ech.reduce_fully(p) for p in ech.pivots()}
+    return {p: _rational_row(ech.reduce_fully(p), p) for p in ech.pivots()}
 
 
 def _kernel(reduced, n: int):

@@ -8,11 +8,14 @@ and saturation generators derived from characteristic exponents.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .errors import InternalError, NonCoprime
+from .errors import GeneratorError, InternalError, NonCoprime
 from .inverse_system import InverseSystem
 from .series import DiffOp
+
+MAX_SIEVE = 100_000  # the largest Schur bound ``from_generators`` sieves up to
 
 
 @dataclass(frozen=True)
@@ -30,9 +33,8 @@ class NumericalSemigroup:
     genus: int
 
     def contains(self, n: int) -> bool:
-        if n < 0:
-            return False
-        return n >= self.conductor or (n not in self.gaps)
+        i = bisect_left(self.gaps, n)  # gaps ascend
+        return n >= 0 and (i == len(self.gaps) or self.gaps[i] != n)
 
     @property
     def frobenius(self) -> int:
@@ -50,8 +52,7 @@ def from_generators(gens) -> NumericalSemigroup:
     if g > 1:
         raise NonCoprime(f"generators have gcd {g}")
     e0 = gens[0]
-    # Schur bound: the Frobenius number is below (e0-1)(max-1).
-    bound = (e0 - 1) * (gens[-1] - 1) + e0 + 1
+    bound = _sieve_bound(e0, gens[-1])
     member = [False] * (bound + 1)
     member[0] = True
     for n in range(1, bound + 1):
@@ -60,6 +61,14 @@ def from_generators(gens) -> NumericalSemigroup:
     conductor = (gaps[-1] + 1) if gaps else 0
     minimal = _minimal_generators(member, e0, conductor)
     return NumericalSemigroup(minimal, conductor, gaps, e0, len(gaps))
+
+
+def _sieve_bound(e0: int, top: int) -> int:
+    """Schur bound for generators from e0 to top: the Frobenius number is below (e0-1)(top-1)."""
+    bound = (e0 - 1) * (top - 1) + e0 + 1
+    if bound > MAX_SIEVE:
+        raise GeneratorError(f"sieve bound {bound} exceeds {MAX_SIEVE}")
+    return bound
 
 
 def _minimal_generators(member, e0: int, conductor: int):
@@ -165,11 +174,15 @@ def saturation_from_characteristic(ch: Characteristic) -> NumericalSemigroup:
 
     Emits the multiplicity, the middle families s * n_(v+1) ... n_g for
     m_v <= s <= floor(m_(v+1) / n_(v+1)), and the top window m_g + i for
-    0 <= i < e0, then minimalizes.
+    0 <= i < e0, then minimalizes.  Every exponent is at most m_g + e0 - 1
+    (m_g = beta_g): the sieve bound is checked before any is listed.
     """
     if not ch.m and ch.betas:
         ch = Characteristic.make(ch.e0, ch.betas)
     g = len(ch.betas)
+    if ch.e0 == 1:  # 1 generates all of N
+        return from_generators([1])
+    _sieve_bound(ch.e0, ch.m[-1] + ch.e0 - 1)
     exps = {ch.e0}
     for v in range(g - 1):
         tail = 1

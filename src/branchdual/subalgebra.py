@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GeneratorError, InfiniteCodimension, PrecisionExhausted
-from .linalg import Echelon
+from .linalg import Echelon, _integer_row, _rational_row
 from .series import Series, divide_by_unit, mul_coeffs, order, truncate
 
 DEFAULT_TRUNC_CEILING = 512
@@ -33,33 +34,54 @@ class AlgebraInput:
 class Staircase:
     """Canonical presentation of a finite-codimension subalgebra.
 
-    ``basis`` holds one exact polynomial t^v + (gap tail) per value
-    v in [0, c); together with the monomials t^j, j >= c, they span the
-    algebra mod any power of t.
+    ``rows`` maps each value v below max(c, 1), in increasing order, to the
+    primitive int row of b_v = t^v + (gap tail) cut at max(c, 1), positive
+    at v; together with the monomials t^j, j >= c, they span the algebra
+    mod any power of t.  ``basis``, ``values``, ``gaps``, ``delta`` and
+    ``e0`` are read off the rows.
     """
 
-    basis: tuple
-    values: tuple
+    rows: dict
     conductor: int
-    gaps: tuple
-    delta: int
-    e0: int
     work_trunc: int
 
     def __eq__(self, other):
         if not isinstance(other, Staircase):
             return NotImplemented
-        return (
-            self.conductor == other.conductor
-            and self.values == other.values
-            and tuple(b.coeffs for b in self.basis) == tuple(b.coeffs for b in other.basis)
-        )
+        return self.conductor == other.conductor and self.rows == other.rows
 
     def __hash__(self):
         return hash((self.conductor, self.values))
 
-    def basis_by_order(self):
-        return {order(b): b for b in self.basis}
+    @cached_property
+    def basis(self):
+        """The exact polynomials b_v, monic, by increasing v."""
+        return tuple([Series.make(_rational_row(r, v)) for v, r in self.rows.items()])
+
+    @cached_property
+    def values(self):
+        return tuple(self.rows)
+
+    @cached_property
+    def gaps(self):
+        return tuple([j for j in range(1, self.conductor) if j not in self.rows])
+
+    @property
+    def delta(self):
+        return len(self.gaps)
+
+    @property
+    def e0(self):
+        return self.values[1] if len(self.rows) > 1 else max(self.conductor, 1)
+
+    def span(self, n: int) -> dict:
+        """Int rows spanning the algebra mod t^n, keyed by order: each b_v with
+        v < n cut or zero-padded to n entries, then t^j for max(c, 1) <= j < n.
+        """
+        out = {v: list(r[:n]) + [0] * (n - len(r)) for v, r in self.rows.items() if v < n}
+        for j in range(max(self.conductor, 1), n):
+            out[j] = [0] * j + [1] + [0] * (n - 1 - j)
+        return out
 
     def positive_basis(self):
         return self.basis[1:]  # b_0 = 1 leads every staircase
@@ -134,10 +156,10 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
     product is computed above the range the pivots' semigroup covers:
     once the sums of pivots hold all of [a, w], t^a..t^w go in as rows
     (proof in ``_closure_at``).  The window and ``work_trunc`` are those
-    of the plain closure.  Raises
-    InfiniteCodimension when the value set stabilizes with gcd > 1, and
-    PrecisionExhausted when the ceiling (or a generator's own truncation)
-    is insufficient.
+    of the plain closure.  Raises InfiniteCodimension when the value set
+    stabilizes with gcd > 1, and PrecisionExhausted when the ceiling (or a
+    generator's own truncation) is insufficient; its ``required`` is the
+    next window the doubling would try, not always the least that suffices.
     """
     gens = _positive_gens(A)
     orders = [order(g) for g in gens]
@@ -184,7 +206,7 @@ def _closure_at(gens, w: int, gcd_window: int) -> Staircase:
     by doubling shifts of a bit set.
     """
     ech = Echelon(w)
-    ech.insert(Series.one(w))
+    ech.insert_coeffs([1] + [0] * w)
     mask = (1 << (w + 1)) - 1
     reach = 1  # bit k: k is a sum of pivots found so far
     filled = w + 1  # the rows at pivots filled..w are monomials
@@ -206,8 +228,8 @@ def _closure_at(gens, w: int, gcd_window: int) -> Staircase:
             ech.set_monomials(a, filled)
             filled = a
 
-    for g in gens:
-        found(ech.insert(g.extended(w)))
+    for g in gens:  # w <= every inexact generator's trunc (``closure``'s cap)
+        found(ech.insert_coeffs(_integer_row(g.coeffs, w + 1)))
     while queue:
         o1 = queue.pop()
         a = ech.table[o1]
@@ -230,36 +252,14 @@ def _closure_at(gens, w: int, gcd_window: int) -> Staircase:
             raise InfiniteCodimension(g, positive)
         raise _Inconclusive(max(gcd_window, w + 1))
 
-    if 1 in pivots:
-        return Staircase(
-            basis=(Series.one(),),
-            values=(0,),
-            conductor=0,
-            gaps=(),
-            delta=0,
-            e0=1,
-            work_trunc=w,
-        )
-
-    gaps = tuple([i for i in range(1, w + 1) if i not in pivots])
-    c = gaps[-1] + 1
+    gaps = [i for i in range(1, w + 1) if i not in pivots]
+    c = gaps[-1] + 1 if gaps else 0
     e0 = positive[0]
     if c + e0 - 1 > w or any(j not in pivots for j in range(c, c + e0)):
         raise _Inconclusive(2 * w)
-
-    values = tuple([p for p in sorted(pivots) if p < c])
-    basis = []
-    for v in values:
-        basis.append(Series.make(ech.reduce_fully(v, c), None))
-    return Staircase(
-        basis=tuple(basis),
-        values=values,
-        conductor=c,
-        gaps=gaps,
-        delta=len(gaps),
-        e0=e0,
-        work_trunc=w,
-    )
+    top = max(c, 1)  # k[[t]] keeps its row b_0 = 1
+    rows = {v: ech.reduce_fully(v, top) for v in ech.pivots() if v < top}
+    return Staircase(rows, c, w)
 
 
 def membership(f: Series, S: Staircase) -> bool:
@@ -309,20 +309,13 @@ def hilbert(S: Staircase) -> HilbertData:
     (Eakin-Sathaye).  The sequences end at index n + 1, closing on e0, e0.
     """
     c, e0 = max(S.conductor, 1), S.e0
-    m1 = Echelon(c - 1)  # m mod t^(L_0)
-    for b in S.positive_basis():
-        m1.insert(b)
-    rows = sorted(m1.table.items())
+    rows = [(v, r) for v, r in S.span(c).items() if v]  # m mod t^(L_0), reduced
     L = c + e0
     sq = _products(rows, rows, L)  # m^2 mod t^(L_1)
     rows = sorted(sq.table.items())
     hf1 = [1, len(S.values) + e0 - len(rows)]
-    gens = []
-    for g in list(m1.table.values()) + [(0,) * j + (1,) for j in range(c, L)]:
-        p = sq.insert_coeffs(list(g) + [0] * (L - len(g)))
-        if p is not None:
-            gens.append((p, sq.table[p]))
-    gens.sort()
+    pivots = [sq.insert_coeffs(g) for g in list(S.span(L).values())[1:]]  # row 0 is b_0 = 1
+    gens = sorted([(p, sq.table[p]) for p in pivots if p is not None])
     while hf1[-1] - hf1[-2] != e0:
         L += e0
         rows = sorted(_products(rows, gens, L).table.items())
@@ -352,15 +345,13 @@ def blowup(S: Staircase, prec: int | None = None) -> AlgebraInput:
     """
     if S.delta == 0:
         raise ValueError("nothing to blow up: the algebra is all of k[[t]]")
-    c, e0 = S.conductor, S.e0
+    e0 = S.e0
     if prec is None:
-        prec = max(2 * c + 16, 32)
-    table = S.basis_by_order()
-    f0 = table[e0] if e0 in table else Series.monomial(e0)
-    u0 = Series.make(list(f0.coeffs[e0:]), None)
-    span = S.positive_basis() + tuple([Series.monomial(j) for j in range(c, c + e0)])
-    new_gens = [truncate(g, prec) for g in S.algebra_generators()]
-    for e in span:
+        prec = max(2 * S.conductor + 16, 32)
+    gens = S.algebra_generators()  # gens[0] has the least order, e0
+    u0 = Series.make(list(gens[0].coeffs[e0:]), None)
+    new_gens = [truncate(g, prec) for g in gens]
+    for e in gens:
         v = order(e)
         unit_e = Series.make(list(e.coeffs[v:]), None)
         q = divide_by_unit(unit_e, u0, prec=prec)

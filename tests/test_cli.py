@@ -267,6 +267,20 @@ def test_saturation_report():
     assert code2 == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["semigroup", "--gens", "20000,20001"], ["saturation", "--char", "2;100001"]],
+    ids=["semigroup", "saturation"],
+)
+def test_sieve_bound_above_the_cap_exit_3(argv, capsys):
+    code = main(argv + ["--json"])
+    report = json.loads(capsys.readouterr().out)
+    VALIDATOR.validate(report)
+    assert code == 3
+    assert report["error"]["type"] == "GeneratorError"
+    assert "exceeds 100000" in report["error"]["message"]
+
+
 def test_transport_report():
     report, code = run_checked(
         JobSpec("transport", ["t^2", "t^7"], {"h": "t+t^2"})

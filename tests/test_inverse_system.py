@@ -32,6 +32,7 @@ from branchdual.series import DiffOp, Series, mul, order, perp, truncate
 from branchdual.subalgebra import AlgebraInput, closure, membership
 
 from test_subalgebra import LADDER as SUBALGEBRA_LADDER
+from test_subalgebra import check_staircase_rows
 
 from oracles import (
     algebra_span,
@@ -405,6 +406,7 @@ def check_annihilator_against_oracle(gens, ops):
         C.conductor - len(C.values),
         min([v for v in C.values if v] + [C.conductor]),
     )
+    check_staircase_rows(C)
     # what ``annihilator`` checked after its closure before, now a test
     for b in C.basis:
         assert membership(b, B) and all(perp(g, b) == 0 for g in ops)

@@ -149,10 +149,13 @@ def test_echelon_rows_are_primitive_integer_rows(rows):
         assert ech.complete_from(s) == all(j in ech.table for j in range(s, 7))
     for p in ech.pivots():
         full = ech.reduce_fully(p)
-        assert full[p] == 1 and all(type(x) is Fraction for x in full)
+        assert all(type(x) is int for x in full)
+        assert full[p] > 0 and math.gcd(*full) == 1
         assert all(full[q] == 0 for q in ech.table if q != p)
         for stop in range(p + 1, 8):
-            assert ech.reduce_fully(p, stop) == full[:stop]
+            prefix = full[:stop]
+            content = math.gcd(*prefix)
+            assert ech.reduce_fully(p, stop) == tuple([x // content for x in prefix])
 
 
 int_rows = st.lists(st.integers(-9, 9), min_size=1, max_size=7)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from branchdual.errors import NonCoprime
+from branchdual.errors import GeneratorError, NonCoprime
 from branchdual.inverse_system import inverse_system
 from branchdual.semigroup import (
+    MAX_SIEVE,
     Characteristic,
     NumericalSemigroup,
     from_generators,
@@ -17,7 +18,7 @@ from branchdual.semigroup import (
 from branchdual.series import Series
 from branchdual.subalgebra import AlgebraInput, closure
 
-from oracles import enumerate_semigroups, gaps_to_generators, semigroup_data
+from oracles import enumerate_semigroups, gaps_to_generators, semigroup_data, sieve
 
 
 def test_from_generators_examples():
@@ -59,6 +60,35 @@ def test_contains_and_frobenius():
     assert D.contains(0) and D.contains(4) and D.contains(100)
     assert not D.contains(11) and not D.contains(-1)
     assert D.frobenius == 11
+
+
+def test_contains_agrees_with_the_sieve_on_enumerated_semigroups():
+    for gaps in enumerate_semigroups(6):
+        gens = gaps_to_generators(set(gaps)) if gaps else (1,)
+        D = from_generators(list(gens))
+        member = sieve(list(gens), D.conductor + 3)
+        assert [D.contains(n) for n in range(-2, D.conductor + 4)] == [False, False] + member
+
+
+def test_wide_two_generator_semigroup_is_sieved_and_symmetric():
+    # contains bisects the gaps: the symmetry check over c = 89,700 is not quadratic
+    D = from_generators([300, 301])
+    assert D.conductor == 89_700 and D.genus == 44_850
+    assert is_symmetric(D)
+
+
+def test_sieve_bound_above_the_cap_is_refused_before_sieving():
+    # the Schur bound of <3, k> is 2k + 2, and its conductor 2(k - 1)
+    assert 2 * 49_999 + 2 == MAX_SIEVE
+    assert from_generators([3, 49_999]).conductor == 99_996
+    with pytest.raises(GeneratorError):
+        from_generators([3, 50_000])
+    with pytest.raises(GeneratorError):
+        from_generators([20000, 20001])
+    with pytest.raises(GeneratorError):
+        saturation_from_characteristic(Characteristic.make(2, [100001]))
+    # e0 = 1: the middle families would list every integer up to beta_g
+    assert saturation_from_characteristic(Characteristic.make(1, [2, 10**12])).generators == (1,)
 
 
 def test_is_symmetric_examples():

@@ -1,5 +1,6 @@
 """Staircase closure, invariants, Hilbert data, blow-up chains."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from branchdual import subalgebra
 from branchdual.cli import JobSpec, run
 from branchdual.errors import InfiniteCodimension, PrecisionExhausted
 from branchdual.expressions import parse_series
-from branchdual.series import Series, mul, order
+from branchdual.linalg import _integer_row
+from branchdual.series import Series, mul, order, truncate
 from branchdual.subalgebra import (
     AlgebraInput,
     blowup,
@@ -208,6 +210,61 @@ def check_staircase_against_span(st, gen_coeff_lists):
     assert st.delta == len(gaps)
     assert c == gaps[-1] + 1
     assert [list(b.coeffs) + [0] * (c - len(b.coeffs)) for b in st.basis] == rows
+
+
+def check_staircase_rows(sc):
+    """Everything a staircase reports must read off its rows as defined."""
+    c = sc.conductor
+    top = max(c, 1)
+    assert sc.values == tuple(sorted(sc.rows)) and sc.values[0] == 0
+    assert sc.gaps == tuple(sorted(set(range(1, c)) - set(sc.values)))
+    assert sc.delta == len(sc.gaps) == top - len(sc.values)
+    assert sc.e0 == min([v for v in sc.values if v] + [top])
+    for (v, r), b in zip(sc.rows.items(), sc.basis, strict=True):
+        assert len(r) == top and all(type(x) is int for x in r)
+        assert r[v] > 0 and math.gcd(*r) == 1 and not any(r[:v])
+        assert all(r[w] == 0 for w in sc.values if w != v)  # reduced
+        assert b.exact and b == Series.make([F(x, r[v]) for x in r])
+    for n in sorted({max(c - 1, 0), c, c + 3}):
+        span = sc.span(n)
+        assert list(span) == [v for v in sc.values if v < n] + list(range(top, n))
+        for v, row in span.items():
+            old = _integer_row(sc.basis[sc.values.index(v)].coeffs, n) if v < top else [0] * v + [1] + [0] * (n - 1 - v)
+            # a positive multiple of the old row
+            assert len(row) == n and row[v] > 0 and old[v] > 0
+            assert all(x * old[v] == y * row[v] for x, y in zip(row, old))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_staircase_reads_everything_off_its_rows_on_random_branches(seed):
+    dicts = random_branch(random.Random(seed), max_delta=9)
+    check_staircase_rows(closure(AlgebraInput.make([S(d) for d in dicts])))
+
+
+@pytest.mark.parametrize("gens", ["t", "t^2, t+t^3", "t^3, t^2, t+t^5"])
+def test_closure_of_the_whole_ring_takes_the_one_path(gens):
+    sc = closure(AlgebraInput.make([parse_series(g) for g in gens.split(",")]))
+    assert (sc.values, sc.basis, sc.conductor, sc.e0) == ((0,), (Series.one(),), 0, 1)
+    assert (sc.gaps, sc.delta, sc.rows) == ((), 0, {0: (1,)})
+    check_staircase_rows(sc)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 48), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_precision_exhausted_requires_more_than_the_ceiling(seed, ceiling, cut):
+    # ``required`` is the next window the doubling would try: above the
+    # ceiling, or above a generator's own truncation when that is lower,
+    # though not always the least window that suffices
+    rng = random.Random(seed)
+    gens = [S(d) for d in random_branch(rng, max_delta=9)]
+    if cut:
+        gens[0] = truncate(gens[0], rng.randint(order(gens[0]), 40))
+    cap = min([ceiling] + [g.trunc for g in gens if not g.exact])
+    try:
+        closure(AlgebraInput.make(gens), ceiling)
+    except PrecisionExhausted as ex:
+        assert ex.required > cap
 
 
 def test_closure_values_match_naive_span_oracle():
