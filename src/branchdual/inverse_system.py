@@ -12,13 +12,12 @@ Laurent (residue) representatives of inverse-system elements.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, NotAlgebraForming
-from .linalg import Echelon, QMatrix, _integer_row, _rational_row
+from .linalg import Echelon, QMatrix, _integer_row, _primitive, _rational_row
 from .series import DiffOp, Series, mul, mul_coeffs, order, truncate
 from .subalgebra import (
     AlgebraInput,
@@ -100,7 +99,7 @@ def _reduce_ops(ops, width: int):
     ech = Echelon(width - 1)  # columns from degree width-1 down: a pivot is a leading degree
     for g in ops:
         ech.insert_coeffs(_integer_row([g.coeff(width - 1 - k) for k in range(width)], width))
-    out = [_monic(DiffOp.make(ech.reduce_fully(p)[::-1])) for p in ech.pivots()]
+    out = [_monic(DiffOp.make(r[::-1])) for r in ech.reduced().values()]
     return sorted(out, key=lambda g: g.degree)
 
 
@@ -142,11 +141,12 @@ def _gap_functionals(S: Staircase, gaps=None):
     """The inverse system read off the reduced staircase, one operator per gap.
 
     For each gap j of ``gaps`` (default: all, in increasing order), returns
-    j! phi_j with phi_j = u^j/j! - sum_v (b_v)_j u^v/v!, summed over the
-    positive values v, b_v the staircase element of order v: (b_v)_j is
-    r_j / r_v for its int row r in ``S.rows``.  These are the nullspace
-    vectors of the positive rows, one per free (gap) column, found without
-    elimination.
+    phi_j = u^j/j! - sum_v (b_v)_j u^v/v!, summed over the positive values
+    v, b_v the staircase element of order v, rescaled monic in its
+    lowest-degree coefficient: (b_v)_j is r_j / r_v for its int row r in
+    ``S.rows``, and each coefficient is one fraction of ints.  These are
+    the nullspace vectors of the positive rows, one per free (gap) column,
+    found without elimination.
 
     Proof.  Under ``perp``, phi_j is the functional f -> f_j - sum_v (b_v)_j f_v.
     The staircase is reduced: b_0 = 1 and each other b_w is t^w plus terms
@@ -160,18 +160,27 @@ def _gap_functionals(S: Staircase, gaps=None):
     and the phi_j span it.  (b_v)_j != 0 needs v < j, so u^j leads phi_j and no phi_j
     has a term at another gap: the list is in reduced echelon form by
     leading degree.
+
+    Monic.  Let l be the least value v with (b_v)_j != 0 and s its row
+    (when there is none, phi_j = u^j/j! is made u^j).  phi_j has
+    -s_j / (l! s_l) at u^l; divided by it, phi_j has
+    r_j l! s_l / (v! r_v s_j) at each value v with row r, and
+    -l! s_l / (j! s_j) at u^j.
     """
     gaps = S.gaps if gaps is None else gaps
     fact = [math.factorial(i) for i in range(max(gaps, default=0) + 1)]
     out = []
     for j in gaps:
+        terms = [(v, r) for v, r in S.rows.items() if v < j and r[j]]  # b_0 = 1 is 0 at every gap
         coeffs = [0] * (j + 1)
-        coeffs[j] = 1
-        for v, r in S.rows.items():  # the row of b_0 = 1 is 0 at every gap
-            if v > j:
-                break
-            if r[j]:
-                coeffs[v] = Fraction(-fact[j] * r[j], fact[v] * r[v])
+        if not terms:
+            coeffs[j] = 1
+        else:
+            l, s = terms[0]
+            num, den = fact[l] * s[l], s[j]
+            coeffs[j] = Fraction(-num, fact[j] * den)
+            for v, r in terms:
+                coeffs[v] = Fraction(r[j] * num, fact[v] * r[v] * den)
         out.append(DiffOp.make(coeffs))
     return out
 
@@ -206,15 +215,15 @@ def inverse_system(S: Staircase) -> InverseSystem:
     monic in its lowest-degree coefficient.  ``verify_duality`` certifies it
     against the natural spanning set of the generators.
     """
-    basis = tuple([_monic(g) for g in _gap_functionals(S)])
+    basis = tuple(_gap_functionals(S))
     return InverseSystem(basis, len(basis), S.conductor)
 
 
 def _annihilate(V, S: Staircase):
     """C = Ann(V) ∩ B mod t^N and its certificate, as ``is_algebra_forming`` proves.
 
-    None when V has no nonzero operator, else (certificate, N, C's values below N,
-    C's conductor, (v, stop=N) -> C's fully reduced int row at v cut at t^stop).
+    None when V has no nonzero operator, else (certificate, N, C's conductor,
+    C's fully reduced int rows mod t^N keyed by its values below N).
     """
     ops = [g for g in V if not g.is_zero()]
     if any(g.coeff(0) != 0 for g in ops):
@@ -227,20 +236,15 @@ def _annihilate(V, S: Staircase):
     ech = Echelon(k + n - 1)
     for row in S.span(n).values():
         ech.insert_coeffs(_values(forms, row) + row)
-    values = [p - k for p in ech.pivots() if p >= k]
-
-    @functools.cache
-    def row(v, stop=n):
-        return ech.reduce_fully(k + v, k + stop)[k:]
-
-    out = (n, values, max(set(range(n)) - set(values)) + 1, row)
-    pos = [v for v in values if v]
-    pair = _failing_pair({v: row(v) for v in pos if v + pos[0] <= d}, forms, d)
+    rows = {p - k: r[k:] for p, r in ech.reduced(k).items()}
+    out = (n, max(set(range(n)) - set(rows)) + 1, rows)
+    pos = [v for v in rows if v]
+    pair = _failing_pair({v: rows[v] for v in pos if v + pos[0] <= d}, forms, d)
     if pair is None:
         return (AFCertificate(True, None),) + out
     v1, v2 = pair
-    a, b = [Series.make(_rational_row(row(v), v)) for v in pair]
-    b_fails = any(_values(forms, mul_coeffs(row(v2), row(v2), d + 1)))
+    a, b = [Series.make(_rational_row(rows[v], v)) for v in pair]
+    b_fails = any(_values(forms, mul_coeffs(rows[v2], rows[v2], d + 1)))
     return (AFCertificate(False, a if v1 == v2 else b if b_fails else a + b),) + out
 
 
@@ -288,10 +292,11 @@ def annihilator(V, S: Staircase) -> Staircase:
     found = _annihilate(V, S)
     if found is None:
         return S
-    cert, n, values, c, row = found
+    cert, n, c, rows = found
     if not cert.verdict:
         raise NotAlgebraForming(cert)
-    return Staircase({v: row(v, c) for v in values if v < c}, c, n - 1)
+    # clearing pivot columns >= c changes no entry below c
+    return Staircase({v: _primitive(r[:c], v) for v, r in rows.items() if v < c}, c, n - 1)
 
 
 def standard_filtration(S: Staircase) -> Filtration:
@@ -337,7 +342,7 @@ def standard_filtration(S: Staircase) -> Filtration:
 
 def _cutting(C: Staircase, g: int) -> CuttingDerivation:
     """phi_g of C (see ``_gap_functionals``), monic in its lowest-degree coefficient."""
-    op = _monic(_gap_functionals(C, [g])[0])
+    op = _gap_functionals(C, [g])[0]
     return CuttingDerivation(Series.make(list(op.coeffs), None), op)
 
 

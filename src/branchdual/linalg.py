@@ -42,6 +42,25 @@ def _primitive(row, o: int) -> tuple:
     return tuple(row) if content == 1 else tuple([a // content for a in row])
 
 
+def _clear(row: list, b, j: int, lo: int) -> list:
+    """The int row with column j cleared by an integer combination with b.
+
+    b is zero before j and nonzero at j, and row is zero before lo <= j.
+    The result is a rational multiple of row - (row_j / b_j) b.
+    """
+    p, r = b[j], row[j]
+    g = math.gcd(p, r)
+    p //= g
+    r //= g
+    if p == 1:
+        row[j:] = [x - r * y for x, y in zip(row[j:], b[j:])]
+        return row
+    # b is zero before j, so this also scales row[lo:j]
+    row[lo:] = [p * x - r * y for x, y in zip(row[lo:], b[lo:])]
+    content = math.gcd(*row)
+    return [x // content for x in row] if content > 1 else row
+
+
 def _rational_row(row, o: int) -> list:
     """The int row divided by its entry at column o, as exact rationals."""
     return [Fraction(a, row[o]) if a else QZERO for a in row]
@@ -69,48 +88,27 @@ class Echelon:
         """True when every column in [s, trunc] already has a pivot."""
         return self._free_top < s
 
-    def reduce(self, coeffs, start: int = 0, full: bool = False):
-        """Reduce ``coeffs``, an int row of at most trunc+1 entries.
+    def reduce(self, coeffs):
+        """Reduce ``coeffs``, an int row of trunc+1 entries.
 
-        Integer combinations with table rows clear pivot columns from
-        ``start`` on, up to the first nonzero entry in a column without a
-        pivot.  Returns (row, that column), or (row, None) when the row is
-        zero from ``start`` on; the row is a rational multiple of the
-        reduced input.  With ``full`` the scan goes on and clears every
-        later pivot column too: the reduced row echelon step.  A row of n
-        entries is reduced as the first n columns of the table: a table
-        row touches no column before its pivot, so the rest cannot matter.
+        Integer combinations with table rows clear its pivot columns up to
+        the first nonzero entry in a column without a pivot.  Returns (row,
+        that column), or (row, None) when the row reduces to zero; the row
+        is a rational multiple of the reduced input.
         """
         row = list(coeffs)
         n = len(row)
         lo = next((i for i, x in enumerate(row) if x), n)  # row is zero before lo
-        lead = None
-        for j in range(max(start, lo), n):
-            r = row[j]
-            if not r:
+        for j in range(lo, n):
+            if not row[j]:
                 continue
             pivot_row = self.table.get(j)
             if pivot_row is None:
-                if lead is None:
-                    lead = j
-                    if not full:
-                        break
-                continue
-            p = pivot_row[j]
-            g = math.gcd(p, r)
-            p //= g
-            r //= g
-            if p == 1:
-                row[j:] = [a - r * b for a, b in zip(row[j:], pivot_row[j:])]
-            else:
-                # pivot_row is zero before j, so this also scales row[lo:j]
-                row[lo:] = [p * a - r * b for a, b in zip(row[lo:], pivot_row[lo:])]
-                content = math.gcd(*row)
-                if content > 1:
-                    row = [a // content for a in row]
+                return row, j
+            row = _clear(row, pivot_row, j, lo)
             if lo == j:
                 lo = j + 1
-        return row, lead
+        return row, None
 
     def insert_coeffs(self, coeffs):
         """Reduce an int row of trunc+1 entries; returns the new pivot column or None."""
@@ -122,14 +120,26 @@ class Echelon:
             self._free_top -= 1
         return o
 
-    def reduce_fully(self, o: int, stop: int | None = None) -> tuple:
-        """Primitive int row at pivot o with every other pivot column eliminated.
+    def reduced(self, lo: int = 0, stop: int | None = None) -> dict:
+        """The reduced echelon form: each pivot p in [lo, stop), by increasing
+        p, -> its primitive int row with every other pivot column eliminated.
 
         With ``stop`` only columns 0..stop-1 are reduced and returned: the
-        row of the reduced echelon form cut at t^stop, with none of the
-        work on the columns past it.
+        rows cut at t^stop, with none of the work on the columns past them
+        (clearing a pivot column changes no column before it).
+        Back-substitution: the rows go from the highest pivot down, each
+        reduced against the rows already done.  Those are zero at every
+        pivot column but their own, so clearing one column fills in no
+        other, and each row meets only pivots above its own, all at least lo.
         """
-        return _primitive(self.reduce(self.table[o][:stop], o + 1, full=True)[0], o)
+        hi = self.trunc + 1 if stop is None else stop
+        out = {}
+        for p in sorted([p for p in self.table if lo <= p < hi], reverse=True):
+            row = list(self.table[p][:stop])
+            for q in [q for q in out if row[q]]:
+                row = _clear(row, out[q], q, p)
+            out[p] = _primitive(row, p)
+        return dict(sorted(out.items()))
 
     def set_monomials(self, lo: int, hi: int):
         """Make t^lo..t^(hi-1) the rows at pivots lo..hi-1, with no reduction.
@@ -182,7 +192,7 @@ def _reduced_rows(rows, width: int):
     ech = Echelon(width - 1)
     for r in rows:
         ech.insert_coeffs(_integer_row(r, width))
-    return {p: _rational_row(ech.reduce_fully(p), p) for p in ech.pivots()}
+    return {p: _rational_row(r, p) for p, r in ech.reduced().items()}
 
 
 def _kernel(reduced, n: int):

@@ -86,9 +86,6 @@ class Staircase:
     def positive_basis(self):
         return self.basis[1:]  # b_0 = 1 leads every staircase
 
-    def is_whole_ring(self) -> bool:
-        return self.delta == 0
-
     def algebra_generators(self):
         """Exact generators of the algebra: positive basis plus a monomial window.
 
@@ -102,13 +99,6 @@ class Staircase:
         gens = list(self.positive_basis())
         gens += [Series.monomial(j) for j in range(c, c + self.e0)]
         return tuple(gens)
-
-    def maximal_ideal_spanning(self, bound: int):
-        """Exact spanning set of the maximal ideal mod t^(bound+1)."""
-        lo = max(self.conductor, 1)
-        gens = [b for b in self.positive_basis() if order(b) <= bound]
-        gens += [Series.monomial(j) for j in range(lo, bound + 1)]
-        return gens
 
 
 @dataclass(frozen=True)
@@ -152,14 +142,16 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
     """Canonical staircase of the algebra generated by A.
 
     Works at an adaptive truncation, doubling until the conductor is
-    certified by a run of e0 consecutive values.  Within a window w no
-    product is computed above the range the pivots' semigroup covers:
-    once the sums of pivots hold all of [a, w], t^a..t^w go in as rows
-    (proof in ``_closure_at``).  The window and ``work_trunc`` are those
-    of the plain closure.  Raises InfiniteCodimension when the value set
-    stabilizes with gcd > 1, and PrecisionExhausted when the ceiling (or a
-    generator's own truncation) is insufficient; its ``required`` is the
-    next window the doubling would try, not always the least that suffices.
+    certified by a run of e0 consecutive values.  Within a window w each
+    row is multiplied by the generators only, and no product is computed
+    above the range the pivots' semigroup covers: once the sums of pivots
+    hold all of [a, w], t^a..t^w go in as rows (proofs in ``_closure_at``).
+    The window and ``work_trunc`` are those of the plain closure, which
+    multiplies every pair of rows.  Raises InfiniteCodimension when the
+    value set stabilizes with gcd > 1, and PrecisionExhausted when the
+    ceiling (or a generator's own truncation) is insufficient; its
+    ``required`` is the next window the doubling would try, not always the
+    least that suffices.
     """
     gens = _positive_gens(A)
     orders = [order(g) for g in gens]
@@ -189,21 +181,38 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
 def _closure_at(gens, w: int, gcd_window: int) -> Staircase:
     """Staircase of B_w, the algebra generated by ``gens`` mod t^(w+1).
 
-    Every pair of table rows is multiplied once and the product inserted,
-    unless all of t^(o1+o2) k[t] is in the table already.
+    Products.  Each row that enters the table at a new pivot o1 is
+    multiplied by the int rows of the generators, by increasing order o2,
+    and each product inserted, until o1 + o2 > w or all of t^(o1+o2) k[t]
+    mod t^(w+1) is in the table: o1 + o2 only grows and the table only
+    fills, so every later product of that row lies in the table too.  A
+    generator that added no pivot is no factor.  Let V be the final span.
+    Every row is an element of B_w, so V lies in B_w.  V holds 1 and each
+    generator g, and g*V lies in V.  The rows of V are 1, with g*1 = g;
+    rows that went in at a pivot, each product of which was inserted or
+    lay in the table already; and the monomials t^k, k >= a, of the fill
+    below, whose products lie in t^(a+1) k[t], in the table since the
+    fill.  A row the fill replaced had order >= a, so it lies in V with
+    its products, and it is not needed.  A generator that added no pivot
+    is a combination of 1, the generators before it and filled monomials,
+    so its products are combinations of products already in V.  So V
+    holds every product of generators: V = B_w.  The pivots are the
+    orders of V, so they, the staircase, the window and the errors are
+    those of the closure that multiplies every pair of rows.
 
-    Fill.  Every row is an element of B_w, so every pivot is a value of
-    B_w, and the values of B_w below w+1 are closed under sums that stay
-    at most w.  So every k in ``reach``, the sums of pivots found so far
-    cut at w, is a value of B_w.  Once ``reach`` holds all of [a, w], B_w
-    has an element of each order a..w; these span t^a k[t] mod t^(w+1),
-    so t^a..t^w lie in B_w.  The rows at pivots a..w, all in t^a k[t],
-    become those monomials: the span only grows, and stays inside B_w.
-    The monomials are not multiplied: their products lie in t^(a+1) k[t],
-    already in the table.  The final span is B_w either way, so pivots,
-    staircase and errors are those of the closure with no fill.  A pivot
-    already in ``reach`` leaves it as it is; any other adds its multiples,
-    by doubling shifts of a bit set.
+    Fill.  Every pivot is a value of B_w, and the values of B_w below w+1
+    are closed under sums that stay at most w.  So every k in ``reach``,
+    the sums of pivots found so far cut at w, is a value of B_w.  Once
+    ``reach`` holds all of [a, w], B_w has an element of each order
+    a..w; these span t^a k[t] mod t^(w+1), so t^a..t^w lie in B_w.  The
+    rows at pivots a..w, all in t^a k[t], become those monomials: the
+    span only grows, and stays inside B_w.  A pivot already in ``reach``
+    leaves it as it is; any other adds its multiples, by doubling shifts
+    of a bit set.
+
+    The staircase is the reduced echelon form of V cut at max(c, 1), by
+    back-substitution (``Echelon.reduced``).  It is unique, so it does
+    not depend on the order in which the rows went in.
     """
     ech = Echelon(w)
     ech.insert_coeffs([1] + [0] * w)
@@ -228,16 +237,21 @@ def _closure_at(gens, w: int, gcd_window: int) -> Staircase:
             ech.set_monomials(a, filled)
             filled = a
 
+    factors = []  # (order, int row) of the generators that added a pivot
     for g in gens:  # w <= every inexact generator's trunc (``closure``'s cap)
-        found(ech.insert_coeffs(_integer_row(g.coeffs, w + 1)))
+        row = _integer_row(g.coeffs, w + 1)
+        p = ech.insert_coeffs(row)
+        if p is not None:
+            factors.append((next(i for i, x in enumerate(row) if x), row))
+        found(p)
+    factors.sort(key=lambda f: f[0])
     while queue:
         o1 = queue.pop()
         a = ech.table[o1]
-        for o2 in ech.pivots()[1:]:  # pivot 0 is the unit
-            # o2 ascends and _free_top only falls: once true, true for every later o2
+        for o2, g in factors:
             if o1 + o2 > w or ech.complete_from(o1 + o2):
                 break
-            found(ech.insert_coeffs(mul_coeffs(a, ech.table[o2], w + 1)))
+            found(ech.insert_coeffs(mul_coeffs(a, g, w + 1)))
 
     pivots = set(ech.table)
     positive = sorted(p for p in pivots if p > 0)
@@ -258,8 +272,7 @@ def _closure_at(gens, w: int, gcd_window: int) -> Staircase:
     if c + e0 - 1 > w or any(j not in pivots for j in range(c, c + e0)):
         raise _Inconclusive(2 * w)
     top = max(c, 1)  # k[[t]] keeps its row b_0 = 1
-    rows = {v: ech.reduce_fully(v, top) for v in ech.pivots() if v < top}
-    return Staircase(rows, c, w)
+    return Staircase(ech.reduced(stop=top), c, w)
 
 
 def membership(f: Series, S: Staircase) -> bool:

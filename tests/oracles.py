@@ -263,6 +263,51 @@ def staircase_naive(gen_coeff_lists, T):
     return gaps, _gauss_jordan([r[:c] for r in rows], c)[0]
 
 
+def closure_naive(gens, ceiling):
+    """What ``closure(gens, ceiling)`` returns or raises, from the naive span of each window.
+
+    ``gens`` are (coefficients, trunc) pairs, trunc None for an exact
+    polynomial, each of positive order.  Follows the window schedule that
+    ``closure`` documents: the first window min(max(4(o_min + o_max), 16),
+    cap), cap the ceiling or the least generator truncation, doubling (or
+    jumping to what a window asks for) up to cap.  At window w the values
+    are the orders of ``algebra_span`` mod t^(w+1).  A window with no
+    positive value asks for the largest generator order; one whose values
+    have gcd g > 1 is conclusive from the gcd window max(64, 2 * maxdeg + 2,
+    4(o_min + o_max)) on, else asks for max(gcd window, w + 1); one with no
+    run of e0 values from the conductor c inside it asks for 2w.  Returns
+    ("ok", gaps, rows, w), rows the reduced span cut at max(c, 1) by naive
+    Gauss-Jordan; ("infinite", g, positive values); or ("precision",
+    required) when the window at cap asks for more.
+    """
+    orders = [next(i for i, x in enumerate(c) if x) for c, _ in gens]
+    cap = min([ceiling] + [t for _, t in gens if t is not None])
+    w = min(max(4 * (min(orders) + max(orders)), 16), cap)
+    maxdeg = max(len(c) - 1 for c, _ in gens)
+    gcd_window = max(64, 2 * maxdeg + 2, 4 * (min(orders) + max(orders)))
+    while True:
+        span = algebra_span([list(c[: w + 1]) for c, _ in gens], w)
+        values = {next(i for i, x in enumerate(r) if x) for r in span}
+        positive = sorted(v for v in values if v)
+        g = math.gcd(*positive)
+        gaps = [i for i in range(1, w + 1) if i not in values]
+        c = gaps[-1] + 1 if gaps else 0
+        if not positive:
+            required = max(orders)
+        elif g > 1:
+            if w >= gcd_window:
+                return ("infinite", g, tuple(positive))
+            required = max(gcd_window, w + 1)
+        elif any(j not in values for j in range(c, c + positive[0])):
+            required = 2 * w
+        else:
+            top = max(c, 1)
+            return ("ok", tuple(gaps), _gauss_jordan([r[:top] for r in span], top)[0], w)
+        if w >= cap:
+            return ("precision", required)
+        w = min(max(2 * w, required), cap)
+
+
 def hilbert_naive(gen_coeff_lists, n, T):
     """[dim B/m^(i+1) for i in 0..n] for B generated by the inputs, counted mod t^(T+1).
 
@@ -364,8 +409,11 @@ def _order_list(coeffs):
     return next((i for i, x in enumerate(coeffs) if x != 0), None)
 
 
-def _maximal_ideal_rows(B, d):
-    """Spanning rows of B's maximal ideal mod t^(d+1): positive basis and t^k, k >= c."""
+def maximal_ideal_rows(B, d):
+    """Spanning rows of B's maximal ideal mod t^(d+1): positive basis and t^k, c <= k <= d.
+
+    B is a staircase, read only through ``basis`` and ``conductor``.
+    """
     rows = [list(b.coeffs) for b in B.basis if 0 < _order_list(b.coeffs) <= d]
     rows += [[0] * k + [1] for k in range(max(B.conductor, 1), d + 1)]
     return rows
@@ -391,11 +439,11 @@ def two_pass_cutting_element(C, B):
             if 0 < v < j < len(b.coeffs):
                 g[v] -= Fraction(math.factorial(j), math.factorial(v)) * b.coeffs[j]
         cands.append(g)
-    span = _maximal_ideal_rows(B, C.conductor - 1)
+    span = maximal_ideal_rows(B, C.conductor - 1)
 
     def kills_products(g):
         d = len(g) - 1
-        rows = _maximal_ideal_rows(B, d)
+        rows = maximal_ideal_rows(B, d)
         return all(perp_list(g, poly_mul(f1, f2, d)) == 0
                    for i, f1 in enumerate(rows) for f2 in rows[i:])
 
@@ -446,7 +494,7 @@ def derivation_naive(g_coeffs, B):
     whose orders add up to at most d; no window.  ``B`` is a staircase.
     """
     d = len(g_coeffs) - 1
-    rows = _maximal_ideal_rows(B, d)
+    rows = maximal_ideal_rows(B, d)
     for i, a in enumerate(rows):
         for b in rows[i:]:
             if _order_list(a) + _order_list(b) <= d and perp_list(g_coeffs, poly_mul(a, b, d)) != 0:

@@ -267,6 +267,15 @@ def test_saturation_report():
     assert code2 == 3
 
 
+@pytest.mark.parametrize("char", ["4;6", "6;8,10,11"])
+def test_saturation_refuses_an_invalid_characteristic(char):
+    # 10 does not lower gcd(6, 8) = 2: refused as a chain that never reaches 1 is
+    report, code = run_checked(JobSpec("saturation", options={"char": char}))
+    assert code == 1
+    assert report["error"]["type"] == "ValueError"
+    assert report["error"]["message"].startswith("invalid characteristic")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["semigroup", "--gens", "20000,20001"], ["saturation", "--char", "2;100001"]],

@@ -43,6 +43,7 @@ from oracles import (
     enumerate_semigroups,
     gaps_to_generators,
     gauss_nullspace,
+    maximal_ideal_rows,
     perp_list,
     quadric_algebra_forming,
     random_branch,
@@ -581,11 +582,11 @@ def test_cutting_derivation_kernel_both_ways():
     cd = cutting_derivation(b1, b2)
     bound = max(b1.conductor, b2.conductor)
     # vanishes on a spanning set of the smaller maximal ideal ...
-    for f in b1.maximal_ideal_spanning(bound):
-        assert perp(cd.operator, f) == 0
+    for f in maximal_ideal_rows(b1, bound):
+        assert perp_list(cd.operator.coeffs, f) == 0
     # ... and is nonzero somewhere on the bigger one
     assert any(
-        perp(cd.operator, f) != 0 for f in b2.maximal_ideal_spanning(bound)
+        perp_list(cd.operator.coeffs, f) != 0 for f in maximal_ideal_rows(b2, bound)
     )
 
 
@@ -636,7 +637,7 @@ def test_cutting_derivation_matches_two_pass_reference_on_annihilators(seed):
     assert list(cd.l.coeffs) == two_pass_cutting_element(C, B)
     # its kernel inside B is C
     assert all(perp(cd.operator, b) == 0 for b in C.basis)
-    assert any(perp(cd.operator, f) != 0 for f in B.maximal_ideal_spanning(C.conductor))
+    assert any(perp_list(cd.operator.coeffs, f) != 0 for f in maximal_ideal_rows(B, C.conductor))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -648,7 +649,7 @@ def test_cutting_elements_match_two_pass_reference_along_filtrations(seed):
         assert list(step.cutting_element.coeffs) == two_pass_cutting_element(
             prev, step.new_algebra)
         prev = step.new_algebra
-    assert prev.is_whole_ring()  # the last step reaches k[[t]]
+    assert prev.delta == 0  # the last step reaches k[[t]]
 
 
 def test_inverse_systems_shrink_along_filtration():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from branchdual.linalg import Echelon, QMatrix, _integer_row, nullspace, rref, solve
 from branchdual.series import mul_coeffs
 
-from oracles import gauss_nullspace, span_rank
+from oracles import _gauss_jordan, gauss_nullspace, span_rank
 
 F = Fraction
 
@@ -147,15 +147,55 @@ def test_echelon_rows_are_primitive_integer_rows(rows):
         assert math.gcd(*row) == 1
     for s in range(8):
         assert ech.complete_from(s) == all(j in ech.table for j in range(s, 7))
+    reduced = ech.reduced()
+    assert list(reduced) == ech.pivots()
     for p in ech.pivots():
-        full = ech.reduce_fully(p)
+        full = reduced[p]
+        assert isinstance(full, tuple) and len(full) == 7
         assert all(type(x) is int for x in full)
         assert full[p] > 0 and math.gcd(*full) == 1
         assert all(full[q] == 0 for q in ech.table if q != p)
         for stop in range(p + 1, 8):
             prefix = full[:stop]
             content = math.gcd(*prefix)
-            assert ech.reduce_fully(p, stop) == tuple([x // content for x in prefix])
+            assert ech.reduced(stop=stop)[p] == tuple([x // content for x in prefix])
+
+
+def _fully_reduced_on_its_own(table, p, stop):
+    """The row at pivot p cut at stop, every later pivot column cleared in
+    Fraction arithmetic against the rows as inserted; primitive, positive at p."""
+    row = [F(x) for x in table[p][:stop]]
+    for j in range(p + 1, len(row)):
+        if row[j] and j in table:
+            f = row[j] / table[j][j]
+            row = [x - f * y for x, y in zip(row, table[j])]
+    den = math.lcm(*[x.denominator for x in row])
+    ints = [int(x * den) for x in row]
+    content = math.gcd(*ints)
+    return tuple([x // content for x in ints])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-20, 20), min_size=12, max_size=12), min_size=1, max_size=14),
+    st.integers(0, 12),
+)
+def test_back_substitution_equals_per_row_full_reduction(rows, lo):
+    # ``reduced`` reduces each row against rows already fully reduced; a
+    # row reduced on its own clears every later pivot column against the
+    # rows as inserted.  The reduced echelon form is unique, so they agree,
+    # and both are the naive Gauss-Jordan form of the rows, made primitive.
+    ech = Echelon(11)
+    for r in rows:
+        ech.insert_coeffs(r)
+    for stop in [None] + list(range(1, 13)):
+        got = ech.reduced(lo, stop)
+        assert list(got) == [p for p in ech.pivots() if p >= lo and (stop is None or p < stop)]
+        assert all(got[p] == _fully_reduced_on_its_own(ech.table, p, stop) for p in got)
+        width = 12 if stop is None else stop
+        gj, pivots = _gauss_jordan([r[:width] for r in rows], width)
+        monic = {p: [F(x, got[p][p]) for x in got[p]] for p in got}
+        assert monic == {p: r for p, r in zip(pivots, gj) if p in got}
 
 
 int_rows = st.lists(st.integers(-9, 9), min_size=1, max_size=7)

@@ -174,6 +174,13 @@ def test_characteristic_validation():
         Characteristic.make(4, [3])
 
 
+@pytest.mark.parametrize("e0, betas", [(6, [8, 10, 11]), (4, [8, 9]), (6, [9, 12, 13]), (4, [6, 8, 9])])
+def test_characteristic_refuses_exponents_that_keep_the_gcd(e0, betas):
+    # until the gcd of e0 and the exponents before it is 1, each exponent lowers it
+    with pytest.raises(ValueError, match="invalid characteristic"):
+        Characteristic.make(e0, betas)
+
+
 def test_saturation_examples():
     D = saturation_from_characteristic(Characteristic.make(6, [8, 11]))
     assert D.generators == (6, 8, 10, 11, 13, 15)

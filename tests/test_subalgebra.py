@@ -13,7 +13,7 @@ from branchdual.cli import JobSpec, run
 from branchdual.errors import InfiniteCodimension, PrecisionExhausted
 from branchdual.expressions import parse_series
 from branchdual.linalg import _integer_row
-from branchdual.series import Series, mul, order, truncate
+from branchdual.series import Series, mul, mul_coeffs, order, truncate
 from branchdual.subalgebra import (
     AlgebraInput,
     blowup,
@@ -25,6 +25,7 @@ from branchdual.subalgebra import (
 
 from oracles import (
     algebra_span,
+    closure_naive,
     coeff_dict_to_list,
     hilbert_naive,
     perp_list,
@@ -36,6 +37,7 @@ from oracles import (
 )
 
 F = Fraction
+DEFAULT_CEILING = subalgebra.DEFAULT_TRUNC_CEILING
 
 
 def S(d):
@@ -68,7 +70,7 @@ def test_toy_staircase():
 
 def test_whole_ring():
     st = closure(GAMMA)
-    assert st.delta == 0 and st.conductor == 0 and st.is_whole_ring()
+    assert st.delta == 0 and st.conductor == 0
 
 
 def test_cusp():
@@ -160,7 +162,7 @@ def test_hilbert_toy():
 def test_blowup_of_cusp_is_whole_ring():
     st = closure(CUSP)
     st2 = closure(blowup(st))
-    assert st2.is_whole_ring()
+    assert st2.delta == 0
 
 
 def test_blowup_chain_cusp():
@@ -273,6 +275,70 @@ def test_closure_values_match_naive_span_oracle():
         dicts = random_branch(rng, max_delta=9)
         st = closure(AlgebraInput.make([S(d) for d in dicts]))
         check_staircase_against_span(st, [coeff_dict_to_list(d) for d in dicts])
+
+
+def closure_outcome(gens, ceiling):
+    """``closure``'s result in ``oracles.closure_naive``'s terms."""
+    try:
+        sc = closure(AlgebraInput.make(gens), ceiling)
+    except PrecisionExhausted as ex:
+        return ("precision", ex.required)
+    except InfiniteCodimension as ex:
+        return ("infinite", ex.gcd, ex.values)
+    return ("ok", sc.gaps, [[F(x, r[v]) for x in r] for v, r in sc.rows.items()], sc.work_trunc)
+
+
+def check_closure_against_naive_oracle(gens, ceiling):
+    # staircase rows, gaps and work_trunc, or the error with its gcd or ``required``
+    expected = closure_naive([(list(g.coeffs), g.trunc) for g in gens], ceiling)
+    assert closure_outcome(gens, ceiling) == expected
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_closure_matches_naive_oracle_with_repeated_and_dependent_generators(seed):
+    # a repeated generator, one in the span of two earlier ones and a product
+    # add no pivot, so they are no factors of the closure: nothing may change
+    gens = [S(d) for d in random_branch(random.Random(seed), max_delta=6)]
+    g0, g1 = gens[0], gens[-1]
+    gens += [g0, g0.scale(F(-2, 3)) + g1, mul(g0, g1)]
+    for ceiling in (4, 9, 17, 33):
+        check_closure_against_naive_oracle(gens, ceiling)
+    check_closure_against_naive_oracle(gens[::-1], 17)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_closure_matches_naive_oracle_on_blowup_generators(seed):
+    # blowup(S, w) gives many inexact generators, most of them dependent
+    st_ = closure(AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=6)]))
+    for w in (8, 16, 24):
+        gens = list(blowup(st_, w).gens)
+        for ceiling in (w // 2, DEFAULT_CEILING):
+            check_closure_against_naive_oracle(gens, ceiling)
+
+
+@pytest.mark.parametrize("gens, ceiling", [("t^2+t^4, t^6", 64), ("t^2+t^4, t^6", 40), ("t^4, t^6+t^10", 64)])
+def test_closure_matches_naive_oracle_on_even_branches(gens, ceiling):
+    # gcd 2: infinite codimension from the gcd window 64 on, below it a window to ask for
+    check_closure_against_naive_oracle([parse_series(g) for g in gens.split(",")], ceiling)
+
+
+def test_closure_multiplies_each_row_by_the_generators_only(monkeypatch):
+    # a guard by count, not by time: products of every pair of rows took
+    # 1,165 here, one product per (row, generator) pair at most 2 * 145
+    products = []
+
+    def counting(a, b, n):
+        products.append(n)
+        return mul_coeffs(a, b, n)
+
+    monkeypatch.setattr(subalgebra, "mul_coeffs", counting)
+    gens = [parse_series("t^12+t^13"), parse_series("t^17+t^19")]
+    sc = closure(AlgebraInput.make(gens))
+    assert (sc.delta, sc.conductor, sc.work_trunc) == (88, 176, 232)
+    pivots = len(sc.values) + sc.work_trunc + 1 - sc.conductor  # the values of B mod t^(w+1)
+    assert 0 < len(products) <= pivots * len(gens)
 
 
 def test_staircase_equality_semantics():
