@@ -317,8 +317,13 @@ def standard_filtration(S: Staircase) -> Filtration:
     e0 the multiplicity of S.  The generators, S's algebra generators and
     the adjoined monomials, are exact, so a closure at window w sees the
     algebra mod t^(w+1); those of order above w are zero there and are
-    left out.  Every value of B_i below c + e0 is a generator's order, so
-    the one at w is kept and the closure starts at w.  The run of values
+    left out.  When g' exists the ceiling is g' + min(e0, g).  The
+    integers strictly between g' and g are values of S, and at most
+    e0 - 1 of them are consecutive (with e0 consecutive values, adding e0
+    would reach g), so g <= g' + e0 and g <= ceiling: t^g is kept.  When
+    g' does not, g = 1 (were 1 a value, e0 = 1) and the ceiling is 1.
+    Either way 4(o_min + o_max) >= 4g > ceiling, so the closure starts
+    at the ceiling, its only window.  The run of values
     [c_i, c_i + e0_i - 1] that certifies c_i lies inside the window.  For
     g > 1 it holds two consecutive values (e0 >= 2 as S is not k[[t]]);
     at the last step, g = 1, the window is [0, 1] and holds t.  So the

@@ -81,9 +81,6 @@ class Echelon:
         self.table = {}
         self._free_top = trunc
 
-    def pivots(self):
-        return sorted(self.table)
-
     def complete_from(self, s: int) -> bool:
         """True when every column in [s, trunc] already has a pivot."""
         return self._free_top < s

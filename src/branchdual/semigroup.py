@@ -12,7 +12,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import GeneratorError, InternalError, NonCoprime
-from .inverse_system import InverseSystem
 from .series import DiffOp
 
 MAX_SIEVE = 100_000  # the largest Schur bound ``from_generators`` sieves up to
@@ -107,6 +106,8 @@ def is_symmetric(D: NumericalSemigroup) -> bool:
 
 def monomial_inverse_system(D: NumericalSemigroup) -> InverseSystem:
     """Inverse system of the monomial algebra: one u^i per gap i."""
+    from .inverse_system import InverseSystem  # here: subalgebra imports this module
+
     basis = tuple(DiffOp.monomial(i) for i in D.gaps)
     return InverseSystem(basis, D.genus, D.conductor)
 

@@ -49,14 +49,6 @@ class Series:
         c = [Fraction(0)] * exp + [_q(coeff)]
         return Series.make(c, trunc)
 
-    @staticmethod
-    def zero(trunc=None) -> "Series":
-        return Series.make([], trunc)
-
-    @staticmethod
-    def one(trunc=None) -> "Series":
-        return Series.make([1], trunc)
-
     @property
     def exact(self) -> bool:
         return self.trunc is None
@@ -71,14 +63,6 @@ class Series:
         if self.exact:
             return _ZERO
         raise PrecisionExhausted(i, f"coefficient of t^{i} is beyond truncation {self.trunc}")
-
-    def extended(self, trunc: int) -> "Series":
-        """Same series at truncation >= trunc; exact series pad with zeros."""
-        if self.exact:
-            return Series.make(list(self.coeffs), trunc)
-        if self.trunc >= trunc:
-            return self
-        raise PrecisionExhausted(trunc)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

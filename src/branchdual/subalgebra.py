@@ -14,6 +14,7 @@ from functools import cached_property
 
 from .errors import GeneratorError, InfiniteCodimension, PrecisionExhausted
 from .linalg import Echelon, _integer_row, _rational_row
+from .semigroup import from_staircase
 from .series import Series, divide_by_unit, mul_coeffs, order, truncate
 
 DEFAULT_TRUNC_CEILING = 512
@@ -83,22 +84,20 @@ class Staircase:
             out[j] = [0] * j + [1] + [0] * (n - 1 - j)
         return out
 
-    def positive_basis(self):
-        return self.basis[1:]  # b_0 = 1 leads every staircase
-
     def algebra_generators(self):
-        """Exact generators of the algebra: positive basis plus a monomial window.
+        """b_v for each minimal generator v of the value semigroup, t^v for v >= c.
 
-        t^c..t^(c+e0-1) generate t^c k[[t]] over the algebra, since k[[t]]
-        is free of rank e0 over the subring generated by a minimal-order
-        element.
+        Proof.  These elements lie in B.  The values of B form the
+        semigroup the v generate, and a product has the sum of its
+        factors' orders as its order, so every value of B is a value of
+        the algebra C they generate.  C lies in B, so
+        l(B/C) = #(values of B that are not values of C) = 0, and C = B.
+        The first generator is b_(e0).
         """
         c = self.conductor
-        if c == 0:
-            return (Series.monomial(1),)
-        gens = list(self.positive_basis())
-        gens += [Series.monomial(j) for j in range(c, c + self.e0)]
-        return tuple(gens)
+        basis = dict(zip(self.values, self.basis))
+        gens = from_staircase(self.values, c).generators
+        return tuple([basis[v] if v < c else Series.monomial(v) for v in gens])
 
 
 @dataclass(frozen=True)
@@ -352,25 +351,27 @@ def _products(rows, factors, L: int) -> Echelon:
 def blowup(S: Staircase, prec: int | None = None) -> AlgebraInput:
     """Generators of the local ring in the first infinitely-near point, mod t^(prec+1).
 
-    Divides the maximal-ideal spanning set by a minimal-order element and
-    recenters by dropping constant terms.  Generators of order above prec
-    are dropped.
+    With b_v the algebra generators of S, one per minimal generator v of
+    the value semigroup (``Staircase.algebra_generators``), and x = b_(e0):
+    x and each quotient b_v/x, v != e0.  Proof.  The b_v generate B, so
+    they generate its maximal ideal m as an ideal, and the blow-up
+    B' = B[m/x] is B[b_v/x].  Each b_v = x*(b_v/x), so B lies in
+    k[[x, b_v/x]], and B' = k[[x, b_v/x : v != e0]].  As v > e0, b_v/x has
+    order v - e0 > 0: no constant term to drop.  Generators of order
+    above prec are dropped.
     """
     if S.delta == 0:
         raise ValueError("nothing to blow up: the algebra is all of k[[t]]")
     e0 = S.e0
     if prec is None:
         prec = max(2 * S.conductor + 16, 32)
-    gens = S.algebra_generators()  # gens[0] has the least order, e0
-    u0 = Series.make(list(gens[0].coeffs[e0:]), None)
-    new_gens = [truncate(g, prec) for g in gens]
-    for e in gens:
-        v = order(e)
-        unit_e = Series.make(list(e.coeffs[v:]), None)
-        q = divide_by_unit(unit_e, u0, prec=prec)
-        coeffs = [0] * (v - e0) + list(q.coeffs)
-        coeffs[0] = 0  # recenter: drop the constant term
-        new_gens.append(Series.make(coeffs, prec))
+    x, *rest = S.algebra_generators()
+    u0 = Series.make(list(x.coeffs[e0:]), None)
+    new_gens = [truncate(x, prec)]
+    for b in rest:
+        v = order(b)
+        q = divide_by_unit(Series.make(list(b.coeffs[v:]), None), u0, prec=prec)
+        new_gens.append(Series.make([0] * (v - e0) + list(q.coeffs), prec))
     new_gens = [g for g in new_gens if order(g) is not None]
     return AlgebraInput(tuple(new_gens))
 

@@ -83,6 +83,25 @@ def gaps_to_generators(gaps, max_guess=64):
     )
 
 
+def euclid_multiplicities(e0, betas):
+    """Multiplicity sequence of a plane branch with characteristic (e0; betas), to its first 1.
+
+    Enriques: Euclid's algorithm on (beta_i - beta_(i-1), e_(i-1)), with
+    beta_0 = 0 and e_i = gcd(e_(i-1), beta_i), for each exponent in turn;
+    each divisor d of a step a = q*d + r is a multiplicity q times.  The
+    sequence stays 1 once e_i = 1, so it is cut at its first 1.
+    """
+    out, prev, e = [], 0, e0
+    for b in betas:
+        a, d = b - prev, e
+        while d:
+            q, r = divmod(a, d)
+            out += [d] * q
+            a, d = d, r
+        prev, e = b, a  # a = gcd(e_(i-1), beta_i - beta_(i-1))
+    return tuple([m for m in out if m > 1] + [1])
+
+
 # ---------------------------------------------------------------------------
 # naive exact linear algebra (independent of branchdual.linalg)
 

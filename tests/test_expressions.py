@@ -112,7 +112,7 @@ def test_parse_generator_and_operator_lists():
 def test_format_examples():
     assert format_series(parse_expression("t^3+t^4")) == "t^3 + t^4"
     assert format_diffop(parse_expression("u^3-1/4u^4")) == "u^3 - 1/4 u^4"
-    assert format_series(Series.zero()) == "0"
+    assert format_series(Series.make([])) == "0"
     assert format_series(parse_expression("-t")) == "-t"
     assert format_series(parse_expression("2 - 3 t")) == "2 - 3 t"
 

@@ -41,8 +41,8 @@ def test_make_truncated_pads():
 
 def test_order():
     assert order(S({3: 1, 5: 2})) == 3
-    assert order(Series.zero()) is None
-    assert order(Series.zero(4)) is None
+    assert order(Series.make([])) is None
+    assert order(Series.make([], 4)) is None
 
 
 def test_coeff_beyond_truncation_raises():
@@ -77,7 +77,7 @@ def test_divide_by_unit_round_trip():
     f = S({0: 1, 1: 2, 3: 5})
     v = S({0: 1, 1: 1})
     q = divide_by_unit(f, v, prec=8)
-    assert mul(q, v.extended(8)).coeffs == f.extended(8).coeffs
+    assert mul(q, Series.make(list(v.coeffs), 8)).coeffs == Series.make(list(f.coeffs), 8).coeffs
 
 
 def test_divide_by_unit_requires_precision_for_exact():
@@ -120,7 +120,7 @@ def test_divide_by_unit_matches_naive(f_coeffs, v0, v_tail, f_trunc, v_trunc, pr
     "f, v, prec",
     [
         (S({0: 1}), S({1: 1}), 5),  # v(0) = 0
-        (S({0: 1}), Series.zero(), 5),  # v = 0
+        (S({0: 1}), Series.make([]), 5),  # v = 0
         (S({0: 1}), Series.make([0, 1], trunc=3), None),  # v(0) = 0, inexact
         (S({0: 1, 2: F(1, 3)}), S({0: F(2, 7), 1: 1}), None),  # exact, no prec
     ],

@@ -13,6 +13,7 @@ from branchdual.cli import JobSpec, run
 from branchdual.errors import InfiniteCodimension, PrecisionExhausted
 from branchdual.expressions import parse_series
 from branchdual.linalg import _integer_row
+from branchdual.semigroup import from_staircase
 from branchdual.series import Series, mul, mul_coeffs, order, truncate
 from branchdual.subalgebra import (
     AlgebraInput,
@@ -27,6 +28,7 @@ from oracles import (
     algebra_span,
     closure_naive,
     coeff_dict_to_list,
+    euclid_multiplicities,
     hilbert_naive,
     perp_list,
     random_branch,
@@ -196,7 +198,7 @@ def test_three_generator_even_semigroup_with_tails():
     f1, f2, f3 = A.gens
     combo = mul(f2, f3) - mul(mul(f1, f1), f1)
     assert order(combo) == 21
-    assert membership(combo.extended(17) if combo.exact else combo, st)
+    assert membership(Series.make(list(combo.coeffs), 17) if combo.exact else combo, st)
     ch = blowup_chain(closure(A))
     assert ch.multiplicities() == (6, 2, 2, 2, 1)
     assert ch.e1_sequence() == (8, 1, 1, 1, 0)
@@ -247,7 +249,7 @@ def test_staircase_reads_everything_off_its_rows_on_random_branches(seed):
 @pytest.mark.parametrize("gens", ["t", "t^2, t+t^3", "t^3, t^2, t+t^5"])
 def test_closure_of_the_whole_ring_takes_the_one_path(gens):
     sc = closure(AlgebraInput.make([parse_series(g) for g in gens.split(",")]))
-    assert (sc.values, sc.basis, sc.conductor, sc.e0) == ((0,), (Series.one(),), 0, 1)
+    assert (sc.values, sc.basis, sc.conductor, sc.e0) == ((0,), (Series.make([1]),), 0, 1)
     assert (sc.gaps, sc.delta, sc.rows) == ((), 0, {0: (1,)})
     check_staircase_rows(sc)
 
@@ -310,10 +312,12 @@ def test_closure_matches_naive_oracle_with_repeated_and_dependent_generators(see
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)
 def test_closure_matches_naive_oracle_on_blowup_generators(seed):
-    # blowup(S, w) gives many inexact generators, most of them dependent
+    # blowup(S, w)'s inexact generators, with the truncated staircase basis,
+    # which lies in the blow-up: many inexact generators, most of them dependent
     st_ = closure(AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=6)]))
     for w in (8, 16, 24):
-        gens = list(blowup(st_, w).gens)
+        basis = [truncate(b, w) for v, b in zip(st_.values, st_.basis) if 0 < v <= w]
+        gens = list(blowup(st_, w).gens) + basis
         for ceiling in (w // 2, DEFAULT_CEILING):
             check_closure_against_naive_oracle(gens, ceiling)
 
@@ -570,3 +574,46 @@ def test_large_delta_filtration_matches_oracles(name):
         monomial = [0] * g + [1]
         assert all(perp_list(cut, r) == 0 for r in rows) and perp_list(cut, monomial) != 0
         rows.append(monomial)
+
+
+def check_generators_on_the_blowup_chain(sc):
+    # on every ring of the chain: one generator per minimal generator of the
+    # value semigroup, in order, and they generate the ring
+    while True:
+        gens = sc.algebra_generators()
+        assert tuple([order(g) for g in gens]) == from_staircase(sc.values, sc.conductor).generators
+        assert closure(AlgebraInput.make(gens)) == sc
+        if not sc.delta:
+            return
+        sc = closure(blowup(sc))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_algebra_generators_are_the_minimal_generators_on_random_chains(seed):
+    A = AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=9)])
+    check_generators_on_the_blowup_chain(closure(A))
+
+
+@pytest.mark.parametrize("gens", [LADDER["d27"], LADDER["d48"], "t^12+t^13, t^17+t^19"])
+def test_algebra_generators_are_the_minimal_generators_on_the_ladder(gens):
+    check_generators_on_the_blowup_chain(closure(AlgebraInput.make([parse_series(g) for g in gens.split(",")])))
+
+
+@pytest.mark.parametrize(
+    "gens, e0, betas, head",
+    [
+        ("t^8, t^12+t^14+t^15", 8, (12, 14, 15), (8, 4, 4, 2, 2, 1)),
+        ("t^9, t^12+t^14", 9, (12, 14), (9, 3, 3, 3, 2, 1)),
+        ("t^12, t^18+t^20+t^21", 12, (18, 20, 21), (12, 6, 6, 2, 2, 2, 1)),
+    ],
+)
+def test_blowup_chain_follows_euclid_on_plane_branches(gens, e0, betas, head):
+    # x = t^e0, y = sum of t^beta: the multiplicities are Euclid's (Enriques),
+    # each e1 is m(m-1)/2 and they add up to delta (Noether)
+    sc = closure(AlgebraInput.make([parse_series(g) for g in gens.split(",")]))
+    ch = blowup_chain(sc)
+    assert euclid_multiplicities(e0, betas) == head
+    assert ch.multiplicities() == head
+    assert ch.e1_sequence() == tuple([m * (m - 1) // 2 for m in head])
+    assert sum(ch.e1_sequence()) == sc.delta
