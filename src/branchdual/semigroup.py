@@ -140,8 +140,8 @@ class Characteristic:
     """Multiplicity with characteristic exponents and their normalization.
 
     The derived pairs satisfy beta_v / e0 = m_v / (n_1 ... n_v) with
-    gcd(m_v, n_v) = 1.  Until gcd(e0, beta_1, ..., beta_v) reaches 1, each
-    exponent must lower it (n_v > 1); exponents after that have n_v = 1.
+    gcd(m_v, n_v) = 1.  Each exponent must lower gcd(e0, beta_1, ...,
+    beta_v) (n_v > 1), and the last must bring it to 1.
     """
 
     e0: int
@@ -163,7 +163,7 @@ class Characteristic:
         e_prev = e0
         for b in betas:
             e_cur = math.gcd(e_prev, b)
-            if e_cur == e_prev > 1:
+            if e_cur == e_prev:
                 raise ValueError(f"invalid characteristic: {b} does not lower the gcd {e_prev}")
             ns.append(e_prev // e_cur)
             ms.append(b // e_cur)

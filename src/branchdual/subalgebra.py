@@ -305,11 +305,12 @@ def hilbert(S: Staircase) -> HilbertData:
     on a mod t^(L_(i-1)) only.  So the products g*a, a a row of m^i mod
     t^(L_(i-1)), span m^(i+1) mod t^(L_i): one echelon per power.
 
-    Generators.  The positive basis and t^c..t^(L_1 - 1) span m modulo
-    t^(L_1) k[[t]], itself inside m^2 (as is t^j*m for j >= c, so products
-    of two positive-basis rows span m^2 mod t^(L_1)).  By Nakayama those
-    independent modulo m^2 generate m minimally; each is kept reduced
-    against m^2 and the earlier ones, a triangular change modulo m^2.
+    Generators.  The factors g are b_v for the minimal generators v of the
+    value semigroup.  They generate B mod every t^n
+    (``Staircase.algebra_generators``), so each element of m mod t^n is a
+    polynomial in them with no constant term.  Hence m = sum_v b_v*B and
+    m^(i+1) = sum_v b_v*m^i.  The first power multiplies m mod t^(L_0),
+    which the positive b_v with v < c span.
 
     Stop rule.  l(M/xM) = e0 for every B-module t^N k[[t]] in M in k[[t]]
     (compare both with k[[t]]/x k[[t]]), and x*m^n lies in m^(n+1), so
@@ -321,14 +322,11 @@ def hilbert(S: Staircase) -> HilbertData:
     (Eakin-Sathaye).  The sequences end at index n + 1, closing on e0, e0.
     """
     c, e0 = max(S.conductor, 1), S.e0
-    rows = [(v, r) for v, r in S.span(c).items() if v]  # m mod t^(L_0), reduced
-    L = c + e0
-    sq = _products(rows, rows, L)  # m^2 mod t^(L_1)
-    rows = sorted(sq.table.items())
-    hf1 = [1, len(S.values) + e0 - len(rows)]
-    pivots = [sq.insert_coeffs(g) for g in list(S.span(L).values())[1:]]  # row 0 is b_0 = 1
-    gens = sorted([(p, sq.table[p]) for p in pivots if p is not None])
-    while hf1[-1] - hf1[-2] != e0:
+    span = S.span(c + e0)
+    rows = [(v, r) for v, r in span.items() if 0 < v < c]
+    gens = [(v, span[v]) for v in from_staircase(S.values, S.conductor).generators]
+    L, hf1 = c, [1]
+    while len(hf1) == 1 or hf1[-1] - hf1[-2] != e0:
         L += e0
         rows = sorted(_products(rows, gens, L).table.items())
         hf1.append(len(S.values) + L - c - len(rows))
@@ -389,19 +387,13 @@ def blowup_chain(S: Staircase) -> BlowupChain:
     B' is closed in the window W = 2*(delta - e0 + 1) + e0 + 2: c' <= 2*delta'
     for every semigroup and delta' = delta - e1 <= delta - e0 + 1, since
     e1 = sum_n (e0 - HF(n)) >= e0 - 1, so the run of e0' <= e0 values
-    from c' that certifies the conductor lies in W.  Should a closure
-    still run out of precision, W doubles.
+    from c' that certifies the conductor lies in W.
     """
     steps = []
     curS = S
     while curS.delta:
         w = 2 * (curS.delta - curS.e0 + 1) + curS.e0 + 2
-        while True:
-            try:
-                nxtS = closure(blowup(curS, w), w)
-                break
-            except PrecisionExhausted as ex:
-                w = max(2 * w, ex.required + 8)
+        nxtS = closure(blowup(curS, w), w)
         steps.append((curS.e0, curS.delta - nxtS.delta))
         curS = nxtS
     return BlowupChain(tuple(steps + [(1, 0)]) if steps else ())

@@ -267,9 +267,10 @@ def test_saturation_report():
     assert code2 == 3
 
 
-@pytest.mark.parametrize("char", ["4;6", "6;8,10,11"])
+@pytest.mark.parametrize("char", ["4;6", "6;8,10,11", "9;12,22,25"])
 def test_saturation_refuses_an_invalid_characteristic(char):
-    # 10 does not lower gcd(6, 8) = 2: refused as a chain that never reaches 1 is
+    # 10 does not lower gcd(6, 8) = 2, nor 25 gcd(9, 12, 22) = 1: refused as a
+    # chain that never reaches 1 is
     report, code = run_checked(JobSpec("saturation", options={"char": char}))
     assert code == 1
     assert report["error"]["type"] == "ValueError"

@@ -488,6 +488,41 @@ def test_hilbert_of_the_whole_ring():
     assert (h.hf, h.hf1, h.e1) == ((1, 1, 1), (1, 2, 3), 0)
 
 
+@pytest.mark.parametrize("gens", ["t^12+t^13, t^17+t^19", LADDER["embdim4"]], ids=["d88", "embdim4"])
+def test_hilbert_multiplies_by_the_semigroup_generators_only(monkeypatch, gens):
+    # every power, the first too, takes b_v for the minimal generators v of
+    # the value semigroup as its factors: no product of two rows of m
+    calls = []
+    products = subalgebra._products
+
+    def recording(rows, factors, L):
+        calls.append(factors)
+        return products(rows, factors, L)
+
+    monkeypatch.setattr(subalgebra, "_products", recording)
+    sc = closure(AlgebraInput.make([parse_series(g) for g in gens.split(",")]))
+    h = hilbert(sc)
+    want = sc.algebra_generators()
+    assert len(calls) == len(h.hf1) - 2
+    for factors in calls:
+        assert [v for v, _ in factors] == [order(b) for b in want]
+        for (v, r), b in zip(factors, want):
+            assert [F(x, r[v]) for x in r] == list(b.coeffs) + [0] * (len(r) - len(b.coeffs))
+
+
+@pytest.mark.parametrize(
+    "gens, e0",
+    [(LADDER["d48"], 9), ("t^12+t^13, t^17+t^19", 12), ("t^8, t^12+t^14+t^15", 8)],
+    ids=["d48", "d88", "d42"],
+)
+def test_hilbert_of_a_plane_branch_is_min_n_plus_1_e0(gens, e0):
+    # k[[x, y]]/(f) with ord f = e0: HF(n) = min(n + 1, e0), first equal to
+    # e0 at n = e0 - 1, so e1 = e0(e0 - 1)/2
+    h = hilbert(closure(AlgebraInput.make([parse_series(g) for g in gens.split(",")])))
+    assert h.hf == tuple([min(n + 1, e0) for n in range(e0 + 1)])
+    assert h.e1 == e0 * (e0 - 1) // 2
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_chain_first_e1_equals_hilbert_e1_on_random_branches(seed):
@@ -518,6 +553,26 @@ def test_blowup_chain_makes_no_hilbert_call(monkeypatch):
     monkeypatch.setattr(subalgebra, "hilbert", refuse)
     A = ladder_input("d11")
     assert blowup_chain(closure(A)).steps == ((6, 8), (2, 1), (2, 1), (2, 1), (1, 0))
+
+
+@pytest.mark.parametrize("name", ["d4", "d11", "d30", "embdim4", "plane-d8"])
+def test_blowup_chain_closes_each_blowup_once_in_its_window(monkeypatch, name):
+    # one closure per step, at W = 2(delta - e0 + 1) + e0 + 2 of the ring blown up
+    calls = []
+    close = subalgebra.closure
+
+    def recording(A, ceiling=DEFAULT_CEILING):
+        calls.append((ceiling, close(A, ceiling)))
+        return calls[-1][1]
+
+    sc = closure(ladder_input(name))
+    monkeypatch.setattr(subalgebra, "closure", recording)
+    chain = blowup_chain(sc)
+    assert len(calls) == len(chain.steps) - 1
+    for ceiling, nxt in calls:
+        assert ceiling == 2 * (sc.delta - sc.e0 + 1) + sc.e0 + 2
+        sc = nxt
+    assert sc.delta == 0
 
 
 @pytest.mark.parametrize("name", ["d30", "d48"])
