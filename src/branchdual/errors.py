@@ -8,7 +8,8 @@ class BranchDualError(Exception):
 class InfiniteCodimension(BranchDualError):
     """The generators span a subalgebra of infinite codimension in k[[t]].
 
-    Detected when the discovered value set stabilizes with gcd > 1.
+    Detected when the values in a window past the bound that ``closure``
+    proves have gcd > 1.
     """
 
     def __init__(self, gcd, values):

@@ -1,15 +1,19 @@
 """Parsing and printing of polynomial expressions in t (series) or u (operators).
 
-Grammar: a sum of terms ``c``, ``c t^k``, ``t^k``, ``t`` (likewise with
-``u``), where ``c`` is an optionally signed integer or fraction ``p/q``.
-Whitespace is insignificant and an optional ``*`` may separate the
-coefficient from the variable.  The variable decides the result type:
-``t`` yields an exact :class:`Series`, ``u`` a :class:`DiffOp`; mixing
-both in one expression is an error.
+Grammar: an optionally signed term, then terms each after ``+`` or ``-``.
+A term matches ``_TERM``, ``[num [/ den] [*]] [t|u [^ exp]]`` with
+whitespace allowed between tokens and ``num``, ``den``, ``exp`` ASCII
+digit runs: ``c``, ``c t^k``, ``t^k``, ``t`` (likewise with ``u``), where
+``c`` is an integer or fraction ``p/q``.  The variable decides the result
+type: ``t`` yields an exact :class:`Series`, ``u`` a :class:`DiffOp`;
+mixing both in one expression is an error.  Errors carry the position of
+the offending token; in a list of generators it counts from the start of
+the whole text, or of a list's texts joined by commas.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ExpressionError
@@ -25,6 +29,15 @@ MAX_EXPONENT = 10_000
 # before int(), which refuses more than 4,300 digits.
 MAX_COEFF_DIGITS = 1_000
 
+# Every part of both patterns is optional, so a match never fails and never
+# backtracks; a group that is None or empty names what is missing.  [0-9], not
+# \d, which takes other scripts' digits ("٤"); \s is exactly str.isspace().
+_SIGN = re.compile(r"\s*([+-]?)\s*")
+_TERM = re.compile(
+    r"(?:(?P<num>[0-9]+)\s*(?:(?P<slash>/)\s*(?P<den>[0-9]*)\s*)?(?:\*\s*)?)?"
+    r"(?:(?P<var>[tu])\s*(?:\^\s*(?P<exp>[0-9]*))?)?"
+)
+
 
 def parse_expression(text: str):
     """Parse one expression; returns a Series (variable t) or DiffOp (u).
@@ -32,151 +45,100 @@ def parse_expression(text: str):
     A constant expression parses as a Series.  Errors carry the offending
     position.
     """
-    coeffs, var = _parse_terms(text)
-    size = max(coeffs) + 1 if coeffs else 0
-    dense = [coeffs.get(i, Fraction(0)) for i in range(size)]
-    if var == "u":
-        return DiffOp.make(dense)
-    return Series.make(dense, None)
+    coeffs, var = _parse(text, 0, len(text))
+    return DiffOp.make(coeffs) if var == "u" else Series.make(coeffs, None)
 
 
-def _parse_terms(text: str):
-    pos = 0
-    n = len(text)
-    coeffs: dict = {}
-    var = None
-    saw_term = False
+def _parse(text: str, pos: int, end: int):
+    """The dense coefficients of text[pos:end] and its variable (None for a
+    constant), parsed in place; error positions index ``text``.
+    """
+    coeffs, var = {}, None  # coeffs: exponent -> int or Fraction sum, a key per term
     while True:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos == n:
-            break
-        sign = Fraction(1)
-        if text[pos] in "+-":
-            if text[pos] == "-":
-                sign = -sign
-            pos += 1
-            while pos < n and text[pos].isspace():
-                pos += 1
-            if pos == n:
+        sign = _SIGN.match(text, pos, end)
+        pos = sign.end()
+        if pos == end:
+            if sign.group(1):
                 raise ExpressionError("dangling sign", pos)
-        elif saw_term:
+            if not coeffs:  # the first match: it starts where the text does
+                raise ExpressionError("empty expression", sign.start())
+            break
+        if coeffs and not sign.group(1):
             raise ExpressionError("expected '+' or '-' between terms", pos)
-        coeff, exp, term_var, pos = _parse_term(text, pos)
+        m = _TERM.match(text, pos, end)
+        num, den, term_var = m.group("num", "den", "var")
+        if num is None and term_var is None:
+            raise ExpressionError("expected a term", pos)
+        coeff = 1 if num is None else _digits(m, "num")
+        if den is not None:
+            if not den:
+                raise ExpressionError("expected denominator after '/'", m.start("den"))
+            d = _digits(m, "den")
+            if d == 0:
+                raise ExpressionError("zero denominator", m.end("slash"))
+            coeff = Fraction(coeff, d)
+        exp = 0
         if term_var is not None:
-            if var is None:
-                var = term_var
-            elif var != term_var:
-                raise ExpressionError("mixed variables in one expression", pos - 1)
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff
-        saw_term = True
-    if not saw_term:
-        raise ExpressionError("empty expression", 0)
-    return {e: c for e, c in coeffs.items() if c != 0}, var
+            exp = 1 if m.group("exp") is None else _exponent(m)
+            if var not in (None, term_var):
+                raise ExpressionError("mixed variables in one expression", m.start("var"))
+            var = term_var
+        coeffs[exp] = coeffs.get(exp, 0) + (-coeff if sign.group(1) == "-" else coeff)
+        pos = m.end()
+    return [coeffs.get(i, 0) for i in range(max(coeffs) + 1)], var
 
 
-def _parse_term(text: str, pos: int):
-    n = len(text)
-    start = pos
-    coeff = None
-    # ASCII digits only: str.isdigit also takes ones int() rejects, like "²"
-    if pos < n and "0" <= text[pos] <= "9":
-        num, pos = _parse_int(text, pos)
-        coeff = Fraction(num)
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos < n and text[pos] == "/":
-            slash = pos
-            pos += 1
-            while pos < n and text[pos].isspace():
-                pos += 1
-            if pos == n or not "0" <= text[pos] <= "9":
-                raise ExpressionError("expected denominator after '/'", pos)
-            den, pos = _parse_int(text, pos)
-            if den == 0:
-                raise ExpressionError("zero denominator", slash + 1)
-            coeff = Fraction(num, den)
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos < n and text[pos] == "*":
-            pos += 1
-            while pos < n and text[pos].isspace():
-                pos += 1
-    if pos < n and text[pos] in "tu":
-        term_var = text[pos]
-        pos += 1
-        exp = 1
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos < n and text[pos] == "^":
-            pos += 1
-            while pos < n and text[pos].isspace():
-                pos += 1
-            if pos == n or not "0" <= text[pos] <= "9":
-                raise ExpressionError("expected exponent after '^'", pos)
-            exp, pos = _parse_exponent(text, pos)
-        return (coeff if coeff is not None else Fraction(1)), exp, term_var, pos
-    if coeff is None:
-        raise ExpressionError("expected a term", start)
-    return coeff, 0, None, pos
-
-
-def _parse_int(text: str, pos: int):
+def _digits(m, group: str) -> int:
     """At most MAX_COEFF_DIGITS digits, measured before int()."""
-    start = pos
-    while pos < len(text) and "0" <= text[pos] <= "9":
-        pos += 1
-    if pos - start > MAX_COEFF_DIGITS:
-        raise ExpressionError(f"number longer than {MAX_COEFF_DIGITS} digits", start)
-    return int(text[start:pos]), pos
+    digits = m.group(group)
+    if len(digits) > MAX_COEFF_DIGITS:
+        raise ExpressionError(f"number longer than {MAX_COEFF_DIGITS} digits", m.start(group))
+    return int(digits)
 
 
-def _parse_exponent(text: str, pos: int):
+def _exponent(m) -> int:
     """An exponent of at most MAX_EXPONENT; its digits are measured before int()."""
-    start = pos
-    while pos < len(text) and "0" <= text[pos] <= "9":
-        pos += 1
-    digits = text[start:pos].lstrip("0") or "0"
+    if not m.group("exp"):
+        raise ExpressionError("expected exponent after '^'", m.start("exp"))
+    digits = m.group("exp").lstrip("0") or "0"
     if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-        raise ExpressionError(f"exponent above the limit {MAX_EXPONENT}", start)
-    return int(digits), pos
+        raise ExpressionError(f"exponent above the limit {MAX_EXPONENT}", m.start("exp"))
+    return int(digits)
+
+
+def _series(text: str, pos: int, end: int) -> Series:
+    coeffs, var = _parse(text, pos, end)
+    if var == "u":
+        raise ExpressionError("expected a series in t, got an operator in u")
+    return Series.make(coeffs, None)
 
 
 def parse_series(text: str) -> Series:
     """Parse an expression that must be a series in t (or a constant)."""
-    x = parse_expression(text)
-    if not isinstance(x, Series):
-        raise ExpressionError("expected a series in t, got an operator in u")
-    return x
+    return _series(text, 0, len(text))
 
 
 def parse_diffop(text: str) -> DiffOp:
-    """Parse an expression that must be an operator in u."""
-    x = parse_expression(text)
-    if isinstance(x, DiffOp):
-        return x
-    if isinstance(x, Series) and all(c == 0 for c in x.coeffs[1:]):
-        return DiffOp.make(list(x.coeffs[:1]))
-    raise ExpressionError("expected an operator in u, got a series in t")
+    """Parse an expression that must be an operator in u (or a constant)."""
+    coeffs, var = _parse(text, 0, len(text))
+    if var == "t" and any(coeffs[1:]):
+        raise ExpressionError("expected an operator in u, got a series in t")
+    return DiffOp.make(coeffs)
 
 
 def parse_generators(text):
     """Parse series expressions: one comma-separated text, or a list of texts.
 
-    Error positions count from the start of the text; for a list, from the
-    start of its texts joined by commas (a comma inside one is no separator).
+    Each part is parsed in place in the text, or in a list's texts joined by
+    commas (a comma inside one is no separator), so error positions count
+    from the start of that whole text.
     """
-    parts = text.split(",") if isinstance(text, str) else text
-    out = []
-    offset = 0
+    parts = text.split(",") if isinstance(text, str) else list(text)
+    joined = ",".join(parts)
+    out, pos = [], 0
     for part in parts:
-        try:
-            out.append(parse_series(part))
-        except ExpressionError as ex:
-            if not offset or ex.position is None:
-                raise
-            raise ExpressionError(ex.reason, offset + ex.position) from None
-        offset += len(part) + 1
+        out.append(_series(joined, pos, pos + len(part)))
+        pos += len(part) + 1
     return out
 
 

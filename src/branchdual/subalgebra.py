@@ -95,9 +95,11 @@ class Staircase:
         The first generator is b_(e0).
         """
         c = self.conductor
-        basis = dict(zip(self.values, self.basis))
         gens = from_staircase(self.values, c).generators
-        return tuple([basis[v] if v < c else Series.monomial(v) for v in gens])
+        return tuple([
+            Series.make(_rational_row(self.rows[v], v)) if v < c else Series.monomial(v)
+            for v in gens
+        ])
 
 
 @dataclass(frozen=True)
@@ -146,11 +148,37 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
     above the range the pivots' semigroup covers: once the sums of pivots
     hold all of [a, w], t^a..t^w go in as rows (proofs in ``_closure_at``).
     The window and ``work_trunc`` are those of the plain closure, which
-    multiplies every pair of rows.  Raises InfiniteCodimension when the
-    value set stabilizes with gcd > 1, and PrecisionExhausted when the
+    multiplies every pair of rows.  Raises PrecisionExhausted when the
     ceiling (or a generator's own truncation) is insufficient; its
     ``required`` is the next window the doubling would try, not always the
     least that suffices.
+
+    Infinite codimension.  For exact generators of degree at most n, values
+    of gcd g > 1 in a window w >= (n-1)(n-2) + 1 prove that B has infinite
+    codimension, so InfiniteCodimension is raised from max(gcd_window,
+    (n-1)(n-2) + 1) on; below that a gcd > 1 asks for max(gcd_window,
+    w + 1).  Proof: say B has finite codimension, and work over an algebraic
+    closure of k, which changes no dimension.  Projection: for a nonzero
+    generator a, k[[t]] is finite over k[[a]], so B = k[[a]][g_1, .., g_r]
+    and its fraction field k((a))(g_1, .., g_r) is k((t)).  By the
+    primitive element theorem (characteristic 0) some b = sum c_i g_i,
+    c_i in k, has k((a))(b) = k((t)); then k[[a, b]], inside B, has
+    normalization k[[t]] and finite codimension.  Degree: t -> (a, b) is
+    finite, as a is not constant, so its image is an irreducible affine
+    plane curve C, and a general line meets C in deg C points, each the
+    image of a root of a nonzero polynomial of degree <= n: deg C <= n.
+    Genus-degree: k[[a, b]] is a branch of C at the origin, so its delta
+    is at most C's delta there, and the deltas of C's points add up to at
+    most the arithmetic genus (m-1)(m-2)/2 of its projective closure,
+    m = deg C.  A plane branch is Gorenstein, c = 2*delta.  So c(B) <=
+    c(k[[a, b]]) <= (n-1)(n-2): (n-1)(n-2) and (n-1)(n-2) + 1 are values of
+    B, both at most w, and the window's values have gcd 1.
+
+    An inexact generator has no degree bound, and a gcd > 1 is never
+    conclusive with one: known mod t^(T+1), it counts as degree T, so
+    gcd_window >= 2T + 2 lies past the cap <= T, and PrecisionExhausted is
+    raised there.  Inexact generators come only from ``blowup``, of
+    algebras of finite codimension.
     """
     gens = _positive_gens(A)
     orders = [order(g) for g in gens]
@@ -160,15 +188,16 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
     cap = min((g.trunc for g in gens if not g.exact), default=ceiling)
     cap = min(cap, ceiling)
     w = min(max(4 * (min(orders) + max(orders)), 16), cap)
-    # A gcd > 1 among the values seen in a small window is not yet evidence
-    # of infinite codimension: cancellations between generators can reveal a
-    # coprime value only at higher degree.  Treat gcd > 1 as conclusive only
-    # once the window is comfortably past the generators' support.
+    # A gcd > 1 among the values of a window is proof of infinite codimension
+    # only from ``proved`` on (docstring).  ``gcd_window``, past the
+    # generators' support, stays a floor: an exit-2 report lists the values
+    # up to the window that concluded.
     maxdeg = max(len(g.coeffs) - 1 for g in gens)
     gcd_window = max(64, 2 * maxdeg + 2, 4 * (min(orders) + max(orders)))
+    proved = max(gcd_window, (maxdeg - 1) * (maxdeg - 2) + 1)
     while True:
         try:
-            return _closure_at(gens, w, gcd_window)
+            return _closure_at(gens, w, gcd_window, proved)
         except _Inconclusive as ex:
             if w >= cap:
                 raise PrecisionExhausted(
@@ -177,15 +206,16 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
             w = min(max(2 * w, ex.required), cap)
 
 
-def _closure_at(gens, w: int, gcd_window: int) -> Staircase:
+def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
     """Staircase of B_w, the algebra generated by ``gens`` mod t^(w+1).
 
     Products.  Each row that enters the table at a new pivot o1 is
     multiplied by the int rows of the generators, by increasing order o2,
-    and each product inserted, until o1 + o2 > w or all of t^(o1+o2) k[t]
-    mod t^(w+1) is in the table: o1 + o2 only grows and the table only
-    fills, so every later product of that row lies in the table too.  A
-    generator that added no pivot is no factor.  Let V be the final span.
+    and each product inserted, until all of t^(o1+o2) k[t] mod t^(w+1) is
+    in the table, as it is once o1 + o2 > w (the table has no column past
+    w): o1 + o2 only grows and the table only fills, so every later
+    product of that row lies in the table too.  A generator that added no
+    pivot is no factor.  Let V be the final span.
     Every row is an element of B_w, so V lies in B_w.  V holds 1 and each
     generator g, and g*V lies in V.  The rows of V are 1, with g*1 = g;
     rows that went in at a pivot, each product of which was inserted or
@@ -211,7 +241,9 @@ def _closure_at(gens, w: int, gcd_window: int) -> Staircase:
 
     The staircase is the reduced echelon form of V cut at max(c, 1), by
     back-substitution (``Echelon.reduced``).  It is unique, so it does
-    not depend on the order in which the rows went in.
+    not depend on the order in which the rows went in.  Values of gcd > 1
+    raise InfiniteCodimension once w >= ``proved`` (proof in ``closure``),
+    and ask for max(gcd_window, w + 1) below it.
     """
     ech = Echelon(w)
     ech.insert_coeffs([1] + [0] * w)
@@ -248,7 +280,7 @@ def _closure_at(gens, w: int, gcd_window: int) -> Staircase:
         o1 = queue.pop()
         a = ech.table[o1]
         for o2, g in factors:
-            if o1 + o2 > w or ech.complete_from(o1 + o2):
+            if ech.complete_from(o1 + o2):
                 break
             found(ech.insert_coeffs(mul_coeffs(a, g, w + 1)))
 
@@ -261,7 +293,7 @@ def _closure_at(gens, w: int, gcd_window: int) -> Staircase:
     for p in positive:
         g = math.gcd(g, p)
     if g > 1:
-        if w >= gcd_window:
+        if w >= proved:
             raise InfiniteCodimension(g, positive)
         raise _Inconclusive(max(gcd_window, w + 1))
 

@@ -292,9 +292,11 @@ def closure_naive(gens, ceiling):
     jumping to what a window asks for) up to cap.  At window w the values
     are the orders of ``algebra_span`` mod t^(w+1).  A window with no
     positive value asks for the largest generator order; one whose values
-    have gcd g > 1 is conclusive from the gcd window max(64, 2 * maxdeg + 2,
-    4(o_min + o_max)) on, else asks for max(gcd window, w + 1); one with no
-    run of e0 values from the conductor c inside it asks for 2w.  Returns
+    have gcd g > 1 is conclusive from max(gcd window,
+    (maxdeg - 1)(maxdeg - 2) + 1) on, the gcd window being
+    max(64, 2 * maxdeg + 2, 4(o_min + o_max)), else asks for
+    max(gcd window, w + 1); one with no run of e0 values from the
+    conductor c inside it asks for 2w.  Returns
     ("ok", gaps, rows, w), rows the reduced span cut at max(c, 1) by naive
     Gauss-Jordan; ("infinite", g, positive values); or ("precision",
     required) when the window at cap asks for more.
@@ -304,6 +306,7 @@ def closure_naive(gens, ceiling):
     w = min(max(4 * (min(orders) + max(orders)), 16), cap)
     maxdeg = max(len(c) - 1 for c, _ in gens)
     gcd_window = max(64, 2 * maxdeg + 2, 4 * (min(orders) + max(orders)))
+    proved = max(gcd_window, (maxdeg - 1) * (maxdeg - 2) + 1)
     while True:
         span = algebra_span([list(c[: w + 1]) for c, _ in gens], w)
         values = {next(i for i, x in enumerate(r) if x) for r in span}
@@ -314,7 +317,7 @@ def closure_naive(gens, ceiling):
         if not positive:
             required = max(orders)
         elif g > 1:
-            if w >= gcd_window:
+            if w >= proved:
                 return ("infinite", g, tuple(positive))
             required = max(gcd_window, w + 1)
         elif any(j not in values for j in range(c, c + positive[0])):

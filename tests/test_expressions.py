@@ -62,6 +62,99 @@ def test_parse_mixed_variables():
         parse_expression("t + u")
 
 
+@pytest.mark.parametrize(
+    "parse, text, reason, position",
+    [
+        (parse_expression, "", "empty expression", 0),
+        (parse_expression, " \t", "empty expression", 0),
+        (parse_expression, "2 +", "dangling sign", 3),
+        (parse_expression, "t^", "expected exponent after '^'", 2),
+        (parse_expression, "3/", "expected denominator after '/'", 2),
+        (parse_expression, "x", "expected a term", 0),
+        (parse_expression, "*t", "expected a term", 0),
+        (parse_expression, "^3", "expected a term", 0),
+        (parse_expression, "t + -t", "expected a term", 4),
+        (parse_expression, "t^2 t^3", "expected '+' or '-' between terms", 4),
+        (parse_expression, "2 t3", "expected '+' or '-' between terms", 3),
+        (parse_expression, "3 / 0", "zero denominator", 3),
+        (parse_expression, "t^2 + 3/ t", "expected denominator after '/'", 9),
+        (parse_expression, "t^2 + ٤", "expected a term", 6),
+        (parse_expression, "t^²", "expected exponent after '^'", 2),
+        # a mixed variable is reported at its letter
+        (parse_expression, "t + u ", "mixed variables in one expression", 4),
+        (parse_expression, "t+u^2", "mixed variables in one expression", 2),
+        (parse_generators, "t^2, u - t", "mixed variables in one expression", 9),
+        (parse_generators, ["t", "u+t^2"], "mixed variables in one expression", 4),
+        (parse_generators, "t^2,,t", "empty expression", 4),
+        (parse_generators, "t, t +", "dangling sign", 6),
+        (parse_generators, "t, t^10001", f"exponent above the limit {MAX_EXPONENT}", 5),
+        (parse_generators, ["t^2", "t^3,t"], "expected '+' or '-' between terms", 7),
+        (parse_generators, ["t", ""], "empty expression", 2),
+        (parse_generators, "t, u^2", "expected a series in t, got an operator in u", None),
+        (parse_series, "u^2", "expected a series in t, got an operator in u", None),
+        (parse_diffop, "1 + t^2", "expected an operator in u, got a series in t", None),
+    ],
+)
+def test_parse_error_messages_and_positions(parse, text, reason, position):
+    with pytest.raises(ExpressionError) as ex:
+        parse(text)
+    assert (ex.value.reason, ex.value.position) == (reason, position)
+
+
+def test_constants_and_cancelled_variables_parse_as_operators():
+    assert parse_diffop("3").coeffs == (F(3),)
+    assert parse_diffop("2 + t - t").coeffs == (F(2),)
+    assert parse_diffop("u - u").is_zero()
+    assert parse_diffop("3 * + u").coeffs == (F(3), F(1))
+
+
+def test_long_whitespace_run_parses():
+    assert parse_series(" " * 100_000 + "t").coeffs == (F(0), F(1))
+    assert parse_generators(["t^2", "\t" * 100_000 + "t^3"])[1].coeffs[-1] == 1
+
+
+SPACE = st.sampled_from(["", "", " ", "\t", "\u2003", "  \n"])
+
+
+@st.composite
+def rendered_sums(draw, var):
+    """(text, its coefficient sum by exponent) with random whitespace, zero
+    padding, optional '*', unreduced fractions and repeated exponents."""
+    ws = lambda: draw(SPACE)  # noqa: E731
+    terms = draw(st.lists(
+        st.tuples(st.integers(0, 9), st.booleans(), st.integers(0, 40), st.integers(1, 12)),
+        min_size=1, max_size=8,
+    ))
+    text, want = ws(), {}
+    for k, (exp, neg, p, q) in enumerate(terms):
+        text += ("-" if neg else "+" if k or draw(st.booleans()) else "") + ws()
+        if exp and draw(st.booleans()):
+            p = q = 1  # a bare variable
+        else:
+            text += "0" * draw(st.integers(0, 2)) + str(p) + ws()
+            if q > 1 or draw(st.booleans()):
+                text += "/" + ws() + str(q) + ws()
+            if draw(st.booleans()):
+                text += "*" + ws()
+        if exp or draw(st.booleans()):
+            text += var + ws()
+            if exp != 1 or draw(st.booleans()):
+                text += "^" + ws() + "0" * draw(st.integers(0, 3)) + str(exp)
+        text += ws()
+        want[exp] = want.get(exp, 0) + F(-p if neg else p, q)
+    return text, [want.get(i, 0) for i in range(10)]
+
+
+@given(rendered_sums("t"), rendered_sums("u"))
+@settings(max_examples=200, deadline=None)
+def test_rendered_sums_parse_to_their_coefficients(series_case, op_case):
+    text, want = series_case
+    assert parse_series(text).coeffs == Series.make(want).coeffs
+    assert parse_generators([text, text])[1].coeffs == Series.make(want).coeffs
+    text, want = op_case
+    assert parse_diffop(text).coeffs == DiffOp.make(want).coeffs
+
+
 def test_parse_errors():
     for bad in ["", "2 +", "t^", "3/", "x", "t^2 t^3", "^3"]:
         with pytest.raises(ExpressionError):

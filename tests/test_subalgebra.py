@@ -324,8 +324,57 @@ def test_closure_matches_naive_oracle_on_blowup_generators(seed):
 
 @pytest.mark.parametrize("gens, ceiling", [("t^2+t^4, t^6", 64), ("t^2+t^4, t^6", 40), ("t^4, t^6+t^10", 64)])
 def test_closure_matches_naive_oracle_on_even_branches(gens, ceiling):
-    # gcd 2: infinite codimension from the gcd window 64 on, below it a window to ask for
+    # gcd 2: infinite codimension from max(gcd window 64, (n-1)(n-2) + 1) on,
+    # below it a window to ask for; degree n = 10 puts that bound at 73 > 64
     check_closure_against_naive_oracle([parse_series(g) for g in gens.split(",")], ceiling)
+
+
+def test_gcd_is_conclusive_from_the_genus_degree_bound_on():
+    # degree 10: (10-1)(10-2) + 1 = 73, so the window 64 proves nothing yet
+    gens = AlgebraInput.make([parse_series("t^4"), parse_series("t^6+t^10")])
+    with pytest.raises(PrecisionExhausted) as ex:
+        closure(gens, 64)
+    assert ex.value.required == 65
+    with pytest.raises(InfiniteCodimension) as inf:
+        closure(gens, 128)
+    # windows 40, then 80 >= 73, which concludes
+    assert (inf.value.gcd, inf.value.values) == (2, tuple(range(4, 81, 2)))
+
+
+def test_late_odd_value_branch_closes_at_its_conductor():
+    # characteristic (16; 24, 28, 30, 31): every value below 213 is even, and
+    # 213 lies past the gcd window 188, where an infinite verdict came before
+    gens = [parse_series(g) for g in "t^16, t^24+t^28+t^30+t^31".split(",")]
+    sc = closure(AlgebraInput.make(gens))
+    assert (sc.gaps, sc.conductor, sc.delta) == semigroup_data([16, 24, 52, 106, 213])
+    assert (sc.delta, sc.conductor, sc.work_trunc) == (190, 380, 512)
+
+
+@pytest.mark.parametrize(
+    "gens, required",
+    [
+        # characteristic (32; 48, 56, 60, 62, 63), finite codimension, first
+        # odd value 853: the bound 62 * 61 + 1 = 3,783 lies past the default
+        # ceiling
+        (["t^32", "t^48+t^56+t^60+t^62+t^63"], 513),
+        # infinite codimension (B lies in k[[t^3]]), but the bound
+        # 59 * 58 + 1 = 3,423 lies past the default ceiling: exit 5, not 2
+        (["t^6", "t^9+t^60"], 513),
+    ],
+)
+def test_high_degree_even_windows_run_out_of_precision(gens, required):
+    report, code = run(JobSpec("inverse-system", gens))
+    assert code == 5
+    assert report["error"]["type"] == "PrecisionExhausted"
+    assert report["error"]["required"] == required
+
+
+def test_inexact_generators_never_prove_infinite_codimension():
+    # t^2 known mod t^201: every window has gcd 2, but the tail is unknown;
+    # it counts as degree 200, so the gcd window 402 lies past the cap 200
+    with pytest.raises(PrecisionExhausted) as ex:
+        closure(AlgebraInput.make([Series.make([0, 0, 1], 200)]))
+    assert ex.value.required > 200
 
 
 def test_closure_multiplies_each_row_by_the_generators_only(monkeypatch):
@@ -636,6 +685,7 @@ def check_generators_on_the_blowup_chain(sc):
     # value semigroup, in order, and they generate the ring
     while True:
         gens = sc.algebra_generators()
+        assert "basis" not in vars(sc)  # only the generators' rows become series
         assert tuple([order(g) for g in gens]) == from_staircase(sc.values, sc.conductor).generators
         assert closure(AlgebraInput.make(gens)) == sc
         if not sc.delta:
