@@ -262,7 +262,7 @@ def _run_transport(job, A, S):
     return {
         "conductor": S.conductor,
         "matrix": [
-            [format_rational(M.at(i, j)) for j in range(M.cols)]
+            [format_rational(x) if x else "0" for x in M.row(i)]
             for i in range(M.rows)
         ],
         "basis": [_op_entry(g) for g in V1.basis],

@@ -177,5 +177,6 @@ def format_diffop(g: DiffOp) -> str:
 
 def format_rational(x) -> str:
     """Exact decimal-free rendering: "p" or "p/q"."""
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, NotAlgebraForming
-from .linalg import Echelon, QMatrix, _integer_row, _primitive, _rational_row
+from .linalg import QZERO, Echelon, QMatrix, _dense, _integer_row, _primitive, _rational_row, _sparse
 from .series import DiffOp, Series, mul, mul_coeffs, order, truncate
 from .subalgebra import (
     AlgebraInput,
@@ -98,7 +98,7 @@ def _reduce_ops(ops, width: int):
     """
     ech = Echelon(width - 1)  # columns from degree width-1 down: a pivot is a leading degree
     for g in ops:
-        ech.insert_coeffs(_integer_row([g.coeff(width - 1 - k) for k in range(width)], width))
+        ech.insert_coeffs(_sparse(_integer_row([g.coeff(width - 1 - k) for k in range(width)], width)))
     out = [_monic(DiffOp.make(r[::-1])) for r in ech.reduced().values()]
     return sorted(out, key=lambda g: g.degree)
 
@@ -193,16 +193,15 @@ def natural_set(A: AlgebraInput, d: int):
     spans the non-constant part of the algebra mod t^(d+1).  Products
     whose order exceeds d truncate to zero and are pruned.
     """
-    gens = _positive_gens(A)
-    base = [truncate(g, d) for g in gens]
+    base = [truncate(g, d) for _, g in _positive_gens(A)]
     base = [g for g in base if order(g) is not None]
     ech = Echelon(d)
-    out = [g for g in base if ech.insert_coeffs(_integer_row(g.coeffs, d + 1)) is not None]
+    out = [g for g in base if ech.insert_coeffs(_sparse(_integer_row(g.coeffs, d + 1))) is not None]
     for f in out:  # out grows as it is read: breadth first
         for g0 in base:
             if order(f) + order(g0) <= d:
                 p = mul(f, g0)
-                if ech.insert_coeffs(_integer_row(p.coeffs, d + 1)) is not None:
+                if ech.insert_coeffs(_sparse(_integer_row(p.coeffs, d + 1))) is not None:
                     out.append(p)
     return sorted(out, key=order)
 
@@ -235,7 +234,7 @@ def _annihilate(V, S: Staircase):
     forms = _forms(ops, n)
     ech = Echelon(k + n - 1)
     for row in S.span(n).values():
-        ech.insert_coeffs(_values(forms, row) + row)
+        ech.insert_coeffs(_sparse(_values(forms, row) + row))
     rows = {p - k: r[k:] for p, r in ech.reduced(k).items()}
     out = (n, max(set(range(n)) - set(rows)) + 1, rows)
     pos = [v for v in rows if v]
@@ -244,7 +243,8 @@ def _annihilate(V, S: Staircase):
         return (AFCertificate(True, None),) + out
     v1, v2 = pair
     a, b = [Series.make(_rational_row(rows[v], v)) for v in pair]
-    b_fails = any(_values(forms, mul_coeffs(rows[v2], rows[v2], d + 1)))
+    r = _sparse(rows[v2])
+    b_fails = any(_values(forms, _dense(mul_coeffs(r, list(r.items()), d + 1), d + 1)))
     return (AFCertificate(False, a if v1 == v2 else b if b_fails else a + b),) + out
 
 
@@ -413,21 +413,23 @@ def transport_dual(h: Series, c: int, V2: InverseSystem):
         raise ValueError("reparametrization series is not a uniformizer")
     h1 = h.coeff(1)
     K = math.lcm(*[(h.coeff(n) / h1**n).denominator for n in range(2, c)])
-    l = [0] + [(h.coeff(n) * K ** (n - 1) / h1**n).numerator for n in range(1, c)]
-    L = [[1] + [0] * (c - 1)]  # L[j] = l^j mod s^c
+    l = [(n, (h.coeff(n) * K ** (n - 1) / h1**n).numerator) for n in range(1, c) if h.coeff(n)]
+    L = [{0: 1}]  # L[j] = l^j mod s^c, sparse
     for _ in range(1, c):
         L.append(mul_coeffs(L[-1], l, c))
     hp = [h1**i for i in range(c)]
-    M = QMatrix.from_rows([[Fraction(L[j][i] * hp[i].numerator, hp[i].denominator * K ** (i - j))
-                            if i >= j else 0 for j in range(c)] for i in range(c)])
+    M = QMatrix(c, c, tuple([Fraction(L[j][i] * hp[i].numerator, hp[i].denominator * K ** (i - j))
+                             if i in L[j] else QZERO for i in range(c) for j in range(c)]))
     e = math.lcm(*[x.denominator for g in V2.basis for x in g.coeffs])
+    D = [[x.numerator * (e // x.denominator) for x in g.coeffs[:c]] + [0] * (c - len(g.coeffs))
+         for g in V2.basis]  # e times each basis element, as ints
     fact = [math.factorial(i) for i in range(c)]
     U = [[0] * c for _ in V2.basis]
     for j in range(c - 1, -1, -1):
-        rest = [(i, x) for i, x in enumerate(L[j]) if i > j and x]
-        scale = e * K ** (c - 1 - j) * fact[j]
-        for u, g in zip(U, V2.basis):
-            u[j] = (g.coeff(j) * scale).numerator - sum([x * u[i] for i, x in rest])
+        rest = [(i, x) for i, x in L[j].items() if i > j]
+        scale = K ** (c - 1 - j) * fact[j]
+        for u, r in zip(U, D):
+            u[j] = r[j] * scale - sum([x * u[i] for i, x in rest])
     # X_i / i! = U_i / (e K^(c-1-i) h_1^i i!)
     den = [e * K ** (c - 1 - i) * fact[i] * hp[i] for i in range(c)]
     new_ops = [DiffOp.make([Fraction(x * d.denominator, d.numerator) for x, d in zip(u, den)]) for u in U]

@@ -1,21 +1,24 @@
 """Exact linear algebra over the rationals.
 
 :class:`Echelon` is the package's one elimination kernel.  It is
-fraction-free: rows are Python ints, reduced by integer combinations
-(Bareiss) with the content divided out.  A rational row has its
-denominators cleared once, by ``_integer_row``, where it enters; products
-of int rows (``series.mul_coeffs``) go straight in.  Rows leave as
-primitive ints; ``_rational_row`` makes one exact rationals
-(``fractions.Fraction``).  ``rref``, ``nullspace`` and ``solve`` reduce
-``Fraction`` matrices (:class:`QMatrix`) through the same kernel, but no
-engine path calls them: :class:`QMatrix` only carries ``transport_dual``'s
-matrix.  No floating point is used anywhere.
+fraction-free and sparse: a row is a dict ``{column: nonzero int}``,
+reduced by integer combinations (Bareiss) with the content divided out,
+touching only the columns where the row or its pivot row is nonzero.  A
+rational row has its denominators cleared once, by ``_integer_row``, and
+a dense row is made sparse once, by ``_sparse``, where it enters;
+products of sparse int rows (``series.mul_coeffs``) go straight in.  The
+reduced rows leave as dense primitive int tuples; ``_rational_row`` makes
+one exact rationals (``fractions.Fraction``).  ``rref``, ``nullspace``
+and ``solve`` reduce ``Fraction`` matrices (:class:`QMatrix`) through the
+same kernel, but no engine path calls them: :class:`QMatrix` only carries
+``transport_dual``'s matrix.  No floating point is used anywhere.
 
-Tuples built on hot paths come from lists, not generators.  CPython
-builds a tuple from a generator by resizing a 10-slot one, and frees the
-result onto the free list of its final size, so those free lists fill up
-to 2,000 tuples each and keep them until a full garbage collection,
-which integer rows, unlike ``Fraction`` rows, almost never trigger.
+Tuples built on hot paths, such as the rows ``reduced`` returns, come
+from lists, not generators.  CPython builds a tuple from a generator by
+resizing a 10-slot one, and frees the result onto the free list of its
+final size, so those free lists fill up to 2,000 tuples each and keep
+them until a full garbage collection, which integer rows, unlike
+``Fraction`` rows, almost never trigger.
 """
 
 from __future__ import annotations
@@ -36,29 +39,55 @@ def _integer_row(coeffs, n: int) -> list:
     return [x.numerator * (den // x.denominator) if x else 0 for x in row]
 
 
+def _sparse(row) -> dict:
+    """The nonzero entries of a dense row, keyed by column, by increasing column."""
+    return {k: x for k, x in enumerate(row) if x}
+
+
+def _dense(row: dict, n: int) -> list:
+    """The sparse row as a list of n entries, 0 where it has none."""
+    out = [0] * n
+    for k, x in row.items():
+        out[k] = x
+    return out
+
+
 def _primitive(row, o: int) -> tuple:
-    """The int row divided by its content, positive at column o."""
+    """The dense int row divided by its content, positive at column o."""
     content = math.gcd(*row) * (-1 if row[o] < 0 else 1)
     return tuple(row) if content == 1 else tuple([a // content for a in row])
 
 
-def _clear(row: list, b, j: int, lo: int) -> list:
-    """The int row with column j cleared by an integer combination with b.
+def _primitive_sparse(row: dict, o: int) -> dict:
+    """The sparse int row divided by its content, positive at column o."""
+    content = math.gcd(*row.values()) * (-1 if row[o] < 0 else 1)
+    return row if content == 1 else {k: x // content for k, x in row.items()}
 
-    b is zero before j and nonzero at j, and row is zero before lo <= j.
-    The result is a rational multiple of row - (row_j / b_j) b.
+
+def _clear(row: dict, b: dict, j: int) -> dict:
+    """The sparse int row with column j cleared by an integer combination with b.
+
+    b is zero before j and nonzero at j.  The result is a rational multiple
+    of row - (row_j / b_j) b; an entry that becomes 0 is deleted.  row itself
+    may be changed.
     """
     p, r = b[j], row[j]
     g = math.gcd(p, r)
     p //= g
     r //= g
-    if p == 1:
-        row[j:] = [x - r * y for x, y in zip(row[j:], b[j:])]
-        return row
-    # b is zero before j, so this also scales row[lo:j]
-    row[lo:] = [p * x - r * y for x, y in zip(row[lo:], b[lo:])]
-    content = math.gcd(*row)
-    return [x // content for x in row] if content > 1 else row
+    if p != 1:
+        row = {k: p * x for k, x in row.items()}
+    for k, y in b.items():
+        x = row.get(k, 0) - r * y
+        if x:
+            row[k] = x
+        else:
+            del row[k]  # x = 0 != r * y: row had an entry at k
+    if p != 1:
+        content = math.gcd(*row.values())
+        if content > 1:
+            return {k: x // content for k, x in row.items()}
+    return row
 
 
 def _rational_row(row, o: int) -> list:
@@ -67,13 +96,13 @@ def _rational_row(row, o: int) -> list:
 
 
 class Echelon:
-    """Row echelon accumulator for rows with columns 0..trunc.
+    """Row echelon accumulator for sparse int rows with columns 0..trunc.
 
-    Rows are stored as primitive integer tuples (gcd 1, positive leading
-    entry), keyed by pivot column: the first nonzero column of the row
-    (for series mod t^(trunc+1), its order).  The highest column with no
-    pivot yet is kept, which lets callers skip products that can only
-    reduce to zero.
+    A row is a dict ``{column: nonzero int}``.  Table rows are primitive
+    (gcd 1, positive leading entry), keyed by pivot column: the least
+    column of the row (for series mod t^(trunc+1), its order).  The highest
+    column with no pivot yet is kept, which lets callers skip products that
+    can only reduce to zero.
     """
 
     def __init__(self, trunc: int):
@@ -85,41 +114,37 @@ class Echelon:
         """True when every column in [s, trunc] already has a pivot."""
         return self._free_top < s
 
-    def reduce(self, coeffs):
-        """Reduce ``coeffs``, an int row of trunc+1 entries.
+    def reduce(self, coeffs: dict):
+        """Reduce ``coeffs``, a sparse int row with columns in 0..trunc.
 
         Integer combinations with table rows clear its pivot columns up to
-        the first nonzero entry in a column without a pivot.  Returns (row,
-        that column), or (row, None) when the row reduces to zero; the row
-        is a rational multiple of the reduced input.
+        its least column without a pivot.  Returns (row, that column), or
+        (row, None) when the row reduces to zero; the row is a rational
+        multiple of the reduced input, which is left as it is.
         """
-        row = list(coeffs)
-        n = len(row)
-        lo = next((i for i, x in enumerate(row) if x), n)  # row is zero before lo
-        for j in range(lo, n):
-            if not row[j]:
-                continue
+        row = dict(coeffs)
+        while row:
+            j = min(row)
             pivot_row = self.table.get(j)
             if pivot_row is None:
                 return row, j
-            row = _clear(row, pivot_row, j, lo)
-            if lo == j:
-                lo = j + 1
+            row = _clear(row, pivot_row, j)
         return row, None
 
-    def insert_coeffs(self, coeffs):
-        """Reduce an int row of trunc+1 entries; returns the new pivot column or None."""
+    def insert_coeffs(self, coeffs: dict):
+        """Reduce a sparse int row with columns in 0..trunc; returns the new pivot column or None."""
         row, o = self.reduce(coeffs)
         if o is None:
             return None
-        self.table[o] = _primitive(row, o)
+        self.table[o] = _primitive_sparse(row, o)
         while self._free_top in self.table:
             self._free_top -= 1
         return o
 
     def reduced(self, lo: int = 0, stop: int | None = None) -> dict:
         """The reduced echelon form: each pivot p in [lo, stop), by increasing
-        p, -> its primitive int row with every other pivot column eliminated.
+        p, -> its dense primitive int row with every other pivot column
+        eliminated, of trunc+1 entries (``stop`` entries with ``stop``).
 
         With ``stop`` only columns 0..stop-1 are reduced and returned: the
         rows cut at t^stop, with none of the work on the columns past them
@@ -129,14 +154,14 @@ class Echelon:
         pivot column but their own, so clearing one column fills in no
         other, and each row meets only pivots above its own, all at least lo.
         """
-        hi = self.trunc + 1 if stop is None else stop
+        n = self.trunc + 1 if stop is None else min(stop, self.trunc + 1)
         out = {}
-        for p in sorted([p for p in self.table if lo <= p < hi], reverse=True):
-            row = list(self.table[p][:stop])
-            for q in [q for q in out if row[q]]:
-                row = _clear(row, out[q], q, p)
-            out[p] = _primitive(row, p)
-        return dict(sorted(out.items()))
+        for p in sorted([p for p in self.table if lo <= p < n], reverse=True):
+            row = {k: x for k, x in self.table[p].items() if k < n}
+            for q in [q for q in row if q in out]:
+                row = _clear(row, out[q], q)
+            out[p] = _primitive_sparse(row, p)
+        return {p: tuple(_dense(out[p], n)) for p in sorted(out)}
 
     def set_monomials(self, lo: int, hi: int):
         """Make t^lo..t^(hi-1) the rows at pivots lo..hi-1, with no reduction.
@@ -145,9 +170,8 @@ class Echelon:
         and that t^hi..t^trunc are in the span already: each row replaced
         has order >= lo, so the span only grows, and stays in that space.
         """
-        n = self.trunc + 1
         for k in range(lo, hi):
-            self.table[k] = (0,) * k + (1,) + (0,) * (n - 1 - k)
+            self.table[k] = {k: 1}
         while self._free_top in self.table:
             self._free_top -= 1
 
@@ -188,7 +212,7 @@ def _reduced_rows(rows, width: int):
     """Reduced row echelon rows of a row list, keyed by pivot column."""
     ech = Echelon(width - 1)
     for r in rows:
-        ech.insert_coeffs(_integer_row(r, width))
+        ech.insert_coeffs(_sparse(_integer_row(r, width)))
     return {p: _rational_row(r, p) for p, r in ech.reduced().items()}
 
 

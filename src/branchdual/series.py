@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionExhausted
+from .linalg import _dense, _sparse
 
 _ZERO = Fraction(0)
 
@@ -90,32 +91,36 @@ def _least_trunc(*truncs):
 def order(f: Series):
     """Least exponent with nonzero coefficient, or None if f = 0 mod t^(trunc+1)."""
     for i, c in enumerate(f.coeffs):
-        if c != 0:
+        if c:
             return i
     return None
 
 
-def mul_coeffs(a, b, n: int) -> list:
-    """The first n coefficients of the product of two coefficient sequences.
+def mul_coeffs(a: dict, terms, n: int) -> dict:
+    """The terms below t^n of a product, as a sparse row ``{exponent: nonzero coefficient}``.
 
-    Int inputs give an int product; entries no term reaches stay int 0.
+    ``a`` is a sparse row and ``terms`` the other factor's (exponent,
+    nonzero coefficient) pairs by increasing exponent.  Int inputs give an
+    int product; a coefficient that cancels to 0 is left out.
     """
-    out = [0] * n
-    terms = [(j, y) for j, y in enumerate(b[:n]) if y]
-    for i, x in enumerate(a[:n]):
-        if x == 0:
-            continue
+    out = {}
+    for i, x in a.items():
         for j, y in terms:
-            if i + j >= n:
+            k = i + j
+            if k >= n:
                 break
-            out[i + j] += x * y
-    return out
+            if k in out:
+                out[k] += x * y
+            else:
+                out[k] = x * y
+    return {k: x for k, x in out.items() if x} if 0 in out.values() else out
 
 
 def mul(f: Series, g: Series) -> Series:
     t = _least_trunc(f.trunc, g.trunc)
-    n = len(f.coeffs) + len(g.coeffs) if t is None else t + 1
-    return Series.make(mul_coeffs(f.coeffs, g.coeffs, max(n, 1)), t)
+    n = max(len(f.coeffs) + len(g.coeffs) if t is None else t + 1, 1)
+    prod = mul_coeffs(_sparse(f.coeffs), list(_sparse(g.coeffs).items()), n)
+    return Series.make(_dense(prod, n), t)
 
 
 def divide_by_unit(f: Series, v: Series, prec: int | None = None) -> Series:

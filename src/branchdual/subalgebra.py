@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GeneratorError, InfiniteCodimension, PrecisionExhausted
-from .linalg import Echelon, _integer_row, _rational_row
+from .linalg import Echelon, _integer_row, _rational_row, _sparse
 from .semigroup import from_staircase
 from .series import Series, divide_by_unit, mul_coeffs, order, truncate
 
@@ -126,6 +126,7 @@ class _Inconclusive(Exception):
 
 
 def _positive_gens(A: AlgebraInput):
+    """(order, generator) for each nonzero generator of A, in A's order."""
     gens = []
     for g in A.gens:
         o = order(g)
@@ -133,7 +134,7 @@ def _positive_gens(A: AlgebraInput):
             continue
         if o == 0:
             raise GeneratorError("generators must have positive order")
-        gens.append(g)
+        gens.append((o, g))
     if not gens:
         raise GeneratorError("no nonzero generators")
     return gens
@@ -181,18 +182,18 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
     algebras of finite codimension.
     """
     gens = _positive_gens(A)
-    orders = [order(g) for g in gens]
+    orders = [o for o, _ in gens]
     # Starting too small is cheap (we double), starting huge is not, so the
     # initial window looks only at the extreme generator orders.  Inexact
     # generators cap the window at their own truncation.
-    cap = min((g.trunc for g in gens if not g.exact), default=ceiling)
+    cap = min((g.trunc for _, g in gens if not g.exact), default=ceiling)
     cap = min(cap, ceiling)
     w = min(max(4 * (min(orders) + max(orders)), 16), cap)
     # A gcd > 1 among the values of a window is proof of infinite codimension
     # only from ``proved`` on (docstring).  ``gcd_window``, past the
     # generators' support, stays a floor: an exit-2 report lists the values
     # up to the window that concluded.
-    maxdeg = max(len(g.coeffs) - 1 for g in gens)
+    maxdeg = max(len(g.coeffs) - 1 for _, g in gens)
     gcd_window = max(64, 2 * maxdeg + 2, 4 * (min(orders) + max(orders)))
     proved = max(gcd_window, (maxdeg - 1) * (maxdeg - 2) + 1)
     while True:
@@ -207,7 +208,8 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
 
 
 def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
-    """Staircase of B_w, the algebra generated by ``gens`` mod t^(w+1).
+    """Staircase of B_w, the algebra generated by ``gens``, (order, generator)
+    pairs, mod t^(w+1).
 
     Products.  Each row that enters the table at a new pivot o1 is
     multiplied by the int rows of the generators, by increasing order o2,
@@ -246,7 +248,7 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
     and ask for max(gcd_window, w + 1) below it.
     """
     ech = Echelon(w)
-    ech.insert_coeffs([1] + [0] * w)
+    ech.insert_coeffs({0: 1})
     mask = (1 << (w + 1)) - 1
     reach = 1  # bit k: k is a sum of pivots found so far
     filled = w + 1  # the rows at pivots filled..w are monomials
@@ -268,12 +270,12 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
             ech.set_monomials(a, filled)
             filled = a
 
-    factors = []  # (order, int row) of the generators that added a pivot
-    for g in gens:  # w <= every inexact generator's trunc (``closure``'s cap)
-        row = _integer_row(g.coeffs, w + 1)
+    factors = []  # (order, int terms) of the generators that added a pivot
+    for o, g in gens:  # w <= every inexact generator's trunc (``closure``'s cap)
+        row = _sparse(_integer_row(g.coeffs, w + 1))
         p = ech.insert_coeffs(row)
         if p is not None:
-            factors.append((next(i for i, x in enumerate(row) if x), row))
+            factors.append((o, list(row.items())))
         found(p)
     factors.sort(key=lambda f: f[0])
     while queue:
@@ -288,7 +290,7 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
     positive = sorted(p for p in pivots if p > 0)
     if not positive:
         # The window lies below every generator's order: nothing seen yet.
-        raise _Inconclusive(max(order(g) for g in gens))
+        raise _Inconclusive(max(o for o, _ in gens))
     g = 0
     for p in positive:
         g = math.gcd(g, p)
@@ -355,8 +357,9 @@ def hilbert(S: Staircase) -> HilbertData:
     """
     c, e0 = max(S.conductor, 1), S.e0
     span = S.span(c + e0)
-    rows = [(v, r) for v, r in span.items() if 0 < v < c]
-    gens = [(v, span[v]) for v in from_staircase(S.values, S.conductor).generators]
+    rows = [(v, _sparse(r)) for v, r in span.items() if 0 < v < c]
+    gens = [(v, list(_sparse(span[v]).items()))
+            for v in from_staircase(S.values, S.conductor).generators]
     L, hf1 = c, [1]
     while len(hf1) == 1 or hf1[-1] - hf1[-2] != e0:
         L += e0
@@ -368,7 +371,8 @@ def hilbert(S: Staircase) -> HilbertData:
 
 
 def _products(rows, factors, L: int) -> Echelon:
-    """Echelon of the products a*g mod t^L, for (pivot, row) lists sorted by pivot."""
+    """Echelon of the products a*g mod t^L, a a sparse row of (pivot, row) ``rows``
+    and g the int terms of (order, terms) ``factors``, both sorted by order."""
     ech = Echelon(L - 1)
     for o1, a in rows:
         for o2, g in factors:

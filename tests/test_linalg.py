@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchdual.linalg import Echelon, QMatrix, _integer_row, nullspace, rref, solve
+from branchdual.linalg import (
+    Echelon,
+    QMatrix,
+    _clear,
+    _dense,
+    _integer_row,
+    _sparse,
+    nullspace,
+    rref,
+    solve,
+)
 from branchdual.series import mul_coeffs
 
 from oracles import _gauss_jordan, gauss_nullspace, span_rank
@@ -139,12 +149,13 @@ def test_solve_property(rows, x_true):
 def test_echelon_rows_are_primitive_integer_rows(rows):
     ech = Echelon(6)
     for r in rows:
-        ech.insert_coeffs(_integer_row(r, 7))
+        ech.insert_coeffs(_sparse(_integer_row(r, 7)))
     for p, row in ech.table.items():
-        assert isinstance(row, tuple) and len(row) == 7
-        assert all(type(x) is int for x in row)
-        assert all(x == 0 for x in row[:p]) and row[p] > 0
-        assert math.gcd(*row) == 1
+        # sparse: {column: nonzero int} over columns 0..6
+        assert isinstance(row, dict) and all(0 <= k < 7 for k in row)
+        assert all(type(x) is int and x != 0 for x in row.values())
+        assert min(row) == p and row[p] > 0
+        assert math.gcd(*row.values()) == 1
     for s in range(8):
         assert ech.complete_from(s) == all(j in ech.table for j in range(s, 7))
     reduced = ech.reduced()
@@ -187,11 +198,12 @@ def test_back_substitution_equals_per_row_full_reduction(rows, lo):
     # and both are the naive Gauss-Jordan form of the rows, made primitive.
     ech = Echelon(11)
     for r in rows:
-        ech.insert_coeffs(r)
+        ech.insert_coeffs(_sparse(r))
+    table = {p: _dense(r, 12) for p, r in ech.table.items()}
     for stop in [None] + list(range(1, 13)):
         got = ech.reduced(lo, stop)
         assert list(got) == [p for p in sorted(ech.table) if p >= lo and (stop is None or p < stop)]
-        assert all(got[p] == _fully_reduced_on_its_own(ech.table, p, stop) for p in got)
+        assert all(got[p] == _fully_reduced_on_its_own(table, p, stop) for p in got)
         width = 12 if stop is None else stop
         gj, pivots = _gauss_jordan([r[:width] for r in rows], width)
         monic = {p: [F(x, got[p][p]) for x in got[p]] for p in got}
@@ -208,8 +220,79 @@ def test_int_product_rows_give_the_table_of_their_rational_copies(triples):
     # divided by d, have their denominators cleared on the rational path
     ints, rationals = Echelon(6), Echelon(6)
     for a, b, d in triples:
-        row = mul_coeffs(a, b, 7)
+        row = mul_coeffs(_sparse(a), list(_sparse(b).items()), 7)
         ints.insert_coeffs(row)
-        rationals.insert_coeffs(_integer_row([F(x, d) for x in row], 7))
+        rationals.insert_coeffs(_sparse(_integer_row([F(x, d) for x in _dense(row, 7)], 7)))
     assert ints.table == rationals.table
-    assert all(type(x) is int for row in ints.table.values() for x in row)
+    assert all(type(x) is int for row in ints.table.values() for x in row.values())
+
+
+@st.composite
+def sparse_row(draw, width):
+    """A row {column: nonzero int} with nonzeros in 10-30 % of its width columns (at least one)."""
+    k = draw(st.integers(max(1, width // 10), max(1, 3 * width // 10)))
+    cols = draw(st.lists(st.integers(0, width - 1), min_size=k, max_size=k, unique=True))
+    return {c: draw(st.integers(-9, 9).filter(bool)) for c in sorted(cols)}
+
+
+@st.composite
+def sparse_insertions(draw):
+    """(width, rows inserted first, the lo of set_monomials(lo, width) or None, rows inserted after)."""
+    width = draw(st.integers(1, 40))
+    rows = st.lists(sparse_row(width), max_size=12)
+    return width, draw(rows), draw(st.none() | st.integers(0, width)), draw(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_insertions(), st.integers(0, 40))
+def test_sparse_echelon_matches_gauss_jordan(case, lo):
+    # mostly-zero rows, some of them inserted after monomials were set: the
+    # reduced form at every stop is the naive Gauss-Jordan form of the rows
+    # and monomials cut there, as dense primitive int tuples
+    width, before, mono, after = case
+    ech = Echelon(width - 1)
+    dense = []
+    for r in before:
+        copy = dict(r)
+        ech.insert_coeffs(r)
+        assert r == copy  # the caller's row is left as it is
+        dense.append(_dense(r, width))
+    if mono is not None:
+        ech.set_monomials(mono, width)
+        dense += [[int(k == j) for k in range(width)] for j in range(mono, width)]
+    for r in after:
+        ech.insert_coeffs(r)
+        dense.append(_dense(r, width))
+    for p, row in ech.table.items():
+        assert min(row) == p and row[p] > 0 and all(x != 0 for x in row.values())
+    for stop in [None] + list(range(width + 1)):
+        n = width if stop is None else stop
+        got = ech.reduced(lo, stop)
+        gj, pivots = _gauss_jordan([r[:n] for r in dense], n)
+        want = {p: r for p, r in zip(pivots, gj) if p >= lo}
+        assert list(got) == list(want)
+        for p, row in got.items():
+            assert isinstance(row, tuple) and len(row) == n
+            assert all(type(x) is int for x in row)
+            assert row[p] > 0 and math.gcd(*row) == 1
+            assert [F(x, row[p]) for x in row] == want[p]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda w: st.tuples(st.just(w), sparse_row(w), sparse_row(w))),
+       st.integers(-9, 9).filter(bool))
+def test_clear_removes_the_column_and_divides_out_the_content(case, r):
+    # one elimination step: column j of the row cleared against b, a rational
+    # multiple of row - (row_j / b_j) b with no zero entry; when b_j does not
+    # divide the row's entry, the row was scaled and its content divided out
+    width, row, b = case
+    j = min(b)
+    row = dict(row)
+    row[j] = r * row.get(j, 1)
+    got = _clear(dict(row), b, j)
+    assert j not in got and all(x != 0 for x in got.values())
+    exact = [F(x) - F(row[j], b[j]) * y for x, y in zip(_dense(row, width), _dense(b, width))]
+    scale = next((F(g, x) for g, x in zip(_dense(got, width), exact) if x), None)
+    assert [x * scale for x in exact] == _dense(got, width) if scale else not got
+    if b[j] // math.gcd(b[j], row[j]) != 1 and got:
+        assert math.gcd(*got.values()) == 1

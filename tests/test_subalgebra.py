@@ -12,7 +12,7 @@ from branchdual import subalgebra
 from branchdual.cli import JobSpec, run
 from branchdual.errors import InfiniteCodimension, PrecisionExhausted
 from branchdual.expressions import parse_series
-from branchdual.linalg import _integer_row
+from branchdual.linalg import _dense, _integer_row
 from branchdual.semigroup import from_staircase
 from branchdual.series import Series, mul, mul_coeffs, order, truncate
 from branchdual.subalgebra import (
@@ -555,7 +555,10 @@ def test_hilbert_multiplies_by_the_semigroup_generators_only(monkeypatch, gens):
     assert len(calls) == len(h.hf1) - 2
     for factors in calls:
         assert [v for v, _ in factors] == [order(b) for b in want]
-        for (v, r), b in zip(factors, want):
+        for (v, terms), b in zip(factors, want):
+            # a factor is b_v's int terms by increasing exponent, cut at c + e0
+            assert [k for k, _ in terms] == sorted(k for k, _ in terms)
+            r = _dense(dict(terms), sc.conductor + sc.e0)
             assert [F(x, r[v]) for x in r] == list(b.coeffs) + [0] * (len(r) - len(b.coeffs))
 
 
