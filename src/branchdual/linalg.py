@@ -6,7 +6,10 @@ reduced by integer combinations (Bareiss) with the content divided out,
 touching only the columns where the row or its pivot row is nonzero.  A
 rational row has its denominators cleared once, by ``_integer_row``, and
 a dense row is made sparse once, by ``_sparse``, where it enters;
-products of sparse int rows (``series.mul_coeffs``) go straight in.  The
+``subalgebra.closure`` clears each generator once per call, in the scan
+that finds its order and nonzero entries, and the blow-up chain's rows
+stay int from one staircase to the next.  Products of sparse int rows
+(``series.mul_coeffs``) go straight in.  The
 reduced rows leave as dense primitive int tuples; ``_rational_row`` makes
 one exact rationals (``fractions.Fraction``).  ``rref``, ``nullspace``
 and ``solve`` reduce ``Fraction`` matrices (:class:`QMatrix`) through the

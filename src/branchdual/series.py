@@ -123,17 +123,36 @@ def mul(f: Series, g: Series) -> Series:
     return Series.make(_dense(prod, n), t)
 
 
+def _quotient_ints(f, u, n: int) -> list:
+    """R = D*f/u mod t^n as n ints, D = u[0]^n, for int coefficient lists f and u, u[0] != 0.
+
+    Fraction-free: q = f/u has q[m] = (f[m] - sum_k u[k]*q[m-k]) / u[0],
+    whose denominator divides u[0]^(m+1), so each R[m] = D*q[m], m < n, is
+    an int and R[m] = (D*f[m] - sum_k u[k]*R[m-k]) / u[0] divides exactly.
+    The sum runs over the nonzero u[k], k >= 1, only.
+    """
+    b0 = u[0]
+    D = b0**n
+    terms = [(k, x) for k, x in enumerate(u[1:n], 1) if x]
+    R = []
+    for m in range(n):
+        s = D * f[m] if m < len(f) else 0
+        for k, x in terms:
+            if k > m:
+                break
+            s -= x * R[m - k]
+        R.append(s // b0)
+    return R
+
+
 def divide_by_unit(f: Series, v: Series, prec: int | None = None) -> Series:
     """Quotient q with q*v = f; v must have nonzero constant term.
 
     The quotient is an infinite series in general, so when both operands
     are exact a target precision ``prec`` is required.
 
-    Fraction-free: f and v are cleared of denominators by one common lcm
-    into ints a and b, so q = a/b.  With b0 = b[0], the recurrence
-    b0*q[n] = a[n] - sum_k b[k]*q[n-k] times b0^n becomes
-    Q[n] = b0^n*a[n] - sum_k b[k]*b0^(k-1)*Q[n-k] for Q[n] = b0^(n+1)*q[n],
-    all in ints, over the nonzero b[k], k >= 1 only.
+    f and v are cleared of denominators by one common lcm into ints a and
+    b, so q = a/b, which ``_quotient_ints`` computes as R/D, D = b[0]^(t+1).
     """
     if not v.coeffs or v.coeffs[0] == 0:
         raise ValueError("divisor is not a unit")
@@ -143,25 +162,9 @@ def divide_by_unit(f: Series, v: Series, prec: int | None = None) -> Series:
     fc, vc = f.coeffs[: t + 1], v.coeffs[: t + 1]
     den = math.lcm(*[x.denominator for x in fc + vc if x])
     a = [x.numerator * (den // x.denominator) for x in fc]
-    b0 = v.coeffs[0].numerator * (den // v.coeffs[0].denominator)
-    terms = [
-        (k, x.numerator * (den // x.denominator) * b0 ** (k - 1))
-        for k, x in enumerate(vc)
-        if k and x
-    ]
-    Q = []
-    out = []
-    scale = 1  # b0^n
-    for n in range(t + 1):
-        s = scale * a[n] if n < len(a) else 0
-        for k, w in terms:
-            if k > n:
-                break
-            s -= w * Q[n - k]
-        Q.append(s)
-        scale *= b0
-        out.append(Fraction(s, scale) if s else _ZERO)
-    return Series.make(out, t)
+    b = [x.numerator * (den // x.denominator) for x in vc]
+    D = b[0] ** (t + 1)
+    return Series.make([Fraction(r, D) if r else _ZERO for r in _quotient_ints(a, b, t + 1)], t)
 
 
 def truncate(f: Series, s: int) -> Series:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GeneratorError, InfiniteCodimension, PrecisionExhausted
-from .linalg import Echelon, _integer_row, _rational_row, _sparse
+from .linalg import Echelon, _dense, _rational_row, _sparse
 from .semigroup import from_staircase
-from .series import Series, divide_by_unit, mul_coeffs, order, truncate
+from .series import Series, _quotient_ints, mul_coeffs, order
 
 DEFAULT_TRUNC_CEILING = 512
 
@@ -180,20 +180,43 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
     gcd_window >= 2T + 2 lies past the cap <= T, and PrecisionExhausted is
     raised there.  Inexact generators come only from ``blowup``, of
     algebras of finite codimension.
+
+    Each generator is read once per call, in one scan over its
+    coefficients, into (order, sparse int row, trunc, degree): its nonzero
+    entries times the lcm of their denominators.  ``_close`` runs the
+    windows on these rows, and each window cuts them at w; ``blowup_chain``
+    gives ``_close`` its int rows directly.
     """
-    gens = _positive_gens(A)
-    orders = [o for o, _ in gens]
+    gens = []
+    for g in A.gens:
+        terms = [(k, x) for k, x in enumerate(g.coeffs) if x]
+        if not terms:
+            continue
+        if terms[0][0] == 0:
+            raise GeneratorError("generators must have positive order")
+        den = math.lcm(*[x.denominator for _, x in terms])
+        row = {k: x.numerator * (den // x.denominator) for k, x in terms}
+        gens.append((terms[0][0], row, g.trunc, len(g.coeffs) - 1))
+    return _close(gens, ceiling)
+
+
+def _close(gens, ceiling: int) -> Staircase:
+    """``closure`` of generators given as (order, sparse int row, trunc, degree),
+    trunc None for an exact generator."""
+    if not gens:
+        raise GeneratorError("no nonzero generators")
+    orders = [o for o, _, _, _ in gens]
     # Starting too small is cheap (we double), starting huge is not, so the
     # initial window looks only at the extreme generator orders.  Inexact
     # generators cap the window at their own truncation.
-    cap = min((g.trunc for _, g in gens if not g.exact), default=ceiling)
+    cap = min([t for _, _, t, _ in gens if t is not None], default=ceiling)
     cap = min(cap, ceiling)
     w = min(max(4 * (min(orders) + max(orders)), 16), cap)
     # A gcd > 1 among the values of a window is proof of infinite codimension
     # only from ``proved`` on (docstring).  ``gcd_window``, past the
     # generators' support, stays a floor: an exit-2 report lists the values
     # up to the window that concluded.
-    maxdeg = max(len(g.coeffs) - 1 for _, g in gens)
+    maxdeg = max(d for _, _, _, d in gens)
     gcd_window = max(64, 2 * maxdeg + 2, 4 * (min(orders) + max(orders)))
     proved = max(gcd_window, (maxdeg - 1) * (maxdeg - 2) + 1)
     while True:
@@ -208,8 +231,8 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
 
 
 def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
-    """Staircase of B_w, the algebra generated by ``gens``, (order, generator)
-    pairs, mod t^(w+1).
+    """Staircase of B_w, the algebra generated by ``gens``, (order, sparse int
+    row, trunc, degree) tuples, each row cut at w, mod t^(w+1).
 
     Products.  Each row that enters the table at a new pivot o1 is
     multiplied by the int rows of the generators, by increasing order o2,
@@ -271,8 +294,8 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
             filled = a
 
     factors = []  # (order, int terms) of the generators that added a pivot
-    for o, g in gens:  # w <= every inexact generator's trunc (``closure``'s cap)
-        row = _sparse(_integer_row(g.coeffs, w + 1))
+    for o, row, _, _ in gens:  # w <= every inexact generator's trunc (``_close``'s cap)
+        row = {k: x for k, x in row.items() if k <= w}
         p = ech.insert_coeffs(row)
         if p is not None:
             factors.append((o, list(row.items())))
@@ -290,7 +313,7 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
     positive = sorted(p for p in pivots if p > 0)
     if not positive:
         # The window lies below every generator's order: nothing seen yet.
-        raise _Inconclusive(max(o for o, _ in gens))
+        raise _Inconclusive(max(o for o, _, _, _ in gens))
     g = 0
     for p in positive:
         g = math.gcd(g, p)
@@ -392,22 +415,43 @@ def blowup(S: Staircase, prec: int | None = None) -> AlgebraInput:
     B' = B[m/x] is B[b_v/x].  Each b_v = x*(b_v/x), so B lies in
     k[[x, b_v/x]], and B' = k[[x, b_v/x : v != e0]].  As v > e0, b_v/x has
     order v - e0 > 0: no constant term to drop.  Generators of order
-    above prec are dropped.
+    above prec are dropped.  The generators are ``_blowup_rows`` made monic.
     """
     if S.delta == 0:
         raise ValueError("nothing to blow up: the algebra is all of k[[t]]")
-    e0 = S.e0
     if prec is None:
         prec = max(2 * S.conductor + 16, 32)
-    x, *rest = S.algebra_generators()
-    u0 = Series.make(list(x.coeffs[e0:]), None)
-    new_gens = [truncate(x, prec)]
-    for b in rest:
-        v = order(b)
-        q = divide_by_unit(Series.make(list(b.coeffs[v:]), None), u0, prec=prec)
-        new_gens.append(Series.make([0] * (v - e0) + list(q.coeffs), prec))
-    new_gens = [g for g in new_gens if order(g) is not None]
-    return AlgebraInput(tuple(new_gens))
+    return AlgebraInput(tuple([
+        Series.make(_rational_row(_dense(row, prec + 1), o), prec)
+        for o, row, _, _ in _blowup_rows(S, prec)
+    ]))
+
+
+def _blowup_rows(S: Staircase, prec: int):
+    """``blowup``'s generators mod t^(prec+1) as ``_close`` takes them:
+    (order, sparse int row, prec, prec), each an int multiple of the monic
+    generator, in ``blowup``'s order, those of order above prec (x
+    included) dropped.
+
+    x and b_v are the int rows ``S.rows`` at the minimal generators v of
+    the value semigroup (t^v for v >= c, e0 too).  With u = x/t^e0, whose
+    lead b0 exceeds 1 when x has rational tails, b_v/x = t^(v-e0) *
+    (b_v/t^v)/u, which ``_quotient_ints`` gives mod t^(prec+1) times
+    D = b0^(prec+1-v+e0), in ints.
+    """
+    c, e0 = S.conductor, S.e0
+
+    def row(v):
+        return S.rows[v] if v < c else (0,) * v + (1,)
+
+    u = row(e0)[e0:]
+    out = [(e0, _sparse(row(e0)[: prec + 1]), prec, prec)] if e0 <= prec else []
+    for v in from_staircase(S.values, c).generators[1:]:
+        s = v - e0  # the order of b_v/x: b_v/t^v and u are units
+        if s <= prec:
+            q = _quotient_ints(row(v)[v:], u, prec + 1 - s)
+            out.append((s, {s + k: r for k, r in enumerate(q) if r}, prec, prec))
+    return out
 
 
 def blowup_chain(S: Staircase) -> BlowupChain:
@@ -424,12 +468,15 @@ def blowup_chain(S: Staircase) -> BlowupChain:
     for every semigroup and delta' = delta - e1 <= delta - e0 + 1, since
     e1 = sum_n (e0 - HF(n)) >= e0 - 1, so the run of e0' <= e0 values
     from c' that certifies the conductor lies in W.
+
+    Each step closes the int rows ``_blowup_rows(S, W)`` with ``_close``:
+    no ``Series`` lies between two staircases.
     """
     steps = []
     curS = S
     while curS.delta:
         w = 2 * (curS.delta - curS.e0 + 1) + curS.e0 + 2
-        nxtS = closure(blowup(curS, w), w)
+        nxtS = _close(_blowup_rows(curS, w), w)
         steps.append((curS.e0, curS.delta - nxtS.delta))
         curS = nxtS
     return BlowupChain(tuple(steps + [(1, 0)]) if steps else ())

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from branchdual import subalgebra
 from branchdual.cli import JobSpec, run
-from branchdual.errors import InfiniteCodimension, PrecisionExhausted
+from branchdual.errors import GeneratorError, InfiniteCodimension, PrecisionExhausted
 from branchdual.expressions import parse_series
 from branchdual.linalg import _dense, _integer_row
 from branchdual.semigroup import from_staircase
@@ -611,20 +611,77 @@ def test_blowup_chain_makes_no_hilbert_call(monkeypatch):
 def test_blowup_chain_closes_each_blowup_once_in_its_window(monkeypatch, name):
     # one closure per step, at W = 2(delta - e0 + 1) + e0 + 2 of the ring blown up
     calls = []
-    close = subalgebra.closure
+    close = subalgebra._close
 
-    def recording(A, ceiling=DEFAULT_CEILING):
-        calls.append((ceiling, close(A, ceiling)))
+    def recording(gens, ceiling):
+        calls.append((ceiling, close(gens, ceiling)))
         return calls[-1][1]
 
     sc = closure(ladder_input(name))
-    monkeypatch.setattr(subalgebra, "closure", recording)
+    monkeypatch.setattr(subalgebra, "_close", recording)
     chain = blowup_chain(sc)
     assert len(calls) == len(chain.steps) - 1
     for ceiling, nxt in calls:
         assert ceiling == 2 * (sc.delta - sc.e0 + 1) + sc.e0 + 2
         sc = nxt
     assert sc.delta == 0
+
+
+def close_outcome(close):
+    """Rows, conductor and work_trunc of a closure, or its error's type, required and message."""
+    try:
+        sc = close()
+    except (GeneratorError, InfiniteCodimension, PrecisionExhausted) as ex:
+        return type(ex), getattr(ex, "required", None), str(ex)
+    return sc.rows, sc.conductor, sc.work_trunc
+
+
+def check_chain_rows_match_the_blown_up_series(sc):
+    # every step of the chain's int-row path closes to what the public
+    # blowup's series close to, in the chain's window W and around it
+    while sc.delta:
+        W = 2 * (sc.delta - sc.e0 + 1) + sc.e0 + 2
+        for w in (W, W // 2, W + 7):
+            rows = close_outcome(lambda: subalgebra._close(subalgebra._blowup_rows(sc, w), w))
+            assert rows == close_outcome(lambda: closure(blowup(sc, w), w)), w
+        sc = subalgebra._close(subalgebra._blowup_rows(sc, W), W)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_chain_rows_match_the_blown_up_series_on_random_branches(seed):
+    A = AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=9)])
+    check_chain_rows_match_the_blown_up_series(closure(A))
+
+
+@pytest.mark.parametrize("name", ["d4", "d11", "d27", "d30", "d48", "embdim4", "plane-d8"])
+def test_ladder_chain_rows_match_the_blown_up_series(name):
+    check_chain_rows_match_the_blown_up_series(closure(ladder_input(name)))
+
+
+@pytest.mark.parametrize(
+    "gens, prec, orders",
+    [
+        ("t^4, t^6+t^7", 3, [2]),  # x (order 4) and b_13/x (order 9) dropped
+        ("t^4, t^6+t^7", 8, [4, 2]),  # b_13/x dropped
+        ("t^4, t^6+t^7", 9, [4, 2, 9]),
+        ("t^5, t^7, t^9, t^11", 4, [2, 4]),
+        ("t^5, t^7, t^9, t^11", 5, [5, 2, 4]),
+        ("t^2, t^3", 1, [1]),  # e0 = c: x = t^2, dropped
+        ("t^3+t^4, t^5", 1, []),
+        (LADDER["d27"], 6, [3]),  # x, with rational tails, dropped
+    ],
+)
+def test_blowup_drops_the_generators_of_order_above_prec(gens, prec, orders):
+    sc = closure(AlgebraInput.make([parse_series(g) for g in gens.split(",")]))
+    B = blowup(sc, prec).gens
+    assert [order(g) for g in B] == orders
+    # the kept ones are monic, and the generators of a finer blow-up cut at prec
+    full = [g for g in blowup(sc, 40).gens if order(g) <= prec]
+    assert list(B) == [truncate(g, prec) for g in full]
+    assert all(g.coeff(order(g)) == 1 for g in B)
+    rows = close_outcome(lambda: subalgebra._close(subalgebra._blowup_rows(sc, prec), prec))
+    assert rows == close_outcome(lambda: closure(blowup(sc, prec), prec))
 
 
 @pytest.mark.parametrize("name", ["d30", "d48"])
