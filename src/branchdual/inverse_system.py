@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, NotAlgebraForming
-from .linalg import QZERO, Echelon, QMatrix, _dense, _integer_row, _primitive, _rational_row, _sparse
+from .linalg import QONE, QZERO, Echelon, QMatrix, _dense, _integer_row, _primitive, _rational_row, _sparse
 from .series import DiffOp, Series, mul, mul_coeffs, order, truncate
 from .subalgebra import (
     AlgebraInput,
@@ -83,24 +83,23 @@ class CuttingDerivation:
     operator: DiffOp
 
 
-def _monic(g: DiffOp) -> DiffOp:
-    """g rescaled monic in its lowest-degree coefficient."""
-    return g.scale(Fraction(1) / g.coeffs[min(g.support())])
-
-
-def _reduce_ops(ops, width: int):
-    """Canonical reduced basis of an operator list.
-
-    Echelon by leading (highest) degree, fully reduced, each row then
-    rescaled monic in its lowest-degree coefficient, returned by
-    increasing degree.  Only degrees below ``width`` are read, so every
-    output degree is < width.
+def _op_rows(ops, width: int) -> dict:
+    """Reduced echelon form of the operators by leading degree: each leading degree
+    d < width, increasing, -> a primitive int row over degrees 0..d.  Only degrees
+    below ``width`` are read; each operator enters as its nonzero coefficients, cleared.
     """
     ech = Echelon(width - 1)  # columns from degree width-1 down: a pivot is a leading degree
     for g in ops:
-        ech.insert_coeffs(_sparse(_integer_row([g.coeff(width - 1 - k) for k in range(width)], width)))
-    out = [_monic(DiffOp.make(r[::-1])) for r in ech.reduced().values()]
-    return sorted(out, key=lambda g: g.degree)
+        terms = [(i, x) for i, x in enumerate(g.coeffs[:width]) if x]
+        den = math.lcm(*[x.denominator for _, x in terms])
+        ech.insert_coeffs({width - 1 - i: x.numerator * (den // x.denominator) for i, x in reversed(terms)})
+    return {width - 1 - p: r[p:][::-1] for p, r in reversed(ech.reduced().items())}
+
+
+def _reduce_ops(ops, width: int):
+    """Canonical basis: the ``_op_rows``, each monic in its lowest-degree coefficient."""
+    return [DiffOp(tuple(_rational_row(r, next(i for i, x in enumerate(r) if x))))
+            for r in _op_rows(ops, width).values()]
 
 
 def _forms(ops, n: int):
@@ -137,51 +136,46 @@ def _failing_pair(rows, forms, d: int):
     return None
 
 
-def _gap_functionals(S: Staircase, gaps=None):
-    """The inverse system read off the reduced staircase, one operator per gap.
+def _gap_functionals(S: Staircase, gaps):
+    """The operators killing a reduced echelon subspace, one per gap, with no elimination.
 
-    For each gap j of ``gaps`` (default: all, in increasing order), returns
-    phi_j = u^j/j! - sum_v (b_v)_j u^v/v!, summed over the positive values
-    v, b_v the staircase element of order v, rescaled monic in its
-    lowest-degree coefficient: (b_v)_j is r_j / r_v for its int row r in
-    ``S.rows``, and each coefficient is one fraction of ints.  These are
-    the nullspace vectors of the positive rows, one per free (gap) column,
-    found without elimination.
+    ``S.rows`` maps each pivot v to an int row r of a subspace U of
+    k[t]/t^c in reduced echelon form (r_v != 0 its least nonzero entry, r
+    zero at the other pivots); ``gaps``, increasing, are its other columns
+    (``S.gaps`` for a staircase, where U is B mod t^c and b_0 = 1).  Per
+    gap j, phi_j = u^j/j! - sum_v (b_v)_j u^v/v! over the pivots v,
+    b_v = r / r_v, made monic in its lowest-degree coefficient.
 
-    Proof.  Under ``perp``, phi_j is the functional f -> f_j - sum_v (b_v)_j f_v.
-    The staircase is reduced: b_0 = 1 and each other b_w is t^w plus terms
-    on gaps, so phi_j(b_w) = (b_w)_j - (b_w)_j = 0; phi_j(1) = 0 and
-    phi_j(t^k) = 0 for k >= c since j and every v lie in [1, c).  So phi_j
-    kills the algebra.  phi_j has 1/j! at u^j and its other terms at
-    values, so the delta of them are independent.  An operator killing the
-    algebra kills 1 and every t^k, k >= c, so it lies in the nullspace of
-    the rows of the positive b_v over degrees 1..c-1; these rows have
-    distinct orders, so that nullspace has dimension c - #values = delta,
-    and the phi_j span it.  (b_v)_j != 0 needs v < j, so u^j leads phi_j and no phi_j
-    has a term at another gap: the list is in reduced echelon form by
-    leading degree.
+    Proof.  Under ``perp``, phi_j is f -> f_j - sum_v (b_v)_j f_v, and b_w is
+    t^w plus terms on gaps, so phi_j(b_w) = 0: phi_j kills U, with no ring
+    structure used.  phi_j has 1/j! at u^j and its other terms at pivots,
+    so the c - dim U of them are independent and span the operators of
+    degree < c killing U (the pairing is perfect there).  (b_v)_j != 0
+    needs v < j, so u^j leads phi_j and no phi_j has a term at another
+    gap: the list is in reduced echelon form by leading degree.  For a
+    staircase, an operator killing B kills each t^k, k >= c, so has degree
+    < c: the phi_j span its inverse system.
 
-    Monic.  Let l be the least value v with (b_v)_j != 0 and s its row
+    Monic.  Let l be the least pivot v with (b_v)_j != 0 and s its row
     (when there is none, phi_j = u^j/j! is made u^j).  phi_j has
     -s_j / (l! s_l) at u^l; divided by it, phi_j has
-    r_j l! s_l / (v! r_v s_j) at each value v with row r, and
+    r_j l! s_l / (v! r_v s_j) at each pivot v with row r, and
     -l! s_l / (j! s_j) at u^j.
     """
-    gaps = S.gaps if gaps is None else gaps
     fact = [math.factorial(i) for i in range(max(gaps, default=0) + 1)]
     out = []
     for j in gaps:
-        terms = [(v, r) for v, r in S.rows.items() if v < j and r[j]]  # b_0 = 1 is 0 at every gap
-        coeffs = [0] * (j + 1)
+        terms = [(v, r) for v, r in S.rows.items() if v < j and r[j]]
+        coeffs = [QZERO] * (j + 1)
         if not terms:
-            coeffs[j] = 1
+            coeffs[j] = QONE
         else:
             l, s = terms[0]
             num, den = fact[l] * s[l], s[j]
             coeffs[j] = Fraction(-num, fact[j] * den)
             for v, r in terms:
                 coeffs[v] = Fraction(r[j] * num, fact[v] * r[v] * den)
-        out.append(DiffOp.make(coeffs))
+        out.append(DiffOp(tuple(coeffs)))
     return out
 
 
@@ -214,7 +208,7 @@ def inverse_system(S: Staircase) -> InverseSystem:
     monic in its lowest-degree coefficient.  ``verify_duality`` certifies it
     against the natural spanning set of the generators.
     """
-    basis = tuple(_gap_functionals(S))
+    basis = tuple(_gap_functionals(S, S.gaps))
     return InverseSystem(basis, len(basis), S.conductor)
 
 
@@ -395,19 +389,21 @@ def is_derivation(g: DiffOp, S: Staircase) -> bool:
 def transport_dual(h: Series, c: int, V2: InverseSystem):
     """Inverse system after the reparametrization t -> h(t).
 
-    M is the c x c matrix whose column j holds the coefficients of h^j;
-    the dual map acts by the inverse transpose in the divided-power
-    bases (1/i!) u^i.  Returns (M, transported system re-reduced).
+    Returns (M, V1): M is the c x c matrix whose column j holds the
+    coefficients of h^j, and V1 the image of V2 under the inverse transpose
+    of M in the divided-power bases (1/i!) u^i, re-reduced.
 
-    M^T X = D, D holding every basis element's divided-power coefficients
-    as a column, is upper triangular (row j holds h^j, of order j) and is
-    solved by back-substitution on ints.  With k_n = h_n / h_1^n and K the
-    lcm of their denominators, 2 <= n < c, l(s) = k(K s)/K has int
-    coefficients k_n K^(n-1) and l_1 = 1, and h(t) = K l(h_1 t / K), so
-    (h^j)_i = K^(j-i) h_1^i (l^j)_i.  With W_i = (h_1/K)^i X_i the system
-    is sum_i (l^j)_i W_i = D_j / K^j, unit upper triangular over the ints:
-    its solution is an int vector U over e K^(c-1), e the lcm of the
-    basis's denominators, found with no division.
+    Composition.  f -> f o h is a linear bijection of k[t]/t^c with matrix M,
+    and g1 = (M^T)^-1 g2 has perp(g2, f) = perp(g1, f o h), so V1 = Ann(W o h),
+    W = Ann(V2) mod t^c, with no ring structure used.  V2's ``_op_rows`` are
+    reduced by leading degree, so each other degree v < c gives w_v = t^v -
+    sum_d (v! g_v) / (d! g_d) t^d over its rows g of leading degree d: these
+    span W.  w_v o h has order v; ``_gap_functionals`` reads V1 off the
+    reduced rows.  Ints: with k_n = h_n / h_1^n, K the lcm of their
+    denominators (n < c) and F(x) = f(K x), f o h = F(l(s)) at s = h_1 t / K,
+    where l(s) = k(K s)/K has int coefficients k_n K^(n-1) and l_1 = 1.
+    Scaling column i by (h_1/K)^i keeps a reduced form, so F o l is reduced
+    on ints, then scaled by h_1num^i (h_1den K)^(c-1-i).
     """
     if order(h) != 1:
         raise ValueError("reparametrization series is not a uniformizer")
@@ -420,20 +416,21 @@ def transport_dual(h: Series, c: int, V2: InverseSystem):
     hp = [h1**i for i in range(c)]
     M = QMatrix(c, c, tuple([Fraction(L[j][i] * hp[i].numerator, hp[i].denominator * K ** (i - j))
                              if i in L[j] else QZERO for i in range(c) for j in range(c)]))
-    e = math.lcm(*[x.denominator for g in V2.basis for x in g.coeffs])
-    D = [[x.numerator * (e // x.denominator) for x in g.coeffs[:c]] + [0] * (c - len(g.coeffs))
-         for g in V2.basis]  # e times each basis element, as ints
+    V = _op_rows(V2.basis, c)
     fact = [math.factorial(i) for i in range(c)]
-    U = [[0] * c for _ in V2.basis]
-    for j in range(c - 1, -1, -1):
-        rest = [(i, x) for i, x in L[j].items() if i > j]
-        scale = K ** (c - 1 - j) * fact[j]
-        for u, r in zip(U, D):
-            u[j] = r[j] * scale - sum([x * u[i] for i, x in rest])
-    # X_i / i! = U_i / (e K^(c-1-i) h_1^i i!)
-    den = [e * K ** (c - 1 - i) * fact[i] * hp[i] for i in range(c)]
-    new_ops = [DiffOp.make([Fraction(x * d.denominator, d.numerator) for x, d in zip(u, den)]) for u in U]
-    basis = _reduce_ops(new_ops, c)
+    ech = Echelon(c - 1)
+    for v in [v for v in range(c) if v not in V]:
+        w = [(d, Fraction(-fact[v] * g[v], fact[d] * g[d])) for d, g in V.items() if d > v and g[v]]
+        den = math.lcm(*[x.denominator for _, x in w])
+        r = [0] * c  # F o l for F(x) = den * w_v(K x)
+        for d, a in [(v, den)] + [(d, x.numerator * (den // x.denominator)) for d, x in w]:
+            a *= K**d
+            for i, y in L[d].items():
+                r[i] += a * y
+        ech.insert_coeffs(_sparse(r))
+    scale = [h1.numerator**i * (h1.denominator * K) ** (c - 1 - i) for i in range(c)]
+    rows = {p: _primitive([x * e for x, e in zip(r, scale)], p) for p, r in ech.reduced().items()}
+    basis = _gap_functionals(Staircase(rows, c, c - 1), [j for j in range(c) if j not in rows])
     return M, InverseSystem(tuple(basis), len(basis), c)
 
 
@@ -455,9 +452,9 @@ def verify_duality(A: AlgebraInput, S: Staircase) -> bool:
     c = max(S.conductor, 1)
     delta, ops, N = c - len(S.values), list(V.basis), natural_set(A, c - 1)
     forms = _forms(ops, c)
-    rows = [_integer_row(f.coeffs, c) for f in N] + list(S.span(c).values())
+    rows = [_sparse(_integer_row(f.coeffs, c)) for f in N] + [_sparse(r) for r in S.span(c).values()]
     return (len(N) == c - 1 - delta and len(ops) == delta and _reduce_ops(ops, c) == ops
-            and not any([any(_values(forms, r)) for r in rows]))
+            and not any([sum([form[i] * x for i, x in r.items()]) for r in rows for form in forms]))
 
 
 def rosenlicht(g: DiffOp, c: int):

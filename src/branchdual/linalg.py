@@ -14,7 +14,8 @@ reduced rows leave as dense primitive int tuples; ``_rational_row`` makes
 one exact rationals (``fractions.Fraction``).  ``rref``, ``nullspace``
 and ``solve`` reduce ``Fraction`` matrices (:class:`QMatrix`) through the
 same kernel, but no engine path calls them: :class:`QMatrix` only carries
-``transport_dual``'s matrix.  No floating point is used anywhere.
+the matrix M of ``transport_dual``'s report; transport composes int rows
+and solves nothing.  No floating point is used anywhere.
 
 Tuples built on hot paths, such as the rows ``reduced`` returns, come
 from lists, not generators.  CPython builds a tuple from a generator by

@@ -20,7 +20,7 @@ _ZERO = Fraction(0)
 
 
 def _q(x) -> Fraction:
-    if isinstance(x, Fraction):
+    if type(x) is Fraction or type(x) is not int and isinstance(x, Fraction):  # no ABC check for an int
         return x
     return Fraction(x) if x else _ZERO
 

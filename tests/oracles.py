@@ -170,6 +170,70 @@ def canonical_operator_basis(vectors, ncols):
 
 
 # ---------------------------------------------------------------------------
+# transport by solving the dual system
+
+
+def _sparse_mul(a, terms, n):
+    """The terms below t^n of a product of a sparse row and (exponent, coefficient) pairs."""
+    out = {}
+    for i, x in a.items():
+        for j, y in terms:
+            if i + j < n:
+                out[i + j] = out.get(i + j, 0) + x * y
+    return {k: x for k, x in out.items() if x}
+
+
+def transport_solve_naive(h, c, V2):
+    """(M, V1) for the reparametrization t -> h(t), by solving the dual system.
+
+    ``h`` is an exact series and ``V2`` an operator space, read only through
+    their ``coeffs``.  M is the c x c list of rows whose column j holds the
+    coefficients of h^j (naive powers); V1 is ``canonical_operator_basis``
+    of the solutions X (as operators, X_i / i! at u^i) of M^T X = D, one
+    per element g of V2 with D_i = i! g_i, i < c.  Raises ValueError when h
+    is not a uniformizer.
+
+    M^T is upper triangular (row j holds h^j, of order j) and is solved by
+    back-substitution on ints.  With k_n = h_n / h_1^n and K the lcm of
+    their denominators, 2 <= n < c, l(s) = k(K s)/K has int coefficients
+    k_n K^(n-1) and l_1 = 1, and h(t) = K l(h_1 t / K), so
+    (h^j)_i = K^(j-i) h_1^i (l^j)_i.  With W_i = (h_1/K)^i X_i the system
+    is sum_i (l^j)_i W_i = D_j / K^j, unit upper triangular over the ints:
+    its solution is an int vector U over e K^(c-1), e the lcm of the
+    basis's denominators, found with no division.
+    """
+    hc = [Fraction(x) for x in h.coeffs]
+    hc += [Fraction(0)] * (c + 1 - len(hc))
+    if next((i for i, x in enumerate(hc) if x), None) != 1:
+        raise ValueError("reparametrization series is not a uniformizer")
+    power, powers = [Fraction(1)] + [Fraction(0)] * (c - 1), []
+    for _ in range(c):
+        powers.append(power)
+        power = poly_mul(power, hc, c - 1)
+    M = [[powers[j][i] for j in range(c)] for i in range(c)]
+    h1 = hc[1]
+    K = math.lcm(*[(hc[n] / h1**n).denominator for n in range(2, c)])
+    l = [(n, (hc[n] * K ** (n - 1) / h1**n).numerator) for n in range(1, c) if hc[n]]
+    L = [{0: 1}]  # L[j] = l^j mod s^c
+    for _ in range(1, c):
+        L.append(_sparse_mul(L[-1], l, c))
+    basis = [[Fraction(x) for x in g.coeffs] for g in V2.basis]
+    e = math.lcm(*[x.denominator for g in basis for x in g])
+    D = [[x.numerator * (e // x.denominator) for x in g[:c]] + [0] * (c - len(g)) for g in basis]
+    fact = [math.factorial(i) for i in range(c)]
+    U = [[0] * c for _ in basis]
+    for j in range(c - 1, -1, -1):
+        rest = [(i, x) for i, x in L[j].items() if i > j]
+        scale = K ** (c - 1 - j) * fact[j]
+        for u, r in zip(U, D):
+            u[j] = r[j] * scale - sum(x * u[i] for i, x in rest)
+    # X_i / i! = U_i / (e K^(c-1-i) h_1^i i!)
+    den = [e * K ** (c - 1 - i) * fact[i] * h1**i for i in range(c)]
+    ops = [[Fraction(x * d.denominator, d.numerator) for x, d in zip(u, den)] for u in U]
+    return M, canonical_operator_basis(ops, c)
+
+
+# ---------------------------------------------------------------------------
 # naive series division
 
 

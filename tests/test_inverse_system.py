@@ -48,6 +48,7 @@ from oracles import (
     quadric_algebra_forming,
     random_branch,
     span_rank,
+    transport_solve_naive,
     two_pass_cutting_element,
 )
 
@@ -835,6 +836,80 @@ def test_transport_back_substitution_matches_an_rref_solve(name, h):
            for j in range(V2.dim)]
     assert V1.basis == tuple(_reduce_ops(ops, c))
     assert V1.dim == V2.dim
+
+
+def random_ops(rng, top):
+    """Random rational operators of degree < top: a dependent one, a zero one and constant terms included."""
+    ops = []
+    for _ in range(rng.randint(0, 6)):
+        ops.append(DiffOp.make([F(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.6 else 0
+                                for _ in range(rng.randint(0, top))]))
+    if len(ops) >= 2:
+        ops.append(ops[0].scale(F(rng.randint(-3, 3), rng.randint(1, 3))) + ops[-1])
+    ops.append(DiffOp.make([]))
+    rng.shuffle(ops)
+    return ops
+
+
+def random_reparametrization(rng, top):
+    """A uniformizer with h_1 among 1, -1, 5, 2, -1/2, 3/2 and a rational tail, or now and then not one."""
+    if rng.random() < 0.1:
+        return rng.choice([S({0: 1, 1: 1}), S({2: 1, 3: 1}), S({})])
+    h1 = rng.choice([F(1), F(-1), F(5), F(2), F(-1, 2), F(3, 2)])
+    tail = [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else 0 for _ in range(rng.randint(0, top))]
+    return Series.make([0, h1] + tail)
+
+
+def check_transport_against_oracle(h, c, V2):
+    try:
+        M, V1 = transport_solve_naive(h, c, V2)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=str(e)):
+            transport_dual(h, c, V2)
+        return
+    got_M, got_V1 = transport_dual(h, c, V2)
+    assert got_M.to_rows() == M
+    assert [op_dict(g) for g in got_V1.basis] == V1
+    assert got_V1.dim == len(V1) and got_V1.conductor_bound == c
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_transport_matches_the_dual_solve_on_random_branches(seed):
+    rng = random.Random(seed)
+    Sx = closure(AlgebraInput.make([S(d) for d in random_branch(rng, max_delta=9)]))
+    V2 = inverse_system(Sx)
+    for _ in range(2):
+        check_transport_against_oracle(random_reparametrization(rng, Sx.conductor), Sx.conductor, V2)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_transport_matches_the_dual_solve_on_arbitrary_operator_lists(seed):
+    # dependent lists, constant terms, degrees >= c and c = 0
+    rng = random.Random(seed)
+    c = rng.randint(0, 14)
+    ops = random_ops(rng, c + 4)
+    V2 = InverseSystem(tuple(ops), len(ops), c)
+    check_transport_against_oracle(random_reparametrization(rng, c + 1), c, V2)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_reduce_ops_matches_the_canonical_basis(seed):
+    rng = random.Random(seed)
+    width = rng.randint(1, 12)
+    ops = random_ops(rng, width)
+    got = _reduce_ops(ops, width)
+    assert [op_dict(g) for g in got] == canonical_operator_basis([list(g.coeffs) for g in ops], width)
+    assert all(type(x) is Fraction for g in got for x in g.coeffs)
+
+
+def test_reduce_ops_reads_no_degree_at_or_above_width():
+    ops = [op({1: 1, 5: 2}), op({2: 3, 7: 1}), op({6: 1}), op({0: 2, 3: -1})]
+    got = [op_dict(g) for g in _reduce_ops(ops, 5)]
+    assert got == canonical_operator_basis([[g.coeff(i) for i in range(5)] for g in ops], 5)
+    assert got == [{1: 1}, {2: 1}, {0: 1, 3: F(-1, 2)}]
 
 
 def test_transport_rejects_non_uniformizer():
