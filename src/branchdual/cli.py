@@ -29,6 +29,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .expressions import (
+    _format_row,
     format_diffop,
     format_rational,
     format_series,
@@ -131,7 +132,7 @@ def _staircase_summary(S):
         "e0": S.e0,
         "values_below_conductor": list(S.values),
         "gaps": list(S.gaps),
-        "staircase_basis": [format_series(b) for b in S.basis],
+        "staircase_basis": [_format_row(r, v) for v, r in S.rows.items()],
     }
 
 

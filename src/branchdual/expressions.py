@@ -147,8 +147,8 @@ def parse_operators(text: str):
     return [parse_diffop(part) for part in text.split(";")]
 
 
-def _format_terms(coeffs, var: str) -> str:
-    terms = [(i, c) for i, c in enumerate(coeffs) if c != 0]
+def _format_terms(terms, var: str) -> str:
+    """The (exponent, nonzero rational) pairs, by increasing exponent, as an expression."""
     if not terms:
         return "0"
     parts = []
@@ -168,11 +168,21 @@ def _format_terms(coeffs, var: str) -> str:
 
 
 def format_series(f: Series) -> str:
-    return _format_terms(f.coeffs, "t")
+    return _format_terms([(i, c) for i, c in enumerate(f.coeffs) if c], "t")
 
 
 def format_diffop(g: DiffOp) -> str:
-    return _format_terms(g.coeffs, "u")
+    return _format_terms([(i, c) for i, c in enumerate(g.coeffs) if c], "u")
+
+
+def _format_row(row, o: int) -> str:
+    """The series of the int row divided by its entry at column o, formatted as
+    ``format_series`` formats it, with no ``Series`` built: an entry is
+    printed as an int when o's entry is 1, as a ``Fraction`` otherwise."""
+    p = row[o]
+    if p == 1:
+        return _format_terms([(i, x) for i, x in enumerate(row) if x], "t")
+    return _format_terms([(i, Fraction(x, p)) for i, x in enumerate(row) if x], "t")
 
 
 def format_rational(x) -> str:

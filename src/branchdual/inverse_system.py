@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import InternalError, NotAlgebraForming
 from .linalg import QONE, QZERO, Echelon, QMatrix, _dense, _integer_row, _primitive, _rational_row, _sparse
-from .series import DiffOp, Series, mul, mul_coeffs, order, truncate
+from .series import DiffOp, Series, mul_coeffs, order, truncate
 from .subalgebra import (
     AlgebraInput,
     Staircase,
@@ -187,17 +187,30 @@ def natural_set(A: AlgebraInput, d: int):
     spans the non-constant part of the algebra mod t^(d+1).  Products
     whose order exceeds d truncate to zero and are pruned.
     """
-    base = [truncate(g, d) for _, g in _positive_gens(A)]
-    base = [g for g in base if order(g) is not None]
+    return [Series.make([Fraction(x, s) if x else QZERO for x in _dense(row, d + 1)], d)
+            for _, row, s in _natural_rows(A, d)]
+
+
+def _natural_rows(A: AlgebraInput, d: int):
+    """``natural_set``'s elements, in its order, as (order, sparse int row, scale):
+    the element is row / scale.  Each generator is cleared of denominators
+    once, and the products are ``mul_coeffs`` of int rows, so their scales
+    multiply."""
+    base = []
+    for _, g in _positive_gens(A):
+        terms = [(k, x) for k, x in enumerate(truncate(g, d).coeffs) if x]
+        if terms:
+            den = math.lcm(*[x.denominator for _, x in terms])
+            base.append((terms[0][0], [(k, x.numerator * (den // x.denominator)) for k, x in terms], den))
     ech = Echelon(d)
-    out = [g for g in base if ech.insert_coeffs(_sparse(_integer_row(g.coeffs, d + 1))) is not None]
-    for f in out:  # out grows as it is read: breadth first
-        for g0 in base:
-            if order(f) + order(g0) <= d:
-                p = mul(f, g0)
-                if ech.insert_coeffs(_sparse(_integer_row(p.coeffs, d + 1))) is not None:
-                    out.append(p)
-    return sorted(out, key=order)
+    out = [(o, dict(g), s) for o, g, s in base if ech.insert_coeffs(dict(g)) is not None]
+    for o1, f, s1 in out:  # out grows as it is read: breadth first
+        for o2, g, s2 in base:
+            if o1 + o2 <= d:
+                p = mul_coeffs(f, g, d + 1)
+                if ech.insert_coeffs(p) is not None:
+                    out.append((o1 + o2, p, s1 * s2))
+    return sorted(out, key=lambda e: e[0])
 
 
 def inverse_system(S: Staircase) -> InverseSystem:
@@ -450,9 +463,9 @@ def verify_duality(A: AlgebraInput, S: Staircase) -> bool:
     """
     V = inverse_system(S)
     c = max(S.conductor, 1)
-    delta, ops, N = c - len(S.values), list(V.basis), natural_set(A, c - 1)
+    delta, ops, N = c - len(S.values), list(V.basis), _natural_rows(A, c - 1)
     forms = _forms(ops, c)
-    rows = [_sparse(_integer_row(f.coeffs, c)) for f in N] + [_sparse(r) for r in S.span(c).values()]
+    rows = [r for _, r, _ in N] + [_sparse(r) for r in S.span(c).values()]
     return (len(N) == c - 1 - delta and len(ops) == delta and _reduce_ops(ops, c) == ops
             and not any([sum([form[i] * x for i, x in r.items()]) for r in rows for form in forms]))
 

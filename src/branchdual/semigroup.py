@@ -71,14 +71,25 @@ def _sieve_bound(e0: int, top: int) -> int:
 
 
 def _minimal_generators(member, e0: int, conductor: int):
-    """Elements not expressible as a sum of two smaller nonzero elements."""
+    """Elements not expressible as a sum of two smaller nonzero elements.
+
+    ``member`` lists a semigroup up to c + e0.  One ascending pass: a
+    member n is such a sum exactly when it is a sum of the minimal
+    generators below n, which the bit set ``sums`` holds (each generator's
+    multiples added by doubling shifts), so n is a generator exactly when
+    its bit is not set.  Every n > c + e0 is e0 plus the member n - e0 > c.
+    """
+    top = conductor + e0
+    mask = (1 << (top + 1)) - 1
+    sums = 1  # bit n: n is a sum of the generators found so far
     out = []
-    for n in range(1, conductor + e0 + 1):
-        if not member[n]:
-            continue
-        if any(member[m] and member[n - m] for m in range(1, n)):
-            continue
-        out.append(n)
+    for n in range(1, top + 1):
+        if member[n] and not sums >> n & 1:
+            out.append(n)
+            s = n
+            while s <= top:
+                sums |= (sums << s) & mask
+                s *= 2
     return tuple(out)
 
 

@@ -9,11 +9,11 @@ the Hilbert function, e1, and the blow-up chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import GeneratorError, InfiniteCodimension, PrecisionExhausted
-from .linalg import Echelon, _dense, _rational_row, _sparse
+from .linalg import Echelon, _dense, _primitive_sparse, _rational_row, _sparse
 from .semigroup import from_staircase
 from .series import Series, _quotient_ints, mul_coeffs, order
 
@@ -40,11 +40,19 @@ class Staircase:
     at v; together with the monomials t^j, j >= c, they span the algebra
     mod any power of t.  ``basis``, ``values``, ``gaps``, ``delta`` and
     ``e0`` are read off the rows.
+
+    ``echelon`` holds, when ``closure`` built S, its echelon table's rows
+    at the same values: sparse primitive int rows ``{column: nonzero
+    int}``, each an element of the algebra mod t^(work_trunc+1) of that
+    order, not reduced, so with far smaller entries than ``rows``.  It is
+    None otherwise, and it takes no part in equality, hash, repr or any
+    report; ``sparse_rows`` reads it.
     """
 
     rows: dict
     conductor: int
     work_trunc: int
+    echelon: dict | None = field(default=None, repr=False, compare=False)
 
     def __eq__(self, other):
         if not isinstance(other, Staircase):
@@ -58,6 +66,14 @@ class Staircase:
     def basis(self):
         """The exact polynomials b_v, monic, by increasing v."""
         return tuple([Series.make(_rational_row(r, v)) for v, r in self.rows.items()])
+
+    @cached_property
+    def sparse_rows(self):
+        """One element of the algebra of each order v below max(c, 1), as a
+        sparse int row keyed by v: ``echelon``, or ``rows`` made sparse."""
+        if self.echelon is not None:
+            return self.echelon
+        return {v: _sparse(r) for v, r in self.rows.items()}
 
     @cached_property
     def values(self):
@@ -328,7 +344,8 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
     if c + e0 - 1 > w or any(j not in pivots for j in range(c, c + e0)):
         raise _Inconclusive(2 * w)
     top = max(c, 1)  # k[[t]] keeps its row b_0 = 1
-    return Staircase(ech.reduced(stop=top), c, w)
+    table = {p: r for p, r in ech.table.items() if p < top}  # below the fill: c <= filled
+    return Staircase(ech.reduced(stop=top), c, w, table)
 
 
 def membership(f: Series, S: Staircase) -> bool:
@@ -362,12 +379,35 @@ def hilbert(S: Staircase) -> HilbertData:
     on a mod t^(L_(i-1)) only.  So the products g*a, a a row of m^i mod
     t^(L_(i-1)), span m^(i+1) mod t^(L_i): one echelon per power.
 
-    Generators.  The factors g are b_v for the minimal generators v of the
-    value semigroup.  They generate B mod every t^n
-    (``Staircase.algebra_generators``), so each element of m mod t^n is a
-    polynomial in them with no constant term.  Hence m = sum_v b_v*B and
-    m^(i+1) = sum_v b_v*m^i.  The first power multiplies m mod t^(L_0),
-    which the positive b_v with v < c span.
+    Any basis.  A polynomial that agrees with an element of B mod t^n,
+    n >= c, lies in B, as t^c k[[t]] does.  So ``sparse_rows`` (closure's
+    echelon rows, whose entries are far smaller than the reduced rows')
+    cut at c give elements of B of each order v below c: those with v > 0
+    are a basis of m mod t^(L_0).  The factors g are the rows at the
+    minimal generators v of the value semigroup, cut at c + e0, and t^v
+    for v >= c: elements of B of those orders, which generate B
+    (``Staircase.algebra_generators``' proof holds for any elements of
+    those orders), so each element of m mod t^n is a polynomial in them
+    with no constant term, m = sum_g g*B and m^(i+1) = sum_g g*m^i.  The
+    rank of m^(i+1) mod t^(L_i) is that of the ideal, whatever basis of
+    B the rows and factors come from: every choice gives the same ranks.
+    The factor terms go to ``mul_coeffs`` sorted by exponent.
+
+    Fill.  m^(i+1) is an ideal of B, so p + s is a value of it for every
+    value p of it and every value s of B; and p + s, s > 0, is one for
+    every value p of m^i.  The bit set ``reach`` holds the pivots of m^i
+    plus each positive value below L_i, and each new pivot plus each
+    value: values of m^(i+1) mod t^(L_i) only.  Once it holds all of
+    [a, L_i), m^(i+1) mod t^(L_i) has an element of each order a..L_i - 1;
+    these span t^a k[t] mod t^(L_i), so t^a..t^(L_i - 1) lie in it, and
+    they replace the rows at those pivots (``Echelon.set_monomials``):
+    the span only grows, inside m^(i+1) mod t^(L_i).  Every product of
+    order >= a lies in it then, and ``complete_from`` skips it.
+
+    Cut.  After a fill at a, the columns a..L_i - 1 of any row are a
+    combination of the monomial rows, so cutting a product, or a table
+    row of pivot below a, at t^a changes no span.  The rows carried to
+    the next power are a basis of m^(i+1) mod t^(L_i) still.
 
     Stop rule.  l(M/xM) = e0 for every B-module t^N k[[t]] in M in k[[t]]
     (compare both with k[[t]]/x k[[t]]), and x*m^n lies in m^(n+1), so
@@ -379,30 +419,57 @@ def hilbert(S: Staircase) -> HilbertData:
     (Eakin-Sathaye).  The sequences end at index n + 1, closing on e0, e0.
     """
     c, e0 = max(S.conductor, 1), S.e0
-    span = S.span(c + e0)
-    rows = [(v, _sparse(r)) for v, r in span.items() if 0 < v < c]
-    gens = [(v, list(_sparse(span[v]).items()))
-            for v in from_staircase(S.values, S.conductor).generators]
+    small = S.sparse_rows
+    factors = [
+        (v, sorted([(k, x) for k, x in small[v].items() if k < c + e0])) if v < c else (v, [(v, 1)])
+        for v in from_staircase(S.values, S.conductor).generators
+    ]
+    rows = {v: {k: x for k, x in r.items() if k < c} for v, r in small.items() if v}
+    below = sum([1 << v for v in S.values])  # the values of B below c
     L, hf1 = c, [1]
     while len(hf1) == 1 or hf1[-1] - hf1[-2] != e0:
         L += e0
-        rows = sorted(_products(rows, gens, L).table.items())
+        values = below | ((1 << L) - (1 << c))  # the values of B below L
+        rows = _products(rows, factors, L, values)
         hf1.append(len(S.values) + L - c - len(rows))
     hf1.append(hf1[-1] + e0)
     hf = [1] + [hf1[k] - hf1[k - 1] for k in range(1, len(hf1))]
     return HilbertData(tuple(hf), tuple(hf1), e0 * len(hf1) - hf1[-1])
 
 
-def _products(rows, factors, L: int) -> Echelon:
-    """Echelon of the products a*g mod t^L, a a sparse row of (pivot, row) ``rows``
-    and g the int terms of (order, terms) ``factors``, both sorted by order."""
+def _products(rows, factors, L: int, values: int) -> dict:
+    """The echelon table of m^(i+1) mod t^L, with its fill: the products a*g,
+    a a sparse row of m^i by pivot in ``rows`` and g the sorted int terms of
+    (order, terms) ``factors`` by increasing order, ``values`` the bit set of
+    the values of B below L (proofs in ``hilbert``)."""
     ech = Echelon(L - 1)
-    for o1, a in rows:
+    mask = (1 << L) - 1
+    reach = 0
+    for p in rows:
+        reach |= (values ^ 1) << p  # p plus a positive value
+    reach &= mask
+    filled = L
+
+    def fill(reach):
+        nonlocal filled
+        lo = (mask ^ reach).bit_length()  # [lo, L) is the top run of reach
+        if lo < filled:
+            ech.set_monomials(lo, filled)
+            for q, r in ech.table.items():
+                if q < lo:
+                    ech.table[q] = _primitive_sparse({k: x for k, x in r.items() if k < lo}, q)
+            filled = lo
+
+    fill(reach)
+    for o1, a in sorted(rows.items()):
         for o2, g in factors:
             if ech.complete_from(o1 + o2):
                 break
-            ech.insert_coeffs(mul_coeffs(a, g, L))
-    return ech
+            p = ech.insert_coeffs(mul_coeffs(a, g, filled))
+            if p is not None:
+                reach |= (values << p) & mask
+                fill(reach)
+    return ech.table
 
 
 def blowup(S: Staircase, prec: int | None = None) -> AlgebraInput:

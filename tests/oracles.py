@@ -102,6 +102,37 @@ def euclid_multiplicities(e0, betas):
     return tuple([m for m in out if m > 1] + [1])
 
 
+def plane_branch_facts(e0, betas):
+    """Invariants of a plane branch with characteristic (e0; betas), in closed form.
+
+    x = t^e0 and y = sum a_i t^(beta_i) plus any non-characteristic terms,
+    a_i != 0.  The semigroup is generated by Zariski's bar-beta: bbar_0 =
+    e0, bbar_1 = beta_1, bbar_(i+1) = n_i bbar_i - beta_i + beta_(i+1), with
+    e_i = gcd(e0, beta_1..beta_i) and n_i = e_(i-1)/e_i; its gaps are sieved
+    here.  A plane branch is Gorenstein, c = 2 delta; it is k[[x, y]]/(f)
+    with ord f = e0, so HF(n) = min(n+1, e0), first e0 at n = e0 - 1; the
+    multiplicities follow Euclid (``euclid_multiplicities``).  Returns a
+    dict: generators, gaps, delta, conductor, hf (n = 0..e0), multiplicities.
+    """
+    es = [e0]
+    for b in betas:
+        es.append(math.gcd(es[-1], b))
+    assert es[-1] == 1 and all(a > b for a, b in zip(es, es[1:])), "not a characteristic"
+    bbar = [e0] + list(betas[:1])
+    for i in range(1, len(betas)):
+        bbar.append(es[i - 1] // es[i] * bbar[i] - betas[i - 1] + betas[i])
+    gaps, conductor, delta = semigroup_data(bbar)
+    assert conductor == 2 * delta
+    return {
+        "generators": tuple(bbar),
+        "gaps": gaps,
+        "delta": delta,
+        "conductor": conductor,
+        "hf": tuple([min(n + 1, e0) for n in range(e0 + 1)]),
+        "multiplicities": euclid_multiplicities(e0, betas),
+    }
+
+
 # ---------------------------------------------------------------------------
 # naive exact linear algebra (independent of branchdual.linalg)
 

@@ -1,14 +1,16 @@
 """Expression parsing and printing."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchdual.errors import ExpressionError
 from branchdual.expressions import (
     MAX_COEFF_DIGITS,
+    _format_row,
     MAX_EXPONENT,
     format_diffop,
     format_rational,
@@ -19,6 +21,7 @@ from branchdual.expressions import (
     parse_operators,
     parse_series,
 )
+from branchdual.linalg import _rational_row
 from branchdual.series import DiffOp, Series
 
 F = Fraction
@@ -235,3 +238,25 @@ def test_diffop_round_trip(coeffs):
         assert format_diffop(g) == "0"
     else:
         assert parse_diffop(format_diffop(g)).coeffs == g.coeffs
+
+
+@st.composite
+def primitive_rows(draw):
+    """(row, o): a primitive int row, zero before o and positive at o, whose
+    entries after o may be negative or equal to +-row[o]."""
+    o = draw(st.integers(0, 3))
+    p = draw(st.integers(1, 12))
+    tail = draw(st.lists(st.one_of(st.integers(-30, 30), st.sampled_from([p, -p])), max_size=7))
+    row = [0] * o + [p] + tail
+    g = math.gcd(*row)
+    return [x // g for x in row], o
+
+
+@given(primitive_rows())
+@example(([3, 1, -3, 0, 6], 0))  # a constant term, t, an entry equal to -pivot
+@example(([0, 2, -2, 3, 0, -4], 1))  # exponent 1 at the pivot
+@example(([0, 0, 1, -1, 0, 7], 2))
+@settings(max_examples=200, deadline=None)
+def test_int_row_formatting_matches_format_series(case):
+    row, o = case
+    assert _format_row(row, o) == format_series(Series.make(_rational_row(row, o)))

@@ -45,6 +45,7 @@ from oracles import (
     gauss_nullspace,
     maximal_ideal_rows,
     perp_list,
+    poly_mul,
     quadric_algebra_forming,
     random_branch,
     span_rank,
@@ -120,6 +121,35 @@ def test_natural_set_whole_ring():
 def test_natural_set_monomial_prunes_above_bound():
     got = [order(h) for h in natural_set(alg({4: 1}, {7: 1}, {9: 1}), 10)]
     assert got == [4, 7, 8, 9]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_natural_set_is_the_breadth_first_products_on_random_branches(seed):
+    # the elements are the truncated products themselves, rational tails
+    # included, not multiples of them
+    dicts = random_branch(random.Random(seed), max_delta=6)
+    A = AlgebraInput.make([S(x) for x in dicts])
+    d = closure(A).conductor - 1
+    base = [(coeff_dict_to_list(x) + [F(0)] * (d + 1))[: d + 1] for x in dicts]
+    base = [b for b in base if any(b)]
+    kept = []
+
+    def adds_a_pivot(f):
+        if span_rank(kept + [f], d + 1) == len(kept):
+            return False
+        kept.append(f)
+        return True
+
+    def lead(f):
+        return next(i for i, x in enumerate(f) if x)
+
+    out = [f for f in base if adds_a_pivot(f)]
+    for f in out:
+        for g in base:
+            if lead(f) + lead(g) <= d and adds_a_pivot(p := poly_mul(f, g, d)):
+                out.append(p)
+    assert [list(h.coeffs) for h in natural_set(A, d)] == sorted(out, key=lead)
 
 
 # ---------------------------------------------------------------------------
@@ -975,9 +1005,10 @@ def test_verify_duality_rejects_each_broken_certificate_clause(A, brk, monkeypat
 
 @pytest.mark.parametrize("A", [TOY, alg({6: 1}, {8: 1, 11: 1}, {10: 1, 13: 1})])
 def test_verify_duality_rejects_a_natural_set_one_short(A, monkeypatch):
-    exact = natural_set
+    # verify_duality reads the natural set as int rows, in natural_set's order
     module = importlib.import_module("branchdual.inverse_system")
-    monkeypatch.setattr(module, "natural_set", lambda A, d: exact(A, d)[:-1])
+    exact = module._natural_rows
+    monkeypatch.setattr(module, "_natural_rows", lambda A, d: exact(A, d)[:-1])
     assert not verify_duality(A, closure(A))
 
 

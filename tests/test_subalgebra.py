@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from oracles import (
     euclid_multiplicities,
     hilbert_naive,
     perp_list,
+    plane_branch_facts,
     random_branch,
     semigroup_data,
     span_orders,
@@ -539,27 +541,68 @@ def test_hilbert_of_the_whole_ring():
 
 @pytest.mark.parametrize("gens", ["t^12+t^13, t^17+t^19", LADDER["embdim4"]], ids=["d88", "embdim4"])
 def test_hilbert_multiplies_by_the_semigroup_generators_only(monkeypatch, gens):
-    # every power, the first too, takes b_v for the minimal generators v of
-    # the value semigroup as its factors: no product of two rows of m
+    # every power, the first too, takes one element of B at each minimal
+    # generator v of the value semigroup as its factors: no product of two
+    # rows of m; their terms ascend, as mul_coeffs needs
     calls = []
     products = subalgebra._products
 
-    def recording(rows, factors, L):
+    def recording(rows, factors, L, values):
         calls.append(factors)
-        return products(rows, factors, L)
+        return products(rows, factors, L, values)
 
     monkeypatch.setattr(subalgebra, "_products", recording)
     sc = closure(AlgebraInput.make([parse_series(g) for g in gens.split(",")]))
     h = hilbert(sc)
-    want = sc.algebra_generators()
+    c = sc.conductor
     assert len(calls) == len(h.hf1) - 2
     for factors in calls:
-        assert [v for v, _ in factors] == [order(b) for b in want]
-        for (v, terms), b in zip(factors, want):
-            # a factor is b_v's int terms by increasing exponent, cut at c + e0
-            assert [k for k, _ in terms] == sorted(k for k, _ in terms)
-            r = _dense(dict(terms), sc.conductor + sc.e0)
-            assert [F(x, r[v]) for x in r] == list(b.coeffs) + [0] * (len(r) - len(b.coeffs))
+        assert tuple([v for v, _ in factors]) == from_staircase(sc.values, c).generators
+        for v, terms in factors:
+            exps = [k for k, _ in terms]
+            assert exps == sorted(exps) and exps[0] == v
+            # made monic and cut at c (at v + 1 for t^v, v >= c): an element of B of order v
+            r = _dense(dict(terms), max(c, v + 1))
+            f = Series.make([F(x, r[v]) for x in r[: max(c, v + 1)]])
+            assert order(f) == v and membership(f, sc)
+
+
+@pytest.mark.parametrize(
+    "gens, ceiling",
+    [
+        (LADDER["d27"], DEFAULT_CEILING),
+        (LADDER["d30"], DEFAULT_CEILING),
+        (LADDER["d48"], DEFAULT_CEILING),
+        ("t^12+t^13, t^17+t^19", DEFAULT_CEILING),
+        (LADDER["embdim4"], DEFAULT_CEILING),
+        # unsorted factor terms gave HF(1) = 0 here, and nowhere below
+        ("t^16, t^24+t^28+t^30+t^31", 1024),
+    ],
+    ids=["d27", "d30", "d48", "d88", "embdim4", "d190"],
+)
+def test_hilbert_on_closure_rows_matches_the_reduced_rows(gens, ceiling):
+    sc = closure(AlgebraInput.make([parse_series(g) for g in gens.split(",")]), ceiling)
+    reduced = subalgebra.Staircase(sc.rows, sc.conductor, sc.work_trunc)
+    assert sc.echelon is not None and reduced.echelon is None and reduced == sc
+    assert hilbert(sc) == hilbert(reduced)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_hilbert_on_closure_rows_matches_the_reduced_rows_on_random_branches(seed):
+    sc = closure(AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=9)]))
+    assert hilbert(sc) == hilbert(subalgebra.Staircase(sc.rows, sc.conductor, sc.work_trunc))
+
+
+def test_hilbert_at_delta_150_is_fast():
+    # a regression guard: products of the reduced rows with no fill need
+    # about 18 s here, closure's echelon rows with the fill about 15 ms
+    sc = closure(AlgebraInput.make([parse_series("t^16+t^17"), parse_series("t^21+t^23")]), 1024)
+    assert sc.delta == 150
+    t0 = time.perf_counter()
+    h = hilbert(sc)
+    assert time.perf_counter() - t0 < 2.0
+    assert h.hf == tuple([min(n + 1, 16) for n in range(17)])
 
 
 @pytest.mark.parametrize(
@@ -781,4 +824,42 @@ def test_blowup_chain_follows_euclid_on_plane_branches(gens, e0, betas, head):
     assert euclid_multiplicities(e0, betas) == head
     assert ch.multiplicities() == head
     assert ch.e1_sequence() == tuple([m * (m - 1) // 2 for m in head])
+    assert sum(ch.e1_sequence()) == sc.delta
+
+
+def random_plane_branch(rng, max_delta=150):
+    """(e0, betas, generators) of x = t^e0, y = sum a_j t^j with characteristic
+    (e0; betas), random nonzero rational a_j, random non-characteristic terms
+    and delta at most max_delta."""
+    while True:
+        e0 = rng.randint(2, 16)
+        betas, e, b = [], e0, e0
+        while e > 1:
+            b = rng.choice([j for j in range(b + 1, b + 2 * e0 + 1) if j % e])
+            betas.append(b)
+            e = math.gcd(e, b)
+        if plane_branch_facts(e0, betas)["delta"] <= max_delta:
+            break
+    # a non-characteristic term t^j, e0 < j, is divisible by the gcd of e0
+    # and the characteristic exponents below it
+    extra = [j for j in range(e0 + 1, betas[-1] + e0) if j not in betas
+             and j % math.gcd(e0, *[b for b in betas if b < j]) == 0]
+    y = {j: rng.choice([1, -1, 2, F(1, 3), F(-5, 2)]) for j in betas + rng.sample(extra, min(len(extra), rng.randint(0, 3)))}
+    return e0, tuple(betas), [S({e0: 1}), S(y)]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_plane_branches_match_their_characteristic(seed):
+    # closed-form invariants from the characteristic exponents, up to delta 150
+    e0, betas, gens = random_plane_branch(random.Random(seed))
+    facts = plane_branch_facts(e0, betas)
+    sc = closure(AlgebraInput.make(gens))
+    assert (sc.gaps, sc.delta, sc.conductor, sc.e0) == (facts["gaps"], facts["delta"], facts["conductor"], e0)
+    assert from_staircase(sc.values, sc.conductor).generators == facts["generators"]
+    h = hilbert(sc)
+    assert h.hf == facts["hf"] and h.e1 == e0 * (e0 - 1) // 2
+    ch = blowup_chain(sc)
+    assert ch.multiplicities() == facts["multiplicities"]
+    assert ch.e1_sequence() == tuple([m * (m - 1) // 2 for m in facts["multiplicities"]])
     assert sum(ch.e1_sequence()) == sc.delta
