@@ -16,13 +16,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalError, NotAlgebraForming
+from .errors import InternalError, NotAlgebraForming, PrecisionExhausted
 from .linalg import QONE, QZERO, Echelon, QMatrix, _dense, _integer_row, _primitive, _rational_row, _sparse
-from .series import DiffOp, Series, mul_coeffs, order, truncate
+from .series import DiffOp, Series, mul_coeffs, order
 from .subalgebra import (
     AlgebraInput,
     Staircase,
-    _positive_gens,
+    _int_gens,
     closure,
     membership,
 )
@@ -197,11 +197,11 @@ def _natural_rows(A: AlgebraInput, d: int):
     once, and the products are ``mul_coeffs`` of int rows, so their scales
     multiply."""
     base = []
-    for _, g in _positive_gens(A):
-        terms = [(k, x) for k, x in enumerate(truncate(g, d).coeffs) if x]
-        if terms:
-            den = math.lcm(*[x.denominator for _, x in terms])
-            base.append((terms[0][0], [(k, x.numerator * (den // x.denominator)) for k, x in terms], den))
+    for o, row, trunc, _, den in _int_gens(A):
+        if trunc is not None and trunc < d:
+            raise PrecisionExhausted(d)
+        if o <= d:
+            base.append((o, [(k, x) for k, x in row.items() if k <= d], den))
     ech = Echelon(d)
     out = [(o, dict(g), s) for o, g, s in base if ech.insert_coeffs(dict(g)) is not None]
     for o1, f, s1 in out:  # out grows as it is read: breadth first

@@ -9,9 +9,12 @@ a dense row is made sparse once, by ``_sparse``, where it enters;
 ``subalgebra.closure`` clears each generator once per call, in the scan
 that finds its order and nonzero entries, and the blow-up chain's rows
 stay int from one staircase to the next.  Products of sparse int rows
-(``series.mul_coeffs``) go straight in.  The
-reduced rows leave as dense primitive int tuples; ``_rational_row`` makes
-one exact rationals (``fractions.Fraction``).  ``rref``, ``nullspace``
+(``series.mul_coeffs``) go straight in.  ``Echelon.set_monomials(lo)``
+is the fill ``closure`` and ``hilbert`` share: t^lo..t^trunc become rows,
+every other row is cut at t^lo, and ``filled`` records where callers cut
+later rows and products (its docstring proves no span changes).
+The reduced rows leave as dense primitive int tuples; ``_rational_row``
+makes one exact rationals (``fractions.Fraction``).  ``rref``, ``nullspace``
 and ``solve`` reduce ``Fraction`` matrices (:class:`QMatrix`) through the
 same kernel, but no engine path calls them: :class:`QMatrix` only carries
 the matrix M of ``transport_dual``'s report; transport composes int rows
@@ -106,12 +109,14 @@ class Echelon:
     (gcd 1, positive leading entry), keyed by pivot column: the least
     column of the row (for series mod t^(trunc+1), its order).  The highest
     column with no pivot yet is kept, which lets callers skip products that
-    can only reduce to zero.
+    can only reduce to zero.  ``filled`` is the least lo of a fill
+    (``set_monomials``), trunc+1 before any.
     """
 
     def __init__(self, trunc: int):
         self.trunc = trunc
         self.table = {}
+        self.filled = trunc + 1
         self._free_top = trunc
 
     def complete_from(self, s: int) -> bool:
@@ -167,15 +172,26 @@ class Echelon:
             out[p] = _primitive_sparse(row, p)
         return {p: tuple(_dense(out[p], n)) for p in sorted(out)}
 
-    def set_monomials(self, lo: int, hi: int):
-        """Make t^lo..t^(hi-1) the rows at pivots lo..hi-1, with no reduction.
+    def set_monomials(self, lo: int):
+        """The fill: t^lo..t^trunc become the rows at pivots lo..trunc, every
+        other row with a column >= lo is cut at t^lo and made primitive
+        again (its pivot stays), and ``filled`` becomes lo.  Nothing when
+        lo >= ``filled``.
 
-        For a caller that knows these monomials lie in the space it builds
-        and that t^hi..t^trunc are in the span already: each row replaced
-        has order >= lo, so the span only grows, and stays in that space.
+        For a caller that knows t^lo..t^trunc lie in the space it builds.
+        A row replaced or cut differs from its new row by a combination of
+        t^lo..t^trunc, which now lie in the span: the span only grows, and
+        stays in that space.  So the caller may cut at ``filled`` every row
+        it inserts and every product it forms, too.
         """
-        for k in range(lo, hi):
+        if lo >= self.filled:
+            return
+        for k in range(lo, self.filled):
             self.table[k] = {k: 1}
+        for q, r in self.table.items():
+            if q < lo and max(r) >= lo:
+                self.table[q] = _primitive_sparse({k: x for k, x in r.items() if k < lo}, q)
+        self.filled = lo
         while self._free_top in self.table:
             self._free_top -= 1
 

@@ -86,11 +86,18 @@ def _minimal_generators(member, e0: int, conductor: int):
     for n in range(1, top + 1):
         if member[n] and not sums >> n & 1:
             out.append(n)
-            s = n
-            while s <= top:
-                sums |= (sums << s) & mask
-                s *= 2
+            sums = _add_multiples(sums, n, mask)
     return tuple(out)
+
+
+def _add_multiples(bits: int, s: int, mask: int) -> int:
+    """``bits`` with k + j*s added for each member k and j >= 0, within
+    ``mask``: shifts by s, 2s, .., 2^i*s add every j < 2^(i+1)."""
+    n = mask.bit_length()
+    while s < n:
+        bits |= (bits << s) & mask
+        s *= 2
+    return bits
 
 
 def from_staircase(values, conductor: int) -> NumericalSemigroup:

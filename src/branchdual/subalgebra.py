@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import GeneratorError, InfiniteCodimension, PrecisionExhausted
-from .linalg import Echelon, _dense, _primitive_sparse, _rational_row, _sparse
-from .semigroup import from_staircase
-from .series import Series, _quotient_ints, mul_coeffs, order
+from .linalg import Echelon, _dense, _rational_row, _sparse
+from .semigroup import _add_multiples, from_staircase
+from .series import Series, _quotient_ints, mul_coeffs
 
 DEFAULT_TRUNC_CEILING = 512
 
@@ -141,21 +141,6 @@ class _Inconclusive(Exception):
         self.required = required
 
 
-def _positive_gens(A: AlgebraInput):
-    """(order, generator) for each nonzero generator of A, in A's order."""
-    gens = []
-    for g in A.gens:
-        o = order(g)
-        if o is None:
-            continue
-        if o == 0:
-            raise GeneratorError("generators must have positive order")
-        gens.append((o, g))
-    if not gens:
-        raise GeneratorError("no nonzero generators")
-    return gens
-
-
 def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
     """Canonical staircase of the algebra generated by A.
 
@@ -163,7 +148,8 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
     certified by a run of e0 consecutive values.  Within a window w each
     row is multiplied by the generators only, and no product is computed
     above the range the pivots' semigroup covers: once the sums of pivots
-    hold all of [a, w], t^a..t^w go in as rows (proofs in ``_closure_at``).
+    hold all of [a, w], t^a..t^w go in as rows, and every other row and
+    every later product is cut at t^a (proofs in ``_closure_at``).
     The window and ``work_trunc`` are those of the plain closure, which
     multiplies every pair of rows.  Raises PrecisionExhausted when the
     ceiling (or a generator's own truncation) is insufficient; its
@@ -197,12 +183,17 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
     raised there.  Inexact generators come only from ``blowup``, of
     algebras of finite codimension.
 
-    Each generator is read once per call, in one scan over its
-    coefficients, into (order, sparse int row, trunc, degree): its nonzero
-    entries times the lcm of their denominators.  ``_close`` runs the
-    windows on these rows, and each window cuts them at w; ``blowup_chain``
-    gives ``_close`` its int rows directly.
+    Each generator is read once per call, by ``_int_gens``.  ``_close``
+    runs the windows on its int rows, and each window cuts them at w;
+    ``blowup_chain`` gives ``_close`` its int rows directly.
     """
+    return _close([(o, row, trunc, deg) for o, row, trunc, deg, _ in _int_gens(A)], ceiling)
+
+
+def _int_gens(A: AlgebraInput):
+    """(order, sparse int row, trunc, degree, den) for each nonzero generator
+    of A, in A's order, from one scan over its coefficients: the row is its
+    nonzero entries times den, the lcm of their denominators."""
     gens = []
     for g in A.gens:
         terms = [(k, x) for k, x in enumerate(g.coeffs) if x]
@@ -212,8 +203,10 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
             raise GeneratorError("generators must have positive order")
         den = math.lcm(*[x.denominator for _, x in terms])
         row = {k: x.numerator * (den // x.denominator) for k, x in terms}
-        gens.append((terms[0][0], row, g.trunc, len(g.coeffs) - 1))
-    return _close(gens, ceiling)
+        gens.append((terms[0][0], row, g.trunc, len(g.coeffs) - 1, den))
+    if not gens:
+        raise GeneratorError("no nonzero generators")
+    return gens
 
 
 def _close(gens, ceiling: int) -> Staircase:
@@ -256,29 +249,31 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
     in the table, as it is once o1 + o2 > w (the table has no column past
     w): o1 + o2 only grows and the table only fills, so every later
     product of that row lies in the table too.  A generator that added no
-    pivot is no factor.  Let V be the final span.
+    pivot is no factor.  Products are cut at the fill point
+    a = ``ech.filled`` (w + 1 before any fill).  Let V be the final span.
     Every row is an element of B_w, so V lies in B_w.  V holds 1 and each
     generator g, and g*V lies in V.  The rows of V are 1, with g*1 = g;
-    rows that went in at a pivot, each product of which was inserted or
-    lay in the table already; and the monomials t^k, k >= a, of the fill
-    below, whose products lie in t^(a+1) k[t], in the table since the
-    fill.  A row the fill replaced had order >= a, so it lies in V with
-    its products, and it is not needed.  A generator that added no pivot
-    is a combination of 1, the generators before it and filled monomials,
-    so its products are combinations of products already in V.  So V
-    holds every product of generators: V = B_w.  The pivots are the
-    orders of V, so they, the staircase, the window and the errors are
-    those of the closure that multiplies every pair of rows.
+    the monomials t^a..t^w of the fill below, whose products lie in
+    t^(a+1) k[t]; and rows that went in at a pivot below a, each product
+    of which was inserted or lay in the table already.  A row or product
+    cut at a, and a row the fill replaced, differs from the uncut one by
+    a combination of t^a..t^w, so none of them changes this.  A generator
+    that added no pivot is a combination of 1, the generators before it
+    and filled monomials, so its products are combinations of products
+    already in V.  So V holds every product of generators: V = B_w.  The
+    pivots are the orders of V, so they, the staircase, the window and
+    the errors are those of the closure that multiplies every pair of
+    rows.
 
     Fill.  Every pivot is a value of B_w, and the values of B_w below w+1
     are closed under sums that stay at most w.  So every k in ``reach``,
     the sums of pivots found so far cut at w, is a value of B_w.  Once
     ``reach`` holds all of [a, w], B_w has an element of each order
-    a..w; these span t^a k[t] mod t^(w+1), so t^a..t^w lie in B_w.  The
-    rows at pivots a..w, all in t^a k[t], become those monomials: the
-    span only grows, and stays inside B_w.  A pivot already in ``reach``
-    leaves it as it is; any other adds its multiples, by doubling shifts
-    of a bit set.
+    a..w; these span t^a k[t] mod t^(w+1), so t^a..t^w lie in B_w, and
+    ``Echelon.set_monomials(a)`` makes them rows and cuts every other row
+    at t^a: its docstring proves that the span only grows, and it stays
+    inside B_w.  A pivot already in ``reach`` leaves it as it is; any
+    other adds its multiples (``semigroup._add_multiples``).
 
     The staircase is the reduced echelon form of V cut at max(c, 1), by
     back-substitution (``Echelon.reduced``).  It is unique, so it does
@@ -290,24 +285,16 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
     ech.insert_coeffs({0: 1})
     mask = (1 << (w + 1)) - 1
     reach = 1  # bit k: k is a sum of pivots found so far
-    filled = w + 1  # the rows at pivots filled..w are monomials
     queue = []
 
     def found(p):
-        nonlocal reach, filled
+        nonlocal reach
         if p is None:
             return
         queue.append(p)
-        if reach >> p & 1:
-            return
-        s = p
-        while s <= w:
-            reach |= (reach << s) & mask
-            s *= 2
-        a = (mask ^ reach).bit_length()  # [a, w] is the top run of reach
-        if a < filled:
-            ech.set_monomials(a, filled)
-            filled = a
+        if not reach >> p & 1:
+            reach = _add_multiples(reach, p, mask)
+            ech.set_monomials((mask ^ reach).bit_length())  # [a, w] is the top run of reach
 
     factors = []  # (order, int terms) of the generators that added a pivot
     for o, row, _, _ in gens:  # w <= every inexact generator's trunc (``_close``'s cap)
@@ -323,7 +310,7 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
         for o2, g in factors:
             if ech.complete_from(o1 + o2):
                 break
-            found(ech.insert_coeffs(mul_coeffs(a, g, w + 1)))
+            found(ech.insert_coeffs(mul_coeffs(a, g, ech.filled)))
 
     pivots = set(ech.table)
     positive = sorted(p for p in pivots if p > 0)
@@ -400,14 +387,13 @@ def hilbert(S: Staircase) -> HilbertData:
     value: values of m^(i+1) mod t^(L_i) only.  Once it holds all of
     [a, L_i), m^(i+1) mod t^(L_i) has an element of each order a..L_i - 1;
     these span t^a k[t] mod t^(L_i), so t^a..t^(L_i - 1) lie in it, and
-    they replace the rows at those pivots (``Echelon.set_monomials``):
-    the span only grows, inside m^(i+1) mod t^(L_i).  Every product of
-    order >= a lies in it then, and ``complete_from`` skips it.
+    ``Echelon.set_monomials(a)`` makes them rows.  Every product of order
+    >= a lies in it then, and ``complete_from`` skips it.
 
-    Cut.  After a fill at a, the columns a..L_i - 1 of any row are a
-    combination of the monomial rows, so cutting a product, or a table
-    row of pivot below a, at t^a changes no span.  The rows carried to
-    the next power are a basis of m^(i+1) mod t^(L_i) still.
+    Cut.  The fill cuts every table row of pivot below a at t^a, and each
+    later product is cut there; ``Echelon.set_monomials`` proves that
+    neither changes the span.  The rows carried to the next power are a
+    basis of m^(i+1) mod t^(L_i) still.
 
     Stop rule.  l(M/xM) = e0 for every B-module t^N k[[t]] in M in k[[t]]
     (compare both with k[[t]]/x k[[t]]), and x*m^n lies in m^(n+1), so
@@ -448,27 +434,15 @@ def _products(rows, factors, L: int, values: int) -> dict:
     for p in rows:
         reach |= (values ^ 1) << p  # p plus a positive value
     reach &= mask
-    filled = L
-
-    def fill(reach):
-        nonlocal filled
-        lo = (mask ^ reach).bit_length()  # [lo, L) is the top run of reach
-        if lo < filled:
-            ech.set_monomials(lo, filled)
-            for q, r in ech.table.items():
-                if q < lo:
-                    ech.table[q] = _primitive_sparse({k: x for k, x in r.items() if k < lo}, q)
-            filled = lo
-
-    fill(reach)
+    ech.set_monomials((mask ^ reach).bit_length())  # [lo, L) is the top run of reach
     for o1, a in sorted(rows.items()):
         for o2, g in factors:
             if ech.complete_from(o1 + o2):
                 break
-            p = ech.insert_coeffs(mul_coeffs(a, g, filled))
+            p = ech.insert_coeffs(mul_coeffs(a, g, ech.filled))
             if p is not None:
                 reach |= (values << p) & mask
-                fill(reach)
+                ech.set_monomials((mask ^ reach).bit_length())
     return ech.table
 
 

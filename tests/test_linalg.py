@@ -237,7 +237,7 @@ def sparse_row(draw, width):
 
 @st.composite
 def sparse_insertions(draw):
-    """(width, rows inserted first, the lo of set_monomials(lo, width) or None, rows inserted after)."""
+    """(width, rows inserted first, the lo of set_monomials(lo) or None, rows inserted after)."""
     width = draw(st.integers(1, 40))
     rows = st.lists(sparse_row(width), max_size=12)
     return width, draw(rows), draw(st.none() | st.integers(0, width)), draw(rows)
@@ -246,9 +246,10 @@ def sparse_insertions(draw):
 @settings(max_examples=150, deadline=None)
 @given(sparse_insertions(), st.integers(0, 40))
 def test_sparse_echelon_matches_gauss_jordan(case, lo):
-    # mostly-zero rows, some of them inserted after monomials were set: the
-    # reduced form at every stop is the naive Gauss-Jordan form of the rows
-    # and monomials cut there, as dense primitive int tuples
+    # mostly-zero rows, some of them inserted after the fill: the reduced form
+    # at every stop is the naive Gauss-Jordan form of the rows and monomials
+    # cut there, as dense primitive int tuples.  The fill at mono cuts every
+    # row below it at mono, and a fill above it changes nothing
     width, before, mono, after = case
     ech = Echelon(width - 1)
     dense = []
@@ -257,9 +258,15 @@ def test_sparse_echelon_matches_gauss_jordan(case, lo):
         ech.insert_coeffs(r)
         assert r == copy  # the caller's row is left as it is
         dense.append(_dense(r, width))
+    assert ech.filled == width
     if mono is not None:
-        ech.set_monomials(mono, width)
+        ech.set_monomials(mono)
         dense += [[int(k == j) for k in range(width)] for j in range(mono, width)]
+        assert ech.filled == mono
+        assert all(k < mono for p, row in ech.table.items() if p < mono for k in row)
+        table = {p: dict(row) for p, row in ech.table.items()}
+        ech.set_monomials(mono + 1)
+        assert ech.table == table and ech.filled == mono
     for r in after:
         ech.insert_coeffs(r)
         dense.append(_dense(r, width))

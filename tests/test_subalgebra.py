@@ -809,17 +809,19 @@ def test_algebra_generators_are_the_minimal_generators_on_the_ladder(gens):
 
 
 @pytest.mark.parametrize(
-    "gens, e0, betas, head",
+    "gens, e0, betas, head, ceiling",
     [
-        ("t^8, t^12+t^14+t^15", 8, (12, 14, 15), (8, 4, 4, 2, 2, 1)),
-        ("t^9, t^12+t^14", 9, (12, 14), (9, 3, 3, 3, 2, 1)),
-        ("t^12, t^18+t^20+t^21", 12, (18, 20, 21), (12, 6, 6, 2, 2, 2, 1)),
+        ("t^8, t^12+t^14+t^15", 8, (12, 14, 15), (8, 4, 4, 2, 2, 1), 512),
+        ("t^9, t^12+t^14", 9, (12, 14), (9, 3, 3, 3, 2, 1), 512),
+        ("t^12, t^18+t^20+t^21", 12, (18, 20, 21), (12, 6, 6, 2, 2, 2, 1), 512),
+        ("t^16, t^24+t^28+t^30+t^31", 16, (24, 28, 30, 31), (16, 8, 8, 4, 4, 2, 2, 1), 1024),
     ],
 )
-def test_blowup_chain_follows_euclid_on_plane_branches(gens, e0, betas, head):
+def test_blowup_chain_follows_euclid_on_plane_branches(gens, e0, betas, head, ceiling):
     # x = t^e0, y = sum of t^beta: the multiplicities are Euclid's (Enriques),
-    # each e1 is m(m-1)/2 and they add up to delta (Noether)
-    sc = closure(AlgebraInput.make([parse_series(g) for g in gens.split(",")]))
+    # each e1 is m(m-1)/2 and they add up to delta (Noether); the delta 190
+    # branch is the one whose chain the fill cut shortens most
+    sc = closure(AlgebraInput.make([parse_series(g) for g in gens.split(",")]), ceiling)
     ch = blowup_chain(sc)
     assert euclid_multiplicities(e0, betas) == head
     assert ch.multiplicities() == head

@@ -1,4 +1,5 @@
-"""Names other code looks up in the package by string must stay defined.
+"""Names other code looks up in the package by string must stay defined,
+and no module keeps a name nothing uses.
 
 The benchmark's tracer wraps the functions listed in
 ``perfbench/tracing.py``'s ``LAYERS`` by name, reading them from the
@@ -6,6 +7,7 @@ module's ``__dict__`` (or, for ``Class.method``, the class's ``__dict__``);
 a missing name would stop the traced benchmark run with a ``KeyError``.
 """
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -15,6 +17,7 @@ import pytest
 import branchdual
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+SRC = pathlib.Path(branchdual.__file__).resolve().parent
 
 
 def _layers():
@@ -39,3 +42,39 @@ def test_traced_layer_resolves(layer, modname, name):
 
 def test_every_exported_name_resolves():
     assert [name for name in branchdual.__all__ if not hasattr(branchdual, name)] == []
+
+
+def _referenced(tree):
+    """Every name a module reads, as a variable, an attribute or an import."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def test_no_unused_import_or_private_definition():
+    # in each module but __init__, every imported name is used; every private
+    # module-level function or class is referenced somewhere in the package
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    used = {mod: {n.id for n in ast.walk(t) if isinstance(n, ast.Name)} for mod, t in trees.items()}
+    everywhere = set().union(*[_referenced(t) for t in trees.values()])
+    unused, dead = [], []
+    for mod, tree in trees.items():
+        if mod == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for a in node.names:
+                    name = a.asname or a.name.split(".")[0]
+                    if name not in used[mod]:
+                        unused.append(f"{mod}: {name}")
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                if node.name not in everywhere:
+                    dead.append(f"{mod}: {node.name}")
+    assert (unused, dead) == ([], [])
