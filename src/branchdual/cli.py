@@ -30,8 +30,10 @@ from .errors import (
 )
 from .expressions import (
     _format_row,
+    _format_terms,
+    _rational,
+    _triples,
     format_diffop,
-    format_rational,
     format_series,
     parse_generators,
     parse_operators,
@@ -117,12 +119,9 @@ def _ceiling(job: JobSpec) -> int:
 
 
 def _op_entry(g):
-    return {
-        "expr": format_diffop(g),
-        "coefficients": {
-            str(i): format_rational(c) for i, c in enumerate(g.coeffs) if c != 0
-        },
-    }
+    terms = _triples(g.coeffs)
+    coefficients = {str(i): _rational(num, den) for i, num, den in terms}
+    return {"expr": _format_terms(terms, "u"), "coefficients": coefficients}
 
 
 def _staircase_summary(S):
@@ -263,7 +262,7 @@ def _run_transport(job, A, S):
     return {
         "conductor": S.conductor,
         "matrix": [
-            [format_rational(x) if x else "0" for x in M.row(i)]
+            [_rational(x.numerator, x.denominator) for x in M.row(i)]
             for i in range(M.rows)
         ],
         "basis": [_op_entry(g) for g in V1.basis],
@@ -287,7 +286,7 @@ def _run_canonical(job, A, S):
             {
                 "operator": format_diffop(g),
                 "laurent": {
-                    str(e): format_rational(c)
+                    str(e): _rational(c.numerator, c.denominator)
                     for e, c in sorted(rosenlicht(g, S.conductor).items())
                 },
             }

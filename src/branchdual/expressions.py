@@ -9,14 +9,26 @@ type: ``t`` yields an exact :class:`Series`, ``u`` a :class:`DiffOp`;
 mixing both in one expression is an error.  Errors carry the position of
 the offending token; in a list of generators it counts from the start of
 the whole text, or of a list's texts joined by commas.
+
+Parsing sums each exponent's terms in ints (a ``Fraction`` only for a term
+with a denominator) and builds the dense ``Fraction`` tuple once, with no
+``Series.make``.  A list of generators or of operators is bounded by
+MAX_LIST_COEFFS before any tuple is built.
+
+Printing has one formatter, ``_format_terms``, of (exponent, numerator,
+denominator) triples, and one coefficient string, ``_rational``: every
+expression, coefficient map, matrix cell and Laurent map of a report goes
+through them, and no ``Fraction`` is compared or negated on the way.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from .errors import ExpressionError
+from .linalg import QZERO
 from .series import DiffOp, Series
 
 # Largest exponent an expression may carry.  Parsing builds a dense
@@ -28,6 +40,11 @@ MAX_EXPONENT = 10_000
 # Longest digit run of a coefficient's numerator or denominator, checked
 # before int(), which refuses more than 4,300 digits.
 MAX_COEFF_DIGITS = 1_000
+
+# Largest sum of (degree + 1) over a generator or operator list: the entries
+# of the dense coefficient tuples it would build, counted on the parsed terms
+# before any tuple is.  MAX_EXPONENT caps one expression, not a list.
+MAX_LIST_COEFFS = 100_000
 
 # Every part of both patterns is optional, so a match never fails and never
 # backtracks; a group that is None or empty names what is missing.  [0-9], not
@@ -45,15 +62,16 @@ def parse_expression(text: str):
     A constant expression parses as a Series.  Errors carry the offending
     position.
     """
-    coeffs, var = _parse(text, 0, len(text))
-    return DiffOp.make(coeffs) if var == "u" else Series.make(coeffs, None)
+    terms, var = _parse(text, 0, len(text))
+    return (DiffOp if var == "u" else Series)(_coeffs(terms))
 
 
 def _parse(text: str, pos: int, end: int):
-    """The dense coefficients of text[pos:end] and its variable (None for a
-    constant), parsed in place; error positions index ``text``.
+    """The terms of text[pos:end], {exponent: nonzero int or Fraction sum},
+    and its variable (None for a constant), parsed in place; error positions
+    index ``text``.
     """
-    coeffs, var = {}, None  # coeffs: exponent -> int or Fraction sum, a key per term
+    coeffs, var = {}, None  # exponent -> int or Fraction sum, a key per term
     while True:
         sign = _SIGN.match(text, pos, end)
         pos = sign.end()
@@ -70,6 +88,7 @@ def _parse(text: str, pos: int, end: int):
         if num is None and term_var is None:
             raise ExpressionError("expected a term", pos)
         coeff = 1 if num is None else _digits(m, "num")
+        coeff = -coeff if sign.group(1) == "-" else coeff
         if den is not None:
             if not den:
                 raise ExpressionError("expected denominator after '/'", m.start("den"))
@@ -83,9 +102,28 @@ def _parse(text: str, pos: int, end: int):
             if var not in (None, term_var):
                 raise ExpressionError("mixed variables in one expression", m.start("var"))
             var = term_var
-        coeffs[exp] = coeffs.get(exp, 0) + (-coeff if sign.group(1) == "-" else coeff)
+        coeffs[exp] = coeffs[exp] + coeff if exp in coeffs else coeff
         pos = m.end()
-    return [coeffs.get(i, 0) for i in range(max(coeffs) + 1)], var
+    return {i: x for i, x in coeffs.items() if x}, var
+
+
+def _coeffs(terms) -> tuple:
+    """The dense ``Fraction`` coefficients of nonzero terms, up to the highest
+    exponent, every zero the one shared ``Fraction(0)``: what ``Series.make``
+    makes of them, built once."""
+    out = [QZERO] * (max(terms) + 1 if terms else 0)
+    for i, x in terms.items():
+        out[i] = x if type(x) is Fraction else Fraction(x)
+    return tuple(out)
+
+
+def _bounded(found: list, kind) -> list:
+    """A ``kind`` (Series or DiffOp) of each parsed list element's terms, once
+    their sum of (degree + 1) is checked against MAX_LIST_COEFFS."""
+    total = sum([max(terms) + 1 for terms in found if terms])
+    if total > MAX_LIST_COEFFS:
+        raise ExpressionError(f"{total} coefficients in the list, above the limit {MAX_LIST_COEFFS}")
+    return [kind(_coeffs(terms)) for terms in found]
 
 
 def _digits(m, group: str) -> int:
@@ -106,24 +144,24 @@ def _exponent(m) -> int:
     return int(digits)
 
 
-def _series(text: str, pos: int, end: int) -> Series:
-    coeffs, var = _parse(text, pos, end)
-    if var == "u":
-        raise ExpressionError("expected a series in t, got an operator in u")
-    return Series.make(coeffs, None)
+def _terms(text: str, pos: int, end: int, want: str) -> dict:
+    """``_parse``'s terms of a series (``want`` "t") or an operator ("u"): a
+    constant, or a series in t that cancels to one, parses as either."""
+    terms, var = _parse(text, pos, end)
+    if var not in (None, want) and (want == "t" or max(terms, default=0) > 0):
+        raise ExpressionError("expected " + ("a series in t, got an operator in u" if want == "t"
+                                             else "an operator in u, got a series in t"))
+    return terms
 
 
 def parse_series(text: str) -> Series:
     """Parse an expression that must be a series in t (or a constant)."""
-    return _series(text, 0, len(text))
+    return Series(_coeffs(_terms(text, 0, len(text), "t")))
 
 
 def parse_diffop(text: str) -> DiffOp:
     """Parse an expression that must be an operator in u (or a constant)."""
-    coeffs, var = _parse(text, 0, len(text))
-    if var == "t" and any(coeffs[1:]):
-        raise ExpressionError("expected an operator in u, got a series in t")
-    return DiffOp.make(coeffs)
+    return DiffOp(_coeffs(_terms(text, 0, len(text), "u")))
 
 
 def parse_generators(text):
@@ -131,62 +169,69 @@ def parse_generators(text):
 
     Each part is parsed in place in the text, or in a list's texts joined by
     commas (a comma inside one is no separator), so error positions count
-    from the start of that whole text.
+    from the start of that whole text.  Their sum of (degree + 1) is bounded
+    by MAX_LIST_COEFFS before any coefficient tuple is built.
     """
     parts = text.split(",") if isinstance(text, str) else list(text)
     joined = ",".join(parts)
-    out, pos = [], 0
+    found, pos = [], 0
     for part in parts:
-        out.append(_series(joined, pos, pos + len(part)))
+        found.append(_terms(joined, pos, pos + len(part), "t"))
         pos += len(part) + 1
-    return out
+    return _bounded(found, Series)
 
 
 def parse_operators(text: str):
-    """Parse a semicolon-separated list of operator expressions."""
-    return [parse_diffop(part) for part in text.split(";")]
+    """Parse a semicolon-separated list of operator expressions, their sum of
+    (degree + 1) bounded by MAX_LIST_COEFFS before any is built."""
+    return _bounded([_terms(part, 0, len(part), "u") for part in text.split(";")], DiffOp)
+
+
+def _rational(num: int, den: int) -> str:
+    """The coefficient string of num/den, in lowest terms with den > 0: "p" or "p/q"."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _format_terms(terms, var: str) -> str:
-    """The (exponent, nonzero rational) pairs, by increasing exponent, as an expression."""
+    """The (exponent, numerator, denominator) triples of nonzero coefficients
+    in lowest terms, denominator > 0, by increasing exponent, as an
+    expression: the one formatter of every expression in a report."""
     if not terms:
         return "0"
     parts = []
-    for k, (i, c) in enumerate(terms):
-        neg = c < 0
-        mag = -c if neg else c
-        if i == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else f"{mag} "
+    for i, num, den in terms:
+        body = _rational(abs(num), den)
+        if i:
+            head = "" if body == "1" else f"{body} "
             body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
-        if k == 0:
-            parts.append(("-" if neg else "") + body)
+        if parts:
+            parts.append(("- " if num < 0 else "+ ") + body)
         else:
-            parts.append(("- " if neg else "+ ") + body)
+            parts.append(("-" if num < 0 else "") + body)
     return " ".join(parts)
 
 
+def _triples(coeffs) -> list:
+    """The (exponent, numerator, denominator) triples of the nonzero rationals ``coeffs``."""
+    return [(i, c.numerator, c.denominator) for i, c in enumerate(coeffs) if c]
+
+
 def format_series(f: Series) -> str:
-    return _format_terms([(i, c) for i, c in enumerate(f.coeffs) if c], "t")
+    return _format_terms(_triples(f.coeffs), "t")
 
 
 def format_diffop(g: DiffOp) -> str:
-    return _format_terms([(i, c) for i, c in enumerate(g.coeffs) if c], "u")
+    return _format_terms(_triples(g.coeffs), "u")
 
 
 def _format_row(row, o: int) -> str:
-    """The series of the int row divided by its entry at column o, formatted as
-    ``format_series`` formats it, with no ``Series`` built: an entry is
-    printed as an int when o's entry is 1, as a ``Fraction`` otherwise."""
+    """The series of the int row divided by its positive entry at column o,
+    formatted as ``format_series`` formats it, with no ``Series`` built."""
     p = row[o]
-    if p == 1:
-        return _format_terms([(i, x) for i, x in enumerate(row) if x], "t")
-    return _format_terms([(i, Fraction(x, p)) for i, x in enumerate(row) if x], "t")
+    return _format_terms([(i, x // (g := math.gcd(x, p)), p // g) for i, x in enumerate(row) if x], "t")
 
 
 def format_rational(x) -> str:
     """Exact decimal-free rendering: "p" or "p/q"."""
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    x = Fraction(x)
+    return _rational(x.numerator, x.denominator)

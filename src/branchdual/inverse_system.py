@@ -197,11 +197,11 @@ def _natural_rows(A: AlgebraInput, d: int):
     once, and the products are ``mul_coeffs`` of int rows, so their scales
     multiply."""
     base = []
-    for o, row, trunc, _, den in _int_gens(A):
+    for o, terms, trunc, _, den in _int_gens(A):
         if trunc is not None and trunc < d:
             raise PrecisionExhausted(d)
         if o <= d:
-            base.append((o, [(k, x) for k, x in row.items() if k <= d], den))
+            base.append((o, [(k, x) for k, x in terms if k <= d], den))
     ech = Echelon(d)
     out = [(o, dict(g), s) for o, g, s in base if ech.insert_coeffs(dict(g)) is not None]
     for o1, f, s1 in out:  # out grows as it is read: breadth first
@@ -355,7 +355,7 @@ def standard_filtration(S: Staircase) -> Filtration:
 def _cutting(C: Staircase, g: int) -> CuttingDerivation:
     """phi_g of C (see ``_gap_functionals``), monic in its lowest-degree coefficient."""
     op = _gap_functionals(C, [g])[0]
-    return CuttingDerivation(Series.make(list(op.coeffs), None), op)
+    return CuttingDerivation(Series(op.coeffs), op)
 
 
 def cutting_derivation(C: Staircase, B: Staircase) -> CuttingDerivation:

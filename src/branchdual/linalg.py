@@ -6,13 +6,13 @@ reduced by integer combinations (Bareiss) with the content divided out,
 touching only the columns where the row or its pivot row is nonzero.  A
 rational row has its denominators cleared once, by ``_integer_row``, and
 a dense row is made sparse once, by ``_sparse``, where it enters;
-``subalgebra.closure`` clears each generator once per call, in the scan
-that finds its order and nonzero entries, and the blow-up chain's rows
-stay int from one staircase to the next.  Products of sparse int rows
+a generator's int row is cached on its ``Series``, and the blow-up chain's
+rows stay int from one staircase to the next.  Products of sparse int rows
 (``series.mul_coeffs``) go straight in.  ``Echelon.set_monomials(lo)``
-is the fill ``closure`` and ``hilbert`` share: t^lo..t^trunc become rows,
-every other row is cut at t^lo, and ``filled`` records where callers cut
-later rows and products (its docstring proves no span changes).
+is the fill ``closure`` and ``hilbert`` share: t^lo..t^trunc become
+pivots with no stored row, every row is cut at t^lo, and ``filled``
+records where callers cut later products (its docstring proves no span
+changes).
 The reduced rows leave as dense primitive int tuples; ``_rational_row``
 makes one exact rationals (``fractions.Fraction``).  ``rref``, ``nullspace``
 and ``solve`` reduce ``Fraction`` matrices (:class:`QMatrix`) through the
@@ -107,10 +107,12 @@ class Echelon:
 
     A row is a dict ``{column: nonzero int}``.  Table rows are primitive
     (gcd 1, positive leading entry), keyed by pivot column: the least
-    column of the row (for series mod t^(trunc+1), its order).  The highest
-    column with no pivot yet is kept, which lets callers skip products that
-    can only reduce to zero.  ``filled`` is the least lo of a fill
-    (``set_monomials``), trunc+1 before any.
+    column of the row (for series mod t^(trunc+1), its order).  ``filled``
+    is the least lo of a fill (``set_monomials``), trunc+1 before any:
+    every column in [filled, trunc] is a pivot, of the monomial there,
+    with no row stored, and no table row has a column at or past it.  The
+    highest column with no pivot is kept, which lets callers skip products
+    that can only reduce to zero.
     """
 
     def __init__(self, trunc: int):
@@ -128,12 +130,16 @@ class Echelon:
 
         Integer combinations with table rows clear its pivot columns up to
         its least column without a pivot.  Returns (row, that column), or
-        (row, None) when the row reduces to zero; the row is a rational
-        multiple of the reduced input, which is left as it is.
+        (row, None) when the row reduces to zero, or to a row whose least
+        column is at or past ``filled`` (a combination of the monomials
+        there); the row is a rational multiple of the reduced input, which
+        is left as it is.
         """
         row = dict(coeffs)
         while row:
             j = min(row)
+            if j >= self.filled:
+                break
             pivot_row = self.table.get(j)
             if pivot_row is None:
                 return row, j
@@ -141,10 +147,13 @@ class Echelon:
         return row, None
 
     def insert_coeffs(self, coeffs: dict):
-        """Reduce a sparse int row with columns in 0..trunc; returns the new pivot column or None."""
+        """Reduce a sparse int row with columns in 0..trunc and store it cut
+        at ``filled``; returns the new pivot column or None."""
         row, o = self.reduce(coeffs)
         if o is None:
             return None
+        if self.filled <= self.trunc and max(row) >= self.filled:  # products come cut already
+            row = {k: x for k, x in row.items() if k < self.filled}
         self.table[o] = _primitive_sparse(row, o)
         while self._free_top in self.table:
             self._free_top -= 1
@@ -162,6 +171,8 @@ class Echelon:
         reduced against the rows already done.  Those are zero at every
         pivot column but their own, so clearing one column fills in no
         other, and each row meets only pivots above its own, all at least lo.
+        The pivots from ``filled`` on are their monomials: no table row has
+        a column there.
         """
         n = self.trunc + 1 if stop is None else min(stop, self.trunc + 1)
         out = {}
@@ -170,28 +181,33 @@ class Echelon:
             for q in [q for q in row if q in out]:
                 row = _clear(row, out[q], q)
             out[p] = _primitive_sparse(row, p)
+        for p in range(max(lo, self.filled), n):
+            out[p] = {p: 1}
         return {p: tuple(_dense(out[p], n)) for p in sorted(out)}
 
     def set_monomials(self, lo: int):
-        """The fill: t^lo..t^trunc become the rows at pivots lo..trunc, every
-        other row with a column >= lo is cut at t^lo and made primitive
-        again (its pivot stays), and ``filled`` becomes lo.  Nothing when
-        lo >= ``filled``.
+        """The fill: t^lo..t^trunc become the pivots lo..trunc, with no row
+        stored (the table rows there are dropped), every other row with a
+        column >= lo is cut at t^lo and made primitive again (its pivot
+        stays), and ``filled`` becomes lo.  Nothing when lo >= ``filled``.
 
         For a caller that knows t^lo..t^trunc lie in the space it builds.
-        A row replaced or cut differs from its new row by a combination of
-        t^lo..t^trunc, which now lie in the span: the span only grows, and
-        stays in that space.  So the caller may cut at ``filled`` every row
-        it inserts and every product it forms, too.
+        A row dropped or cut differs from the monomial or the new row at
+        its pivot by a combination of t^lo..t^trunc, which now lie in the
+        span: the span only grows, and stays in that space.  So a row
+        reduced to one whose least column is >= lo is zero, every row
+        stored later is cut at ``filled``, and the caller may cut at
+        ``filled`` every product it forms, too.
         """
         if lo >= self.filled:
             return
-        for k in range(lo, self.filled):
-            self.table[k] = {k: 1}
-        for q, r in self.table.items():
-            if q < lo and max(r) >= lo:
+        for q, r in list(self.table.items()):
+            if q >= lo:
+                del self.table[q]
+            elif max(r) >= lo:
                 self.table[q] = _primitive_sparse({k: x for k, x in r.items() if k < lo}, q)
         self.filled = lo
+        self._free_top = min(self._free_top, lo - 1)
         while self._free_top in self.table:
             self._free_top -= 1
 

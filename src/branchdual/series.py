@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import PrecisionExhausted
-from .linalg import _dense, _sparse
-
-_ZERO = Fraction(0)
+from .linalg import QZERO as _ZERO, _dense, _sparse
 
 
 def _q(x) -> Fraction:
@@ -42,13 +41,25 @@ class Series:
             if len(coeffs) > trunc + 1:
                 coeffs = coeffs[: trunc + 1]
             else:
-                coeffs += [Fraction(0)] * (trunc + 1 - len(coeffs))
+                coeffs += [_ZERO] * (trunc + 1 - len(coeffs))
         return Series(tuple(coeffs), trunc)
 
     @staticmethod
     def monomial(exp: int, coeff=1, trunc=None) -> "Series":
-        c = [Fraction(0)] * exp + [_q(coeff)]
-        return Series.make(c, trunc)
+        c = _q(coeff)
+        if trunc is None and c:
+            return Series((_ZERO,) * exp + (c,))
+        return Series.make([_ZERO] * exp + [c], trunc)
+
+    @cached_property
+    def _ints(self):
+        """(order, terms, den) of a nonzero series, None for 0, from one scan:
+        ``terms`` are its nonzero coefficients times den, the lcm of their
+        denominators, as (exponent, int) pairs by increasing exponent."""
+        terms = [(k, x) for k, x in enumerate(self.coeffs) if x]
+        den = math.lcm(*[x.denominator for _, x in terms])
+        ints = tuple([(k, x.numerator * (den // x.denominator)) for k, x in terms])
+        return (terms[0][0], ints, den) if terms else None
 
     @property
     def exact(self) -> bool:
@@ -219,7 +230,7 @@ def perp(g: DiffOp, f: Series) -> Fraction:
     d = g.degree
     if not f.known_to(d):
         raise PrecisionExhausted(d)
-    s = Fraction(0)
+    s = _ZERO
     for i, gi in enumerate(g.coeffs):
         if gi != 0:
             s += gi * math.factorial(i) * f.coeff(i)

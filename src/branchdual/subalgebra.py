@@ -183,35 +183,35 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
     raised there.  Inexact generators come only from ``blowup``, of
     algebras of finite codimension.
 
-    Each generator is read once per call, by ``_int_gens``.  ``_close``
-    runs the windows on its int rows, and each window cuts them at w;
-    ``blowup_chain`` gives ``_close`` its int rows directly.
+    Each generator's int terms are read once per ``Series``, and cached
+    there (``_int_gens``).  ``_close`` runs the windows on them, and each
+    window cuts them at w; ``blowup_chain`` gives ``_close`` its int rows
+    directly.
     """
-    return _close([(o, row, trunc, deg) for o, row, trunc, deg, _ in _int_gens(A)], ceiling)
+    return _close([(o, terms, trunc, deg) for o, terms, trunc, deg, _ in _int_gens(A)], ceiling)
 
 
 def _int_gens(A: AlgebraInput):
-    """(order, sparse int row, trunc, degree, den) for each nonzero generator
-    of A, in A's order, from one scan over its coefficients: the row is its
-    nonzero entries times den, the lcm of their denominators."""
+    """(order, int terms, trunc, degree, den) for each nonzero generator of A,
+    in A's order, read from its cached ``Series._ints``: the terms are its
+    nonzero entries times den, the lcm of their denominators, as (exponent,
+    int) pairs."""
     gens = []
     for g in A.gens:
-        terms = [(k, x) for k, x in enumerate(g.coeffs) if x]
-        if not terms:
+        if g._ints is None:
             continue
-        if terms[0][0] == 0:
+        o, terms, den = g._ints
+        if o == 0:
             raise GeneratorError("generators must have positive order")
-        den = math.lcm(*[x.denominator for _, x in terms])
-        row = {k: x.numerator * (den // x.denominator) for k, x in terms}
-        gens.append((terms[0][0], row, g.trunc, len(g.coeffs) - 1, den))
+        gens.append((o, terms, g.trunc, len(g.coeffs) - 1, den))
     if not gens:
         raise GeneratorError("no nonzero generators")
     return gens
 
 
 def _close(gens, ceiling: int) -> Staircase:
-    """``closure`` of generators given as (order, sparse int row, trunc, degree),
-    trunc None for an exact generator."""
+    """``closure`` of generators given as (order, int terms, trunc, degree),
+    the terms (exponent, int) pairs, trunc None for an exact generator."""
     if not gens:
         raise GeneratorError("no nonzero generators")
     orders = [o for o, _, _, _ in gens]
@@ -240,8 +240,8 @@ def _close(gens, ceiling: int) -> Staircase:
 
 
 def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
-    """Staircase of B_w, the algebra generated by ``gens``, (order, sparse int
-    row, trunc, degree) tuples, each row cut at w, mod t^(w+1).
+    """Staircase of B_w, the algebra generated by ``gens``, (order, int terms,
+    trunc, degree) tuples, each cut at w, mod t^(w+1).
 
     Products.  Each row that enters the table at a new pivot o1 is
     multiplied by the int rows of the generators, by increasing order o2,
@@ -256,8 +256,10 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
     the monomials t^a..t^w of the fill below, whose products lie in
     t^(a+1) k[t]; and rows that went in at a pivot below a, each product
     of which was inserted or lay in the table already.  A row or product
-    cut at a, and a row the fill replaced, differs from the uncut one by
-    a combination of t^a..t^w, so none of them changes this.  A generator
+    cut at a, and a row the fill dropped, differs from the uncut one or
+    the monomial at its pivot by a combination of t^a..t^w, so none of
+    them changes this; a row taken from the queue at a pivot >= a is that
+    monomial, and ``complete_from`` skips its products.  A generator
     that added no pivot is a combination of 1, the generators before it
     and filled monomials, so its products are combinations of products
     already in V.  So V holds every product of generators: V = B_w.  The
@@ -270,14 +272,18 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
     the sums of pivots found so far cut at w, is a value of B_w.  Once
     ``reach`` holds all of [a, w], B_w has an element of each order
     a..w; these span t^a k[t] mod t^(w+1), so t^a..t^w lie in B_w, and
-    ``Echelon.set_monomials(a)`` makes them rows and cuts every other row
-    at t^a: its docstring proves that the span only grows, and it stays
-    inside B_w.  A pivot already in ``reach`` leaves it as it is; any
-    other adds its multiples (``semigroup._add_multiples``).
+    ``Echelon.set_monomials(a)`` makes them pivots with no stored row and
+    cuts every row at t^a: its docstring proves that the span only grows,
+    and it stays inside B_w.  A pivot already in ``reach`` leaves it as it
+    is; any other adds its multiples (``semigroup._add_multiples``).
 
-    The staircase is the reduced echelon form of V cut at max(c, 1), by
-    back-substitution (``Echelon.reduced``).  It is unique, so it does
-    not depend on the order in which the rows went in.  Values of gcd > 1
+    The pivots are the table's, all below a, and every column of [a, w],
+    read as such with no scan of the window: two consecutive ones give
+    gcd 1, and the conductor is one past the last column below a with no
+    row.  The staircase is the reduced echelon form of V cut at max(c, 1),
+    by back-substitution (``Echelon.reduced``); c <= a, so it reads table
+    rows only.  It is unique, so it does not depend on the order in which
+    the rows went in.  Values of gcd > 1
     raise InfiniteCodimension once w >= ``proved`` (proof in ``closure``),
     and ask for max(gcd_window, w + 1) below it.
     """
@@ -297,8 +303,8 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
             ech.set_monomials((mask ^ reach).bit_length())  # [a, w] is the top run of reach
 
     factors = []  # (order, int terms) of the generators that added a pivot
-    for o, row, _, _ in gens:  # w <= every inexact generator's trunc (``_close``'s cap)
-        row = {k: x for k, x in row.items() if k <= w}
+    for o, terms, _, _ in gens:  # w <= every inexact generator's trunc (``_close``'s cap)
+        row = {k: x for k, x in terms if k <= w}
         p = ech.insert_coeffs(row)
         if p is not None:
             factors.append((o, list(row.items())))
@@ -306,33 +312,28 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
     factors.sort(key=lambda f: f[0])
     while queue:
         o1 = queue.pop()
-        a = ech.table[o1]
+        a = ech.table.get(o1)  # None once filled: its products lie past the fill
         for o2, g in factors:
             if ech.complete_from(o1 + o2):
                 break
             found(ech.insert_coeffs(mul_coeffs(a, g, ech.filled)))
 
-    pivots = set(ech.table)
-    positive = sorted(p for p in pivots if p > 0)
-    if not positive:
-        # The window lies below every generator's order: nothing seen yet.
+    # The pivots: the table's, all below the fill, and every column of [filled, w].
+    fill, table = ech.filled, ech.table
+    positive = sorted([p for p in table if p]) + list(range(fill, min(fill + 2, w + 1)))
+    if not positive:  # the window lies below every generator's order: nothing seen yet
         raise _Inconclusive(max(o for o, _, _, _ in gens))
-    g = 0
-    for p in positive:
-        g = math.gcd(g, p)
+    g = math.gcd(*positive)  # 1 once two consecutive columns are filled
     if g > 1:
         if w >= proved:
             raise InfiniteCodimension(g, positive)
         raise _Inconclusive(max(gcd_window, w + 1))
 
-    gaps = [i for i in range(1, w + 1) if i not in pivots]
-    c = gaps[-1] + 1 if gaps else 0
-    e0 = positive[0]
-    if c + e0 - 1 > w or any(j not in pivots for j in range(c, c + e0)):
+    c = next((j + 1 for j in range(fill - 1, 0, -1) if j not in table), 0)  # past the last gap
+    if c + positive[0] - 1 > w:
         raise _Inconclusive(2 * w)
     top = max(c, 1)  # k[[t]] keeps its row b_0 = 1
-    table = {p: r for p, r in ech.table.items() if p < top}  # below the fill: c <= filled
-    return Staircase(ech.reduced(stop=top), c, w, table)
+    return Staircase(ech.reduced(stop=top), c, w, {p: r for p, r in table.items() if p < top})
 
 
 def membership(f: Series, S: Staircase) -> bool:
@@ -387,13 +388,19 @@ def hilbert(S: Staircase) -> HilbertData:
     value: values of m^(i+1) mod t^(L_i) only.  Once it holds all of
     [a, L_i), m^(i+1) mod t^(L_i) has an element of each order a..L_i - 1;
     these span t^a k[t] mod t^(L_i), so t^a..t^(L_i - 1) lie in it, and
-    ``Echelon.set_monomials(a)`` makes them rows.  Every product of order
+    ``Echelon.set_monomials(a)`` makes them pivots.  Every product of order
     >= a lies in it then, and ``complete_from`` skips it.
 
     Cut.  The fill cuts every table row of pivot below a at t^a, and each
     later product is cut there; ``Echelon.set_monomials`` proves that
-    neither changes the span.  The rows carried to the next power are a
-    basis of m^(i+1) mod t^(L_i) still.
+    neither changes the span.  The monomials t^a..t^(L_i - 1) are pivots
+    with no stored row, so the next power is handed the table rows, all
+    below a, and a: with the monomials these are a basis of m^(i+1) mod
+    t^(L_i) still, and its rank is the number of rows plus L_i - a.  A
+    monomial t^p, p >= a, adds to the next power's ``reach`` its sums with
+    the positive values, all >= a + e0, of which p + e0 covers [a + e0,
+    L_(i+1)); each of its products has order >= a + e0, so lies in that
+    power's first fill, and is skipped.
 
     Stop rule.  l(M/xM) = e0 for every B-module t^N k[[t]] in M in k[[t]]
     (compare both with k[[t]]/x k[[t]]), and x*m^n lies in m^(n+1), so
@@ -412,25 +419,28 @@ def hilbert(S: Staircase) -> HilbertData:
     ]
     rows = {v: {k: x for k, x in r.items() if k < c} for v, r in small.items() if v}
     below = sum([1 << v for v in S.values])  # the values of B below c
-    L, hf1 = c, [1]
+    L, power, hf1 = c, (rows, c), [1]  # m mod t^c: its rows, no fill
     while len(hf1) == 1 or hf1[-1] - hf1[-2] != e0:
         L += e0
         values = below | ((1 << L) - (1 << c))  # the values of B below L
-        rows = _products(rows, factors, L, values)
-        hf1.append(len(S.values) + L - c - len(rows))
+        power = _products(power, factors, L, values)
+        hf1.append(len(S.values) + L - c - len(power[0]) - (L - power[1]))  # rank: rows, monomials
     hf1.append(hf1[-1] + e0)
     hf = [1] + [hf1[k] - hf1[k - 1] for k in range(1, len(hf1))]
     return HilbertData(tuple(hf), tuple(hf1), e0 * len(hf1) - hf1[-1])
 
 
-def _products(rows, factors, L: int, values: int) -> dict:
-    """The echelon table of m^(i+1) mod t^L, with its fill: the products a*g,
-    a a sparse row of m^i by pivot in ``rows`` and g the sorted int terms of
-    (order, terms) ``factors`` by increasing order, ``values`` the bit set of
-    the values of B below L (proofs in ``hilbert``)."""
+def _products(power, factors, L: int, values: int):
+    """m^(i+1) mod t^L as its echelon table and fill point: the products a*g,
+    a a sparse row of m^i by pivot in ``rows`` or a monomial t^p,
+    ``filled`` <= p < L - e0, for ``power`` = (rows, filled), and g the sorted
+    int terms of (order, terms) ``factors`` by increasing order, the first at
+    e0; ``values`` is the bit set of the values of B below L (proofs in
+    ``hilbert``)."""
+    rows, filled = power
     ech = Echelon(L - 1)
     mask = (1 << L) - 1
-    reach = 0
+    reach = mask ^ ((1 << (filled + factors[0][0])) - 1)  # each t^p plus e0, the least positive value
     for p in rows:
         reach |= (values ^ 1) << p  # p plus a positive value
     reach &= mask
@@ -443,7 +453,7 @@ def _products(rows, factors, L: int, values: int) -> dict:
             if p is not None:
                 reach |= (values << p) & mask
                 ech.set_monomials((mask ^ reach).bit_length())
-    return ech.table
+    return ech.table, ech.filled
 
 
 def blowup(S: Staircase, prec: int | None = None) -> AlgebraInput:
@@ -463,14 +473,14 @@ def blowup(S: Staircase, prec: int | None = None) -> AlgebraInput:
     if prec is None:
         prec = max(2 * S.conductor + 16, 32)
     return AlgebraInput(tuple([
-        Series.make(_rational_row(_dense(row, prec + 1), o), prec)
-        for o, row, _, _ in _blowup_rows(S, prec)
+        Series.make(_rational_row(_dense(dict(terms), prec + 1), o), prec)
+        for o, terms, _, _ in _blowup_rows(S, prec)
     ]))
 
 
 def _blowup_rows(S: Staircase, prec: int):
     """``blowup``'s generators mod t^(prec+1) as ``_close`` takes them:
-    (order, sparse int row, prec, prec), each an int multiple of the monic
+    (order, int terms, prec, prec), each an int multiple of the monic
     generator, in ``blowup``'s order, those of order above prec (x
     included) dropped.
 
@@ -486,12 +496,12 @@ def _blowup_rows(S: Staircase, prec: int):
         return S.rows[v] if v < c else (0,) * v + (1,)
 
     u = row(e0)[e0:]
-    out = [(e0, _sparse(row(e0)[: prec + 1]), prec, prec)] if e0 <= prec else []
+    out = [(e0, tuple(_sparse(row(e0)[: prec + 1]).items()), prec, prec)] if e0 <= prec else []
     for v in from_staircase(S.values, c).generators[1:]:
         s = v - e0  # the order of b_v/x: b_v/t^v and u are units
         if s <= prec:
             q = _quotient_ints(row(v)[v:], u, prec + 1 - s)
-            out.append((s, {s + k: r for k, r in enumerate(q) if r}, prec, prec))
+            out.append((s, tuple([(s + k, r) for k, r in enumerate(q) if r]), prec, prec))
     return out
 
 

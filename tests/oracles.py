@@ -617,3 +617,35 @@ def derivation_naive(g_coeffs, B):
             if _order_list(a) + _order_list(b) <= d and perp_list(g_coeffs, poly_mul(a, b, d)) != 0:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# report formatting, on Fractions
+
+
+def format_terms_naive(terms, var):
+    """The (exponent, nonzero Fraction) pairs, by increasing exponent, as an
+    expression: signs, magnitudes and unit coefficients read off the
+    Fractions themselves."""
+    if not terms:
+        return "0"
+    parts = []
+    for k, (i, c) in enumerate(terms):
+        neg = c < 0
+        mag = -c if neg else c
+        if i == 0:
+            body = str(mag)
+        else:
+            head = "" if mag == 1 else f"{mag} "
+            body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
+        if k == 0:
+            parts.append(("-" if neg else "") + body)
+        else:
+            parts.append(("- " if neg else "+ ") + body)
+    return " ".join(parts)
+
+
+def format_rational_naive(x):
+    """A rational as "p" or "p/q"."""
+    x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

@@ -208,6 +208,18 @@ def test_exponent_above_limit_exit_3(gens, position, capsys):
     assert f"(at position {position})" in report["error"]["message"]
 
 
+def test_long_generator_list_exits_3_before_allocation():
+    # 20,000 generators of degree 9,999 would be 2e8 dense coefficients; the
+    # list bound refuses them from their parsed terms, with a report
+    report, code = run_checked(JobSpec("analyze", ["t^9999+t^9998"] * 20_000))
+    assert code == 3
+    assert report["error"]["type"] == "ExpressionError"
+    assert report["error"]["message"] == "200000000 coefficients in the list, above the limit 100000"
+    report, code = run_checked(JobSpec("check-af", ["t^2", "t^3"], {"v": ";".join(["u^9999"] * 11)}))
+    assert code == 3
+    assert report["error"]["message"] == "110000 coefficients in the list, above the limit 100000"
+
+
 @pytest.mark.parametrize(
     "gens, position",
     [("t^\u00b2,t^3", 2), ("\u00b2t^3", 0), ("t^3+" + "7" * 5000 + " t^5", 4)],

@@ -1,16 +1,21 @@
 """Expression parsing and printing."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import format_rational_naive, format_terms_naive, random_branch
 
+from branchdual import cli
 from branchdual.errors import ExpressionError
 from branchdual.expressions import (
     MAX_COEFF_DIGITS,
+    MAX_LIST_COEFFS,
     _format_row,
+    _format_terms,
     MAX_EXPONENT,
     format_diffop,
     format_rational,
@@ -21,8 +26,10 @@ from branchdual.expressions import (
     parse_operators,
     parse_series,
 )
+from branchdual.inverse_system import inverse_system, rosenlicht, transport_dual
 from branchdual.linalg import _rational_row
 from branchdual.series import DiffOp, Series
+from branchdual.subalgebra import AlgebraInput, closure
 
 F = Fraction
 
@@ -148,14 +155,23 @@ def rendered_sums(draw, var):
     return text, [want.get(i, 0) for i in range(10)]
 
 
+def well_formed(f) -> bool:
+    """Only ``Fraction`` coefficients and, for an exact series or an operator,
+    no trailing zero: what ``Series.make`` and ``DiffOp.make`` would give."""
+    exact = not isinstance(f, Series) or f.exact
+    return all(type(c) is F for c in f.coeffs) and not (exact and f.coeffs and f.coeffs[-1] == 0)
+
+
 @given(rendered_sums("t"), rendered_sums("u"))
 @settings(max_examples=200, deadline=None)
 def test_rendered_sums_parse_to_their_coefficients(series_case, op_case):
+    # the parser builds its Series and DiffOps without ``make``, as ``make`` would
     text, want = series_case
-    assert parse_series(text).coeffs == Series.make(want).coeffs
-    assert parse_generators([text, text])[1].coeffs == Series.make(want).coeffs
+    for f in [parse_series(text), parse_expression(text)] + parse_generators([text, text]):
+        assert well_formed(f) and f == Series.make(want)
     text, want = op_case
-    assert parse_diffop(text).coeffs == DiffOp.make(want).coeffs
+    for g in [parse_diffop(text)] + parse_operators(f"{text};{text}"):
+        assert well_formed(g) and g == DiffOp.make(want)
 
 
 def test_parse_errors():
@@ -260,3 +276,113 @@ def primitive_rows(draw):
 def test_int_row_formatting_matches_format_series(case):
     row, o = case
     assert _format_row(row, o) == format_series(Series.make(_rational_row(row, o)))
+
+
+@pytest.mark.parametrize(
+    "text, sums",
+    [
+        ("t - t", []),
+        ("1/2 t + 1/2 t", [0, F(1)]),
+        ("t^3 + t - t^3", [0, F(1)]),
+        ("-0 t^2 + t", [0, F(1)]),
+        ("2 t^2 + 1/2 t^2 - 3/4 t^2 + t^2", [0, 0, F(11, 4)]),  # ints and fractions at one exponent
+        ("1/3 - 1 + 2/3 + t", [0, F(1)]),
+        ("-1/2 t^4 + 3 t^4 - 5/2 t^4 + t", [0, F(1)]),  # a cancelled top term
+    ],
+)
+def test_repeated_exponents_parse_to_make_of_their_sums(text, sums):
+    got = parse_series(text)
+    assert well_formed(got) and got == Series.make(sums)
+    assert parse_diffop(text.replace("t", "u")) == DiffOp.make(sums)
+
+
+NONZERO = st.one_of(
+    st.sampled_from([F(1), F(-1)]),
+    st.integers(-40, 40).filter(bool).map(F),
+    st.fractions(min_value=-20, max_value=20, max_denominator=15).filter(bool),
+)
+
+
+@st.composite
+def term_lists(draw):
+    """(exponent, nonzero Fraction) pairs by increasing exponent: signs, +-1,
+    ints and p/q, a constant term sometimes, the empty list too."""
+    return [(i, draw(NONZERO)) for i in sorted(draw(st.sets(st.integers(0, 12), max_size=7)))]
+
+
+@given(term_lists())
+@example([])
+@example([(0, F(-1)), (1, F(1)), (2, F(-1, 2)), (3, F(7)), (4, F(-1))])
+@example([(0, F(3, 2)), (1, F(-1)), (5, F(1, 9))])
+@settings(max_examples=300, deadline=None)
+def test_one_formatter_gives_the_bytes_of_the_fraction_formatter(terms):
+    # triples through ``_format_terms`` and ``_rational``: the same strings as
+    # the Fraction formatter, for expressions and an operator's coefficient map
+    dense = [F(0)] * (terms[-1][0] + 1 if terms else 0)
+    for i, c in terms:
+        dense[i] = c
+    for var in "tu":
+        want = format_terms_naive(terms, var)
+        assert _format_terms([(i, c.numerator, c.denominator) for i, c in terms], var) == want
+    assert format_series(Series.make(dense)) == format_terms_naive(terms, "t")
+    g = DiffOp.make(dense)
+    assert format_diffop(g) == format_terms_naive(terms, "u")
+    assert cli._op_entry(g) == {
+        "expr": format_terms_naive(terms, "u"),
+        "coefficients": {str(i): format_rational_naive(c) for i, c in terms},
+    }
+    assert [format_rational(c) for _, c in terms] == [format_rational_naive(c) for _, c in terms]
+
+
+def naive_op_entry(g):
+    terms = [(i, c) for i, c in enumerate(g.coeffs) if c]
+    return {"expr": format_terms_naive(terms, "u"),
+            "coefficients": {str(i): format_rational_naive(c) for i, c in terms}}
+
+
+@given(NONZERO, st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_transport_matrix_cells_match_the_fraction_formatter(h1, tail):
+    h = Series.make([0, h1] + tail)
+    gens = ["t^3 + 1/2 t^4", "t^5"]
+    report, code = cli.run(cli.JobSpec("transport", gens, {"h": format_series(h)}))
+    assert code == 0
+    S = closure(AlgebraInput.make(parse_generators(gens)))
+    M, V1 = transport_dual(h, S.conductor, inverse_system(S))
+    assert report["result"]["matrix"] == [
+        [format_rational_naive(x) if x else "0" for x in M.row(i)] for i in range(M.rows)]
+    assert report["result"]["basis"] == [naive_op_entry(g) for g in V1.basis]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_laurent_maps_match_the_fraction_formatter(seed):
+    gens = [format_series(Series.make([d.get(i, 0) for i in range(max(d) + 1)]))
+            for d in random_branch(random.Random(seed), max_delta=6)]
+    report, code = cli.run(cli.JobSpec("canonical", gens))
+    assert code == 0
+    S = closure(AlgebraInput.make(parse_generators(gens)))
+    assert report["result"]["basis"] == [
+        {"operator": naive_op_entry(g)["expr"],
+         "laurent": {str(e): format_rational_naive(c) for e, c in sorted(rosenlicht(g, S.conductor).items())}}
+        for g in inverse_system(S).basis
+    ]
+    report, code = cli.run(cli.JobSpec("inverse-system", gens))
+    assert report["result"]["basis"] == [naive_op_entry(g) for g in inverse_system(S).basis]
+
+
+def test_list_size_is_bounded_before_allocation():
+    # sum of (degree + 1) over a list: exactly the limit parses, one more
+    # coefficient does not, and a cancelled term counts no degree.  The limit
+    # is the README's; this test allocates that many coefficients
+    assert MAX_LIST_COEFFS == 100_000
+    k = MAX_LIST_COEFFS // 10_000
+    at_limit = [f"t^{9_999}"] * k
+    assert len(parse_generators(at_limit)) == k
+    assert len(parse_operators(";".join([f"u^{9_999}"] * k))) == k
+    assert parse_generators(at_limit + ["t^5 - t^5"])[-1].coeffs == ()
+    reason = f"{MAX_LIST_COEFFS + 2} coefficients in the list, above the limit {MAX_LIST_COEFFS}"
+    for parse, text in [(parse_generators, at_limit + ["t"]), (parse_operators, ";".join([f"u^{9_999}"] * k + ["u"]))]:
+        with pytest.raises(ExpressionError) as ex:
+            parse(text)
+        assert ex.value.reason == reason

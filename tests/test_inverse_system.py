@@ -32,6 +32,7 @@ from branchdual.series import DiffOp, Series, mul, order, perp, truncate
 from branchdual.subalgebra import AlgebraInput, closure, membership
 
 from test_subalgebra import LADDER as SUBALGEBRA_LADDER
+from test_expressions import well_formed
 from test_subalgebra import check_staircase_rows
 
 from oracles import (
@@ -1094,3 +1095,24 @@ def test_residue_pairing_identity_property(g_coeffs, f_coeffs):
     c = max(g.degree + 1, 1)
     f = Series.make(f_coeffs, trunc=max(len(f_coeffs), c) + 1)
     assert residue(f, rosenlicht(g, c)) == perp(g, f)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_series_and_operators_built_without_make_are_well_formed(seed):
+    # monomials, cutting elements and inverse-system bases skip ``make``:
+    # each holds only Fractions, with no trailing zero, as ``make`` would give
+    rng = random.Random(seed)
+    exp, coeff = rng.randint(0, 9), rng.choice([1, -2, F(1, 3), 0])
+    m = Series.monomial(exp, coeff)
+    assert well_formed(m) and m == Series.make([0] * exp + [coeff])
+    sc = closure(AlgebraInput.make([S(d) for d in random_branch(rng, max_delta=7)]))
+    for g in inverse_system(sc).basis:
+        assert well_formed(g) and g == DiffOp.make(g.coeffs)
+    prev = sc
+    for step in standard_filtration(sc).steps:
+        l = step.cutting_element
+        assert well_formed(l) and l.exact and l == Series.make(l.coeffs)
+        cut = cutting_derivation(prev, step.new_algebra)
+        assert well_formed(cut.l) and well_formed(cut.operator) and cut.l == l
+        prev = step.new_algebra

@@ -249,7 +249,9 @@ def test_sparse_echelon_matches_gauss_jordan(case, lo):
     # mostly-zero rows, some of them inserted after the fill: the reduced form
     # at every stop is the naive Gauss-Jordan form of the rows and monomials
     # cut there, as dense primitive int tuples.  The fill at mono cuts every
-    # row below it at mono, and a fill above it changes nothing
+    # row below it at mono, and a fill above it changes nothing.  The
+    # monomials are pivots with no stored row: no table pivot or column is at
+    # or past mono, before and after rows with columns there go in
     width, before, mono, after = case
     ech = Echelon(width - 1)
     dense = []
@@ -264,12 +266,19 @@ def test_sparse_echelon_matches_gauss_jordan(case, lo):
         dense += [[int(k == j) for k in range(width)] for j in range(mono, width)]
         assert ech.filled == mono
         assert all(k < mono for p, row in ech.table.items() if p < mono for k in row)
+        assert all(p < mono for p in ech.table)
+        assert all(ech.complete_from(s) for s in range(mono, width + 1))
         table = {p: dict(row) for p, row in ech.table.items()}
         ech.set_monomials(mono + 1)
         assert ech.table == table and ech.filled == mono
+        if mono < width:
+            after = [{**r, width - 1: 3} for r in after]  # each carries a column >= mono
     for r in after:
         ech.insert_coeffs(r)
         dense.append(_dense(r, width))
+    if mono is not None:
+        assert all(p < mono and max(row) < mono for p, row in ech.table.items())
+        assert all(ech.complete_from(s) for s in range(mono, width + 1))
     for p, row in ech.table.items():
         assert min(row) == p and row[p] > 0 and all(x != 0 for x in row.values())
     for stop in [None] + list(range(width + 1)):

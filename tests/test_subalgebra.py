@@ -14,7 +14,8 @@ from branchdual.cli import JobSpec, run
 from branchdual.errors import GeneratorError, InfiniteCodimension, PrecisionExhausted
 from branchdual.expressions import parse_series
 from branchdual.linalg import _dense, _integer_row
-from branchdual.semigroup import from_staircase
+from branchdual.inverse_system import inverse_system
+from branchdual.semigroup import from_staircase, gorenstein_check
 from branchdual.series import Series, mul, mul_coeffs, order, truncate
 from branchdual.subalgebra import (
     AlgebraInput,
@@ -853,12 +854,19 @@ def random_plane_branch(rng, max_delta=150):
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_plane_branches_match_their_characteristic(seed):
-    # closed-form invariants from the characteristic exponents, up to delta 150
+    # closed-form invariants from the characteristic exponents, up to delta
+    # 150: a plane branch is Gorenstein, and its inverse system has dimension
+    # delta and top degree c - 1
     e0, betas, gens = random_plane_branch(random.Random(seed))
     facts = plane_branch_facts(e0, betas)
     sc = closure(AlgebraInput.make(gens))
     assert (sc.gaps, sc.delta, sc.conductor, sc.e0) == (facts["gaps"], facts["delta"], facts["conductor"], e0)
     assert from_staircase(sc.values, sc.conductor).generators == facts["generators"]
+    chk = gorenstein_check(from_staircase(sc.values, sc.conductor))
+    assert chk.symmetric and chk.c_equals_2delta and chk.palindromic_inverse
+    V = inverse_system(sc)
+    assert V.dim == len(V.basis) == facts["delta"]
+    assert max(g.degree for g in V.basis) == facts["conductor"] - 1
     h = hilbert(sc)
     assert h.hf == facts["hf"] and h.e1 == e0 * (e0 - 1) // 2
     ch = blowup_chain(sc)
