@@ -1,7 +1,9 @@
 """Command-line surface: job parsing, dispatch, and JSON/text reports.
 
 ``run`` is the one place that parses a job's generators, reads its
-ceiling, closes the branch and maps an exception to an exit code.
+ceiling, closes the branch and maps an exception to an exit code.  A job
+is a :class:`JobSpec`, the one mutable record; ``argparse`` is imported
+by ``build_parser``, so only ``main`` loads it.
 
 Exit codes: 0 success, 2 infinite codimension, 3 expression/job parse
 error (a ``trunc`` above ``MAX_TRUNC`` included), a usage error or an
@@ -14,11 +16,9 @@ anywhere.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .errors import (
     BranchDualError,
@@ -27,6 +27,7 @@ from .errors import (
     InfiniteCodimension,
     NotAlgebraForming,
     PrecisionExhausted,
+    _Record,
 )
 from .expressions import (
     _format_row,
@@ -69,14 +70,25 @@ SCHEMA_VERSION = "1"
 
 MAX_TRUNC = 4096  # the largest truncation ceiling accepted: 8x the default
 
+_NEW = object()  # JobSpec's default: each call makes a new list or dict
 
-@dataclass
-class JobSpec:
-    """One unit of work: a command plus its inputs."""
 
-    command: str
-    generators: list = field(default_factory=list)
-    options: dict = field(default_factory=dict)
+class JobSpec(_Record):
+    """One unit of work: a command plus its inputs; mutable, so unhashable.
+
+    ``generators`` and ``options`` default to a new list and dict.
+    """
+
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, command: str, generators: list = _NEW, options: dict = _NEW):
+        self.__dict__.update(
+            command=command,
+            generators=[] if generators is _NEW else generators,
+            options={} if options is _NEW else options,
+        )
 
 
 class UnknownCommand(BranchDualError):
@@ -413,14 +425,16 @@ def _load_job_file(path: str) -> JobSpec:
     return JobSpec(str(data["command"]), list(gens), dict(options))
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # A usage error is an input error, exit 3: argparse's 2 means infinite codimension here.
-        self.print_usage(sys.stderr)
-        self.exit(3, f"{self.prog}: error: {message}\n")
+def build_parser():
+    """The command-line parser; ``argparse`` is imported here, so only ``main`` pays for it."""
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            # A usage error is an input error, exit 3: argparse's 2 means infinite codimension here.
+            self.print_usage(sys.stderr)
+            self.exit(3, f"{self.prog}: error: {message}\n")
 
-def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="branchdual",
         description="Exact invariants and dualities of curve-singularity branches in k[[t]].",

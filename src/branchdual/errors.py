@@ -1,4 +1,43 @@
-"""Exception types shared across the package."""
+"""Exception types, and the base of the record types, shared across the package."""
+
+
+class _Record:
+    """Base of the package's records: equality, hash and repr by field.
+
+    The fields are the parameters of the subclass's own ``__init__``, in
+    order, unless the class sets ``_fields`` itself; that ``__init__``
+    stores them into ``self.__dict__``, so ``functools.cached_property``
+    still works.  Two records are equal when they are of the same class
+    with equal field tuples; the hash is the field tuple's.  Assigning or
+    deleting an attribute raises ``AttributeError``.
+    """
+
+    def __init_subclass__(cls):
+        if "_fields" not in cls.__dict__:
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self):
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        d = self.__dict__
+        return f"{type(self).__qualname__}({', '.join([f'{f}={d[f]!r}' for f in self._fields])})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class BranchDualError(Exception):

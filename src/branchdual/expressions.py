@@ -117,9 +117,15 @@ def _coeffs(terms) -> tuple:
     return tuple(out)
 
 
-def _bounded(found: list, kind) -> list:
-    """A ``kind`` (Series or DiffOp) of each parsed list element's terms, once
-    their sum of (degree + 1) is checked against MAX_LIST_COEFFS."""
+def _parse_list(text: str, parts: list, kind) -> list:
+    """A ``kind`` (Series or DiffOp) of each of the ``parts`` that make up
+    ``text``, one separator between two, each parsed in place, so error
+    positions count from the start of ``text``; built once their sum of
+    (degree + 1) is checked against MAX_LIST_COEFFS."""
+    found, pos = [], 0
+    for part in parts:
+        found.append(_terms(text, pos, pos + len(part), "t" if kind is Series else "u"))
+        pos += len(part) + 1
     total = sum([max(terms) + 1 for terms in found if terms])
     if total > MAX_LIST_COEFFS:
         raise ExpressionError(f"{total} coefficients in the list, above the limit {MAX_LIST_COEFFS}")
@@ -173,18 +179,14 @@ def parse_generators(text):
     by MAX_LIST_COEFFS before any coefficient tuple is built.
     """
     parts = text.split(",") if isinstance(text, str) else list(text)
-    joined = ",".join(parts)
-    found, pos = [], 0
-    for part in parts:
-        found.append(_terms(joined, pos, pos + len(part), "t"))
-        pos += len(part) + 1
-    return _bounded(found, Series)
+    return _parse_list(",".join(parts), parts, Series)
 
 
 def parse_operators(text: str):
-    """Parse a semicolon-separated list of operator expressions, their sum of
-    (degree + 1) bounded by MAX_LIST_COEFFS before any is built."""
-    return _bounded([_terms(part, 0, len(part), "u") for part in text.split(";")], DiffOp)
+    """Parse a semicolon-separated list of operator expressions, each in place
+    in the text, so error positions count from its start; their sum of
+    (degree + 1) is bounded by MAX_LIST_COEFFS before any is built."""
+    return _parse_list(text, text.split(";"), DiffOp)
 
 
 def _rational(num: int, den: int) -> str:

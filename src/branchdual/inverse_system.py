@@ -7,16 +7,16 @@ computes that space, decides when an operator space cuts out a
 subalgebra (algebra-forming certificates), intersects annihilators with
 B, builds standard filtrations with their cutting derivations,
 transports inverse systems along reparametrizations, and produces the
-Laurent (residue) representatives of inverse-system elements.
+Laurent (residue) representatives of inverse-system elements.  Its
+results are read-only records (``errors._Record``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalError, NotAlgebraForming, PrecisionExhausted
+from .errors import InternalError, NotAlgebraForming, PrecisionExhausted, _Record
 from .linalg import QONE, QZERO, Echelon, QMatrix, _dense, _integer_row, _primitive, _rational_row, _sparse
 from .series import DiffOp, Series, mul_coeffs, order
 from .subalgebra import (
@@ -28,59 +28,53 @@ from .subalgebra import (
 )
 
 
-@dataclass(frozen=True)
-class InverseSystem:
+class InverseSystem(_Record):
     """Reduced basis of an annihilating operator space.
 
     ``basis`` is in reduced echelon form by leading degree, each element
     monic in its leading coefficient, listed by increasing degree.
     """
 
-    basis: tuple
-    dim: int
-    conductor_bound: int
+    def __init__(self, basis: tuple, dim: int, conductor_bound: int):
+        self.__dict__.update(basis=basis, dim=dim, conductor_bound=conductor_bound)
 
 
-@dataclass(frozen=True)
-class AFCertificate:
+class AFCertificate(_Record):
     """Outcome of the algebra-forming test.
 
     On failure ``witness`` is a series f with perp(g, f) = 0 for every g
     in the tested space but perp(g, f^2) != 0 for some g.
     """
 
-    verdict: bool
-    witness: Series | None = None
+    def __init__(self, verdict: bool, witness: Series | None = None):
+        self.__dict__.update(verdict=verdict, witness=witness)
 
 
-@dataclass(frozen=True)
-class FiltrationStep:
-    gap_exponent: int
-    new_algebra: Staircase
-    cutting_element: Series
+class FiltrationStep(_Record):
+    def __init__(self, gap_exponent: int, new_algebra: Staircase, cutting_element: Series):
+        self.__dict__.update(gap_exponent=gap_exponent, new_algebra=new_algebra, cutting_element=cutting_element)
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(_Record):
     """Chain B = B_0 < B_1 < ... < B_delta = k[[t]], one dimension a step.
 
     Step i adjoins the monomial t^gap_exponent and records a cutting
     element l with Ker(d_l) = B_(i-1) inside B_i.
     """
 
-    steps: tuple
+    def __init__(self, steps: tuple):
+        self.__dict__.update(steps=steps)
 
 
-@dataclass(frozen=True)
-class CuttingDerivation:
+class CuttingDerivation(_Record):
     """Element l of the bigger algebra whose functional cuts out the smaller.
 
     ``operator`` is the matching differential operator: sum c_i u^i for
     l = sum c_i t^i.
     """
 
-    l: Series
-    operator: DiffOp
+    def __init__(self, l: Series, operator: DiffOp):
+        self.__dict__.update(l=l, operator=operator)
 
 
 def _op_rows(ops, width: int) -> dict:

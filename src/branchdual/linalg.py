@@ -16,7 +16,8 @@ changes).
 The reduced rows leave as dense primitive int tuples; ``_rational_row``
 makes one exact rationals (``fractions.Fraction``).  ``rref``, ``nullspace``
 and ``solve`` reduce ``Fraction`` matrices (:class:`QMatrix`) through the
-same kernel, but no engine path calls them: :class:`QMatrix` only carries
+same kernel, but no engine path calls them: :class:`QMatrix`, a read-only
+record (``errors._Record``) that checks its entry count, only carries
 the matrix M of ``transport_dual``'s report; transport composes int rows
 and solves nothing.  No floating point is used anywhere.
 
@@ -31,8 +32,9 @@ them until a full garbage collection, which integer rows, unlike
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import _Record
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -212,17 +214,13 @@ class Echelon:
             self._free_top -= 1
 
 
-@dataclass(frozen=True)
-class QMatrix:
+class QMatrix(_Record):
     """Dense row-major rational matrix."""
 
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match rows*cols")
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
     @staticmethod
     def from_rows(rows) -> "QMatrix":

@@ -2,34 +2,31 @@
 
 Gap sets, conductors, symmetry, the three equivalent Gorenstein
 predicates for monomial algebras, inverse systems of monomial algebras,
-and saturation generators derived from characteristic exponents.
+and saturation generators derived from characteristic exponents.  The
+semigroup, the Gorenstein check and the characteristic are read-only
+records (``errors._Record``).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
-from .errors import GeneratorError, InternalError, NonCoprime
+from .errors import GeneratorError, InternalError, NonCoprime, _Record
 from .series import DiffOp
 
 MAX_SIEVE = 100_000  # the largest Schur bound ``from_generators`` sieves up to
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(_Record):
     """Cofinite additive sub-semigroup of the natural numbers.
 
     ``generators`` is the minimal generating system; ``genus`` counts
     the gaps.
     """
 
-    generators: tuple
-    conductor: int
-    gaps: tuple
-    e0: int
-    genus: int
+    def __init__(self, generators: tuple, conductor: int, gaps: tuple, e0: int, genus: int):
+        self.__dict__.update(generators=generators, conductor=conductor, gaps=gaps, e0=e0, genus=genus)
 
     def contains(self, n: int) -> bool:
         i = bisect_left(self.gaps, n)  # gaps ascend
@@ -130,11 +127,11 @@ def monomial_inverse_system(D: NumericalSemigroup) -> InverseSystem:
     return InverseSystem(basis, D.genus, D.conductor)
 
 
-@dataclass(frozen=True)
-class GorensteinCheck:
-    symmetric: bool
-    c_equals_2delta: bool
-    palindromic_inverse: bool
+class GorensteinCheck(_Record):
+    def __init__(self, symmetric: bool, c_equals_2delta: bool, palindromic_inverse: bool):
+        self.__dict__.update(
+            symmetric=symmetric, c_equals_2delta=c_equals_2delta, palindromic_inverse=palindromic_inverse
+        )
 
 
 def gorenstein_check(D: NumericalSemigroup) -> GorensteinCheck:
@@ -153,8 +150,7 @@ def gorenstein_check(D: NumericalSemigroup) -> GorensteinCheck:
     return GorensteinCheck(sym, c2d, palin)
 
 
-@dataclass(frozen=True)
-class Characteristic:
+class Characteristic(_Record):
     """Multiplicity with characteristic exponents and their normalization.
 
     The derived pairs satisfy beta_v / e0 = m_v / (n_1 ... n_v) with
@@ -162,10 +158,8 @@ class Characteristic:
     beta_v) (n_v > 1), and the last must bring it to 1.
     """
 
-    e0: int
-    betas: tuple
-    m: tuple = field(default=())
-    n: tuple = field(default=())
+    def __init__(self, e0: int, betas: tuple, m: tuple = (), n: tuple = ()):
+        self.__dict__.update(e0=e0, betas=betas, m=m, n=n)
 
     @staticmethod
     def make(e0: int, betas) -> "Characteristic":

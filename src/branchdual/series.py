@@ -4,17 +4,18 @@ A :class:`Series` is known modulo ``t^(trunc+1)``; ``trunc=None`` marks an
 exact polynomial (all higher coefficients are genuinely zero), which is
 what the expression parser produces and what adaptive-precision closure
 relies on.  A :class:`DiffOp` is an exact polynomial in u acting on series
-by differentiation; the pairing ``perp(g, f) = (g(d/dt) f)(0)``.
+by differentiation; the pairing ``perp(g, f) = (g(d/dt) f)(0)``.  Both
+are read-only records (``errors._Record``), compared, hashed and printed
+by their fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import PrecisionExhausted
+from .errors import PrecisionExhausted, _Record
 from .linalg import QZERO as _ZERO, _dense, _sparse
 
 
@@ -24,12 +25,11 @@ def _q(x) -> Fraction:
     return Fraction(x) if x else _ZERO
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(_Record):
     """Power series sum(coeffs[i] t^i), known modulo t^(trunc+1)."""
 
-    coeffs: tuple
-    trunc: int | None = None  # None: exact polynomial
+    def __init__(self, coeffs: tuple, trunc: int | None = None):  # None: exact polynomial
+        self.__dict__.update(coeffs=coeffs, trunc=trunc)
 
     @staticmethod
     def make(coeffs, trunc=None) -> "Series":
@@ -185,11 +185,11 @@ def truncate(f: Series, s: int) -> Series:
     return Series.make(list(f.coeffs[: s + 1]), s)
 
 
-@dataclass(frozen=True)
-class DiffOp:
+class DiffOp(_Record):
     """Polynomial sum(coeffs[i] u^i) acting on series by differentiation."""
 
-    coeffs: tuple
+    def __init__(self, coeffs: tuple):
+        self.__dict__.update(coeffs=coeffs)
 
     @staticmethod
     def make(coeffs) -> "DiffOp":

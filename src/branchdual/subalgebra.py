@@ -3,16 +3,17 @@
 ``closure`` turns a generator list into the canonical staircase of the
 generated algebra: a reduced echelon basis mod t^c together with the value
 semigroup window, conductor, delta and multiplicity.  On top of that sit
-the Hilbert function, e1, and the blow-up chain.
+the Hilbert function, e1, and the blow-up chain.  The results are
+read-only records (``errors._Record``); a ``Staircase`` compares and
+hashes by its rows and conductor only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import GeneratorError, InfiniteCodimension, PrecisionExhausted
+from .errors import GeneratorError, InfiniteCodimension, PrecisionExhausted, _Record
 from .linalg import Echelon, _dense, _rational_row, _sparse
 from .semigroup import _add_multiples, from_staircase
 from .series import Series, _quotient_ints, mul_coeffs
@@ -20,19 +21,18 @@ from .series import Series, _quotient_ints, mul_coeffs
 DEFAULT_TRUNC_CEILING = 512
 
 
-@dataclass(frozen=True)
-class AlgebraInput:
+class AlgebraInput(_Record):
     """Generators of a subalgebra of k[[t]], each of positive order."""
 
-    gens: tuple
+    def __init__(self, gens: tuple):
+        self.__dict__.update(gens=gens)
 
     @staticmethod
     def make(gens) -> "AlgebraInput":
         return AlgebraInput(tuple(gens))
 
 
-@dataclass(frozen=True, eq=False)
-class Staircase:
+class Staircase(_Record):
     """Canonical presentation of a finite-codimension subalgebra.
 
     ``rows`` maps each value v below max(c, 1), in increasing order, to the
@@ -49,10 +49,10 @@ class Staircase:
     report; ``sparse_rows`` reads it.
     """
 
-    rows: dict
-    conductor: int
-    work_trunc: int
-    echelon: dict | None = field(default=None, repr=False, compare=False)
+    _fields = ("rows", "conductor", "work_trunc")  # what repr shows: not echelon; eq and hash are below
+
+    def __init__(self, rows: dict, conductor: int, work_trunc: int, echelon: dict | None = None):
+        self.__dict__.update(rows=rows, conductor=conductor, work_trunc=work_trunc, echelon=echelon)
 
     def __eq__(self, other):
         if not isinstance(other, Staircase):
@@ -118,16 +118,14 @@ class Staircase:
         ])
 
 
-@dataclass(frozen=True)
-class HilbertData:
-    hf: tuple
-    hf1: tuple
-    e1: int
+class HilbertData(_Record):
+    def __init__(self, hf: tuple, hf1: tuple, e1: int):
+        self.__dict__.update(hf=hf, hf1=hf1, e1=e1)
 
 
-@dataclass(frozen=True)
-class BlowupChain:
-    steps: tuple  # (multiplicity, e1) per infinitely-near ring
+class BlowupChain(_Record):
+    def __init__(self, steps: tuple):  # (multiplicity, e1) per infinitely-near ring
+        self.__dict__.update(steps=steps)
 
     def multiplicities(self):
         return tuple([m for m, _ in self.steps])

@@ -8,6 +8,7 @@ exhaustive enumeration.  Oracle outputs are frozen into the tests.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -649,3 +650,46 @@ def format_rational_naive(x):
     """A rational as "p" or "p/q"."""
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+def _default(value, **kw):
+    return dataclasses.field(default=value, **kw)
+
+
+# The public record types as ``dataclasses`` declares them: name -> (fields,
+# frozen, eq), a field being a name or (name, type, dataclasses.Field).
+RECORD_FIELDS = {
+    "Series": (["coeffs", ("trunc", object, _default(None))], True, True),
+    "DiffOp": (["coeffs"], True, True),
+    "Staircase": (["rows", "conductor", "work_trunc",
+                   ("echelon", object, _default(None, repr=False, compare=False))], True, False),
+    "AlgebraInput": (["gens"], True, True),
+    "HilbertData": (["hf", "hf1", "e1"], True, True),
+    "BlowupChain": (["steps"], True, True),
+    "InverseSystem": (["basis", "dim", "conductor_bound"], True, True),
+    "AFCertificate": (["verdict", ("witness", object, _default(None))], True, True),
+    "FiltrationStep": (["gap_exponent", "new_algebra", "cutting_element"], True, True),
+    "Filtration": (["steps"], True, True),
+    "CuttingDerivation": (["l", "operator"], True, True),
+    "NumericalSemigroup": (["generators", "conductor", "gaps", "e0", "genus"], True, True),
+    "GorensteinCheck": (["symmetric", "c_equals_2delta", "palindromic_inverse"], True, True),
+    "Characteristic": (["e0", "betas", ("m", object, _default(())), ("n", object, _default(()))], True, True),
+    "QMatrix": (["rows", "cols", "entries"], True, True),
+    "JobSpec": (["command", ("generators", object, dataclasses.field(default_factory=list)),
+                 ("options", object, dataclasses.field(default_factory=dict))], False, True),
+}
+
+
+def dataclass_twin(name: str):
+    """A ``dataclasses`` class with the record type's name, fields and flags."""
+    fields, frozen, eq = RECORD_FIELDS[name]
+    return dataclasses.make_dataclass(name, fields, frozen=frozen, eq=eq)
+
+
+def field_names(name: str) -> list:
+    """The record type's field names, in order."""
+    return [f if isinstance(f, str) else f[0] for f in RECORD_FIELDS[name][0]]

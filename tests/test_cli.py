@@ -3,6 +3,8 @@
 import importlib
 import json
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -464,10 +466,47 @@ def test_help_lists_every_command():
     assert all(c in text for c in COMMANDS)
 
 
+# Run with -S and the package's source directory first on sys.path; prints,
+# last, the heavy modules the imports loaded and then the exit codes of
+# --help and of a usage error, and whether main loaded argparse.
+FOOTPRINT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import branchdual, branchdual.cli
+loaded = sorted({"dataclasses", "inspect", "argparse"} & set(sys.modules))
+codes = []
+for argv in (["--help"], ["analyze", "--bogus"]):
+    try:
+        branchdual.cli.main(argv)
+    except SystemExit as ex:
+        codes.append(ex.code)
+print(json.dumps([loaded, codes, "argparse" in sys.modules]))
+"""
+
+
+def test_import_loads_no_dataclasses_inspect_or_argparse():
+    src = pathlib.Path(importlib.import_module("branchdual").__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT, str(src)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], [0, 3], True]
+    assert "usage:" in proc.stderr
+
+
 def test_error_position_counts_from_the_joined_job_generators():
     report, code = run_checked(JobSpec("analyze", ["t^3", "t^5", " t^7+t^10001"]))
     assert code == 3
     assert report["error"]["message"] == "exponent above the limit 10000 (at position 15)"
+
+
+def test_error_position_counts_from_the_start_of_the_operator_text():
+    # the t of the second operator is at index 11 of the --v text, not 7 of its part
+    job = JobSpec("check-af", ["t^2", "t^3"], {"v": "u^2; u^3 + t"})
+    report, code = run_checked(job)
+    assert code == 3
+    assert report["error"]["message"] == "mixed variables in one expression (at position 11)"
+    report, code = run_checked(JobSpec("check-af", ["t^2", "t^3"], {"v": "u^2;u^3;"}))
+    assert code == 3
+    assert report["error"]["message"] == "empty expression (at position 8)"
 
 
 def test_comma_inside_a_job_generator_does_not_split_it():
