@@ -422,6 +422,9 @@ def _load_job_file(path: str) -> JobSpec:
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise ExpressionError("job file 'options' must be an object")
+    for key in ("v", "h", "char"):
+        if key in options and not isinstance(options[key], str):
+            raise ExpressionError(f"job file option {key!r} must be a string")
     return JobSpec(str(data["command"]), list(gens), dict(options))
 
 

@@ -130,10 +130,10 @@ def _failing_pair(rows, forms, d: int):
     return None
 
 
-def _gap_functionals(S: Staircase, gaps):
+def _gap_functionals(rows: dict, gaps):
     """The operators killing a reduced echelon subspace, one per gap, with no elimination.
 
-    ``S.rows`` maps each pivot v to an int row r of a subspace U of
+    ``rows`` maps each pivot v to an int row r of a subspace U of
     k[t]/t^c in reduced echelon form (r_v != 0 its least nonzero entry, r
     zero at the other pivots); ``gaps``, increasing, are its other columns
     (``S.gaps`` for a staircase, where U is B mod t^c and b_0 = 1).  Per
@@ -159,7 +159,7 @@ def _gap_functionals(S: Staircase, gaps):
     fact = [math.factorial(i) for i in range(max(gaps, default=0) + 1)]
     out = []
     for j in gaps:
-        terms = [(v, r) for v, r in S.rows.items() if v < j and r[j]]
+        terms = [(v, r) for v, r in rows.items() if v < j and r[j]]
         coeffs = [QZERO] * (j + 1)
         if not terms:
             coeffs[j] = QONE
@@ -215,7 +215,7 @@ def inverse_system(S: Staircase) -> InverseSystem:
     monic in its lowest-degree coefficient.  ``verify_duality`` certifies it
     against the natural spanning set of the generators.
     """
-    basis = tuple(_gap_functionals(S, S.gaps))
+    basis = tuple(_gap_functionals(S.rows, S.gaps))
     return InverseSystem(basis, len(basis), S.conductor)
 
 
@@ -306,7 +306,13 @@ def standard_filtration(S: Staircase) -> Filtration:
     Each step raises the dimension by exactly one and ends at k[[t]];
     every step records the cutting element whose kernel recovers the
     previous algebra: phi_g of the previous algebra, monic, for the gap g
-    it adjoins (see ``cutting_derivation``).
+    it adjoins (see ``cutting_derivation``).  That is phi_g of S, so one
+    ``_gap_functionals`` pass over S gives them all.  Proof.  The previous
+    algebra is S plus every t^k, k > g: its conductor is g + 1 and its gaps
+    are S's up to g.  S's row b_v, v < g, cut at t^(g+1), lies in it and is
+    t^v plus terms on those gaps, so it is its reduced row at v, up to a
+    nonzero scale.  phi_g reads only column g and the pivot entries of
+    those rows, through the ratios r_j / r_v, which no scale changes.
 
     The step that adjoins g, with g' the next smaller gap of S, is closed
     with ceiling max(c_i + e0_i - 1, 1), where c_i = g' + 1 (0 when there
@@ -332,24 +338,17 @@ def standard_filtration(S: Staircase) -> Filtration:
     """
     gens = [(order(b), b) for b in S.algebra_generators()]
     steps = []
-    prev = S
+    cuts = dict(zip(S.gaps, _gap_functionals(S.rows, S.gaps)))  # gap g -> phi_g of S
     gaps = sorted(S.gaps, reverse=True)
     for i, g_exp in enumerate(gaps):
         gens.append((g_exp, Series.monomial(g_exp)))
         c_i = gaps[i + 1] + 1 if i + 1 < len(gaps) else 0
         ceiling = max(c_i + min(S.e0, g_exp) - 1, 1)
         Si = closure(AlgebraInput(tuple([b for o, b in gens if o <= ceiling])), ceiling)
-        if Si.delta != prev.delta - 1:
+        if Si.delta != S.delta - i - 1:
             raise InternalError("filtration step did not raise dimension by one")
-        steps.append(FiltrationStep(g_exp, Si, _cutting(prev, g_exp).l))
-        prev = Si
+        steps.append(FiltrationStep(g_exp, Si, Series(cuts[g_exp].coeffs)))
     return Filtration(tuple(steps))
-
-
-def _cutting(C: Staircase, g: int) -> CuttingDerivation:
-    """phi_g of C (see ``_gap_functionals``), monic in its lowest-degree coefficient."""
-    op = _gap_functionals(C, [g])[0]
-    return CuttingDerivation(Series(op.coeffs), op)
 
 
 def cutting_derivation(C: Staircase, B: Staircase) -> CuttingDerivation:
@@ -375,7 +374,8 @@ def cutting_derivation(C: Staircase, B: Staircase) -> CuttingDerivation:
     if B.conductor > C.conductor or not all(membership(b, B) for b in C.basis):
         raise ValueError("first algebra is not contained in the second")
     (g,) = set(C.gaps) - set(B.gaps)
-    return _cutting(C, g)
+    (op,) = _gap_functionals(C.rows, [g])
+    return CuttingDerivation(Series(op.coeffs), op)
 
 
 def is_derivation(g: DiffOp, S: Staircase) -> bool:
@@ -437,7 +437,7 @@ def transport_dual(h: Series, c: int, V2: InverseSystem):
         ech.insert_coeffs(_sparse(r))
     scale = [h1.numerator**i * (h1.denominator * K) ** (c - 1 - i) for i in range(c)]
     rows = {p: _primitive([x * e for x, e in zip(r, scale)], p) for p, r in ech.reduced().items()}
-    basis = _gap_functionals(Staircase(rows, c, c - 1), [j for j in range(c) if j not in rows])
+    basis = _gap_functionals(rows, [j for j in range(c) if j not in rows])
     return M, InverseSystem(tuple(basis), len(basis), c)
 
 

@@ -112,20 +112,17 @@ class Echelon:
     column of the row (for series mod t^(trunc+1), its order).  ``filled``
     is the least lo of a fill (``set_monomials``), trunc+1 before any:
     every column in [filled, trunc] is a pivot, of the monomial there,
-    with no row stored, and no table row has a column at or past it.  The
-    highest column with no pivot is kept, which lets callers skip products
-    that can only reduce to zero.
+    with no row stored, and no table row has a column at or past it.  It
+    is the one record of where the table is complete: ``closure`` and
+    ``hilbert`` fill where no pivot lies just below ``filled`` (proof in
+    ``subalgebra._closure_at``), so they skip every product of order
+    >= filled, which can only reduce to zero, and no other.
     """
 
     def __init__(self, trunc: int):
         self.trunc = trunc
         self.table = {}
         self.filled = trunc + 1
-        self._free_top = trunc
-
-    def complete_from(self, s: int) -> bool:
-        """True when every column in [s, trunc] already has a pivot."""
-        return self._free_top < s
 
     def reduce(self, coeffs: dict):
         """Reduce ``coeffs``, a sparse int row with columns in 0..trunc.
@@ -157,8 +154,6 @@ class Echelon:
         if self.filled <= self.trunc and max(row) >= self.filled:  # products come cut already
             row = {k: x for k, x in row.items() if k < self.filled}
         self.table[o] = _primitive_sparse(row, o)
-        while self._free_top in self.table:
-            self._free_top -= 1
         return o
 
     def reduced(self, lo: int = 0, stop: int | None = None) -> dict:
@@ -209,9 +204,6 @@ class Echelon:
             elif max(r) >= lo:
                 self.table[q] = _primitive_sparse({k: x for k, x in r.items() if k < lo}, q)
         self.filled = lo
-        self._free_top = min(self._free_top, lo - 1)
-        while self._free_top in self.table:
-            self._free_top -= 1
 
 
 class QMatrix(_Record):

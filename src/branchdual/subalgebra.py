@@ -243,12 +243,11 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
 
     Products.  Each row that enters the table at a new pivot o1 is
     multiplied by the int rows of the generators, by increasing order o2,
-    and each product inserted, until all of t^(o1+o2) k[t] mod t^(w+1) is
-    in the table, as it is once o1 + o2 > w (the table has no column past
-    w): o1 + o2 only grows and the table only fills, so every later
-    product of that row lies in the table too.  A generator that added no
-    pivot is no factor.  Products are cut at the fill point
-    a = ``ech.filled`` (w + 1 before any fill).  Let V be the final span.
+    and each product inserted, until o1 + o2 >= a = ``ech.filled`` (w + 1
+    before any fill): then t^(o1+o2) k[t] mod t^(w+1) is in the table
+    (Fill, below), and as o1 + o2 only grows and a only falls, so is every
+    later product of that row.  A generator that added no pivot is no
+    factor.  Products are cut at a.  Let V be the final span.
     Every row is an element of B_w, so V lies in B_w.  V holds 1 and each
     generator g, and g*V lies in V.  The rows of V are 1, with g*1 = g;
     the monomials t^a..t^w of the fill below, whose products lie in
@@ -257,7 +256,7 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
     cut at a, and a row the fill dropped, differs from the uncut one or
     the monomial at its pivot by a combination of t^a..t^w, so none of
     them changes this; a row taken from the queue at a pivot >= a is that
-    monomial, and ``complete_from`` skips its products.  A generator
+    monomial, and its products, of order >= a, are skipped.  A generator
     that added no pivot is a combination of 1, the generators before it
     and filled monomials, so its products are combinations of products
     already in V.  So V holds every product of generators: V = B_w.  The
@@ -274,14 +273,20 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
     cuts every row at t^a: its docstring proves that the span only grows,
     and it stays inside B_w.  A pivot already in ``reach`` leaves it as it
     is; any other adds its multiples (``semigroup._add_multiples``).
+    The loop keeps three facts: ``reach`` holds every pivot, a is where its
+    top run starts (w + 1 when w is not in it), and ``set_monomials`` runs
+    after every change to it.  So wherever a is read, column a - 1 is no
+    pivot and every column of [a, w] is one: [s, w] holds only pivots
+    exactly when s >= a, which is the skip above.  The last column with no
+    pivot is a - 1, so c = a: 0 for k[[t]], whose ``reach`` fills, and
+    w + 1 with no fill, which asks for a wider window below.
 
     The pivots are the table's, all below a, and every column of [a, w],
     read as such with no scan of the window: two consecutive ones give
-    gcd 1, and the conductor is one past the last column below a with no
-    row.  The staircase is the reduced echelon form of V cut at max(c, 1),
-    by back-substitution (``Echelon.reduced``); c <= a, so it reads table
-    rows only.  It is unique, so it does not depend on the order in which
-    the rows went in.  Values of gcd > 1
+    gcd 1.  The staircase is the reduced echelon form of V cut at
+    max(c, 1), by back-substitution (``Echelon.reduced``); c = a, so it
+    reads table rows only.  It is unique, so it does not depend on the
+    order in which the rows went in.  Values of gcd > 1
     raise InfiniteCodimension once w >= ``proved`` (proof in ``closure``),
     and ask for max(gcd_window, w + 1) below it.
     """
@@ -312,7 +317,7 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
         o1 = queue.pop()
         a = ech.table.get(o1)  # None once filled: its products lie past the fill
         for o2, g in factors:
-            if ech.complete_from(o1 + o2):
+            if o1 + o2 >= ech.filled:
                 break
             found(ech.insert_coeffs(mul_coeffs(a, g, ech.filled)))
 
@@ -327,7 +332,7 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
             raise InfiniteCodimension(g, positive)
         raise _Inconclusive(max(gcd_window, w + 1))
 
-    c = next((j + 1 for j in range(fill - 1, 0, -1) if j not in table), 0)  # past the last gap
+    c = fill  # past the last gap (docstring)
     if c + positive[0] - 1 > w:
         raise _Inconclusive(2 * w)
     top = max(c, 1)  # k[[t]] keeps its row b_0 = 1
@@ -387,7 +392,9 @@ def hilbert(S: Staircase) -> HilbertData:
     [a, L_i), m^(i+1) mod t^(L_i) has an element of each order a..L_i - 1;
     these span t^a k[t] mod t^(L_i), so t^a..t^(L_i - 1) lie in it, and
     ``Echelon.set_monomials(a)`` makes them pivots.  Every product of order
-    >= a lies in it then, and ``complete_from`` skips it.
+    >= a lies in it then, and is skipped: ``_products`` keeps the three
+    facts of ``_closure_at``'s Fill paragraph (a new pivot p adds p + 0),
+    so a product is skipped exactly when its order is >= ``filled``.
 
     Cut.  The fill cuts every table row of pivot below a at t^a, and each
     later product is cut there; ``Echelon.set_monomials`` proves that
@@ -445,7 +452,7 @@ def _products(power, factors, L: int, values: int):
     ech.set_monomials((mask ^ reach).bit_length())  # [lo, L) is the top run of reach
     for o1, a in sorted(rows.items()):
         for o2, g in factors:
-            if ech.complete_from(o1 + o2):
+            if o1 + o2 >= ech.filled:
                 break
             p = ech.insert_coeffs(mul_coeffs(a, g, ech.filled))
             if p is not None:

@@ -379,6 +379,23 @@ def test_main_bad_job_file(capsys, tmp_path):
     VALIDATOR.validate(report)
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("check-af", "v", 5),
+    ("transport", "h", 2),
+    ("saturation", "char", 6),
+    ("check-af", "v", ["u^2"]),
+])
+def test_job_file_option_that_is_not_a_string_exit_3(command, key, value, capsys, tmp_path):
+    # an operator, series or characteristic is text; any other JSON value is an input error
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": command, "generators": ["t^3+t^4", "t^5"], "options": {key: value}}))
+    code = main(["--job", str(job), "--json"])
+    assert code == 3
+    report = json.loads(capsys.readouterr().out)
+    VALIDATOR.validate(report)
+    assert report["error"] == {"type": "ExpressionError", "message": f"job file option {key!r} must be a string"}
+
+
 def test_main_human_output(capsys):
     code = main(["semigroup", "--gens", "4,6,9"])
     out = capsys.readouterr().out

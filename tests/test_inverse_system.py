@@ -677,11 +677,26 @@ def test_cutting_derivation_matches_two_pass_reference_on_annihilators(seed):
 def test_cutting_elements_match_two_pass_reference_along_filtrations(seed):
     A = AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=6)])
     prev = closure(A)
+    at_gap = dict(zip(prev.gaps, inverse_system(prev).basis))  # each one is S's own
     for step in standard_filtration(prev).steps:
         assert list(step.cutting_element.coeffs) == two_pass_cutting_element(
             prev, step.new_algebra)
+        assert step.cutting_element.coeffs == at_gap[step.gap_exponent].coeffs
         prev = step.new_algebra
     assert prev.delta == 0  # the last step reaches k[[t]]
+
+
+@pytest.mark.parametrize("name", RUNGS)
+def test_ladder_cutting_elements_are_the_inverse_system_of_S(name):
+    # phi_g of each step's previous algebra is phi_g of S: S's inverse system
+    # holds every cutting element, and cutting_derivation on the previous
+    # step's own staircase gives the same one
+    prev = closure(rung_input(name))
+    at_gap = dict(zip(prev.gaps, inverse_system(prev).basis))
+    for step in standard_filtration(prev).steps:
+        assert step.cutting_element.coeffs == at_gap[step.gap_exponent].coeffs
+        assert step.cutting_element.coeffs == cutting_derivation(prev, step.new_algebra).l.coeffs
+        prev = step.new_algebra
 
 
 def test_inverse_systems_shrink_along_filtration():

@@ -156,8 +156,7 @@ def test_echelon_rows_are_primitive_integer_rows(rows):
         assert all(type(x) is int and x != 0 for x in row.values())
         assert min(row) == p and row[p] > 0
         assert math.gcd(*row.values()) == 1
-    for s in range(8):
-        assert ech.complete_from(s) == all(j in ech.table for j in range(s, 7))
+    assert ech.filled == 7  # no fill: no column counts as a pivot but the table's
     reduced = ech.reduced()
     assert list(reduced) == sorted(ech.table)
     for p in sorted(ech.table):
@@ -267,7 +266,6 @@ def test_sparse_echelon_matches_gauss_jordan(case, lo):
         assert ech.filled == mono
         assert all(k < mono for p, row in ech.table.items() if p < mono for k in row)
         assert all(p < mono for p in ech.table)
-        assert all(ech.complete_from(s) for s in range(mono, width + 1))
         table = {p: dict(row) for p, row in ech.table.items()}
         ech.set_monomials(mono + 1)
         assert ech.table == table and ech.filled == mono
@@ -278,7 +276,7 @@ def test_sparse_echelon_matches_gauss_jordan(case, lo):
         dense.append(_dense(r, width))
     if mono is not None:
         assert all(p < mono and max(row) < mono for p, row in ech.table.items())
-        assert all(ech.complete_from(s) for s in range(mono, width + 1))
+        assert ech.filled == mono  # [mono, width) are pivots with no row stored
     for p, row in ech.table.items():
         assert min(row) == p and row[p] > 0 and all(x != 0 for x in row.values())
     for stop in [None] + list(range(width + 1)):

@@ -397,6 +397,38 @@ def test_closure_multiplies_each_row_by_the_generators_only(monkeypatch):
     assert 0 < len(products) <= pivots * len(gens)
 
 
+class _FillChecked(subalgebra.Echelon):
+    """An ``Echelon`` that records, before each insert and after each fill,
+    whether column ``filled`` - 1 has no pivot."""
+
+    checks = []
+
+    def insert_coeffs(self, coeffs):
+        self.checks.append(self.filled - 1 not in self.table)
+        return super().insert_coeffs(coeffs)
+
+    def set_monomials(self, lo):
+        super().set_monomials(lo)
+        self.checks.append(self.filled - 1 not in self.table)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_no_pivot_just_below_the_fill(seed, monkeypatch):
+    # closure and hilbert skip a product of order >= filled, and closure reads
+    # its conductor as filled: both need column filled - 1 to be no pivot
+    monkeypatch.setattr(subalgebra, "Echelon", _FillChecked)
+    monkeypatch.setattr(_FillChecked, "checks", [])
+    rng = random.Random(seed)
+    branches = [AlgebraInput.make([S(d) for d in random_branch(rng, max_delta=8)]) for _ in range(12)]
+    branches += [AlgebraInput.make(random_plane_branch(rng, max_delta=60)[2]) for _ in range(2)]
+    branches += [ladder_input(name) for name in list(LADDER)[seed::4]]
+    for A in branches:
+        sc = closure(A)
+        hilbert(sc)
+        blowup_chain(sc)
+    assert _FillChecked.checks and all(_FillChecked.checks)
+
+
 def test_staircase_equality_semantics():
     a = closure(alg({2: 1}, {3: 1}))
     b = closure(alg({2: 1}, {3: 1}, {4: 1}))

@@ -11,6 +11,7 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import re
 
 import pytest
 
@@ -78,3 +79,15 @@ def test_no_unused_import_or_private_definition():
                 if node.name not in everywhere:
                     dead.append(f"{mod}: {node.name}")
     assert (unused, dead) == ([], [])
+
+
+def _python_floor():
+    """The (3, minor) floor of pyproject.toml's ``requires-python = ">=3.minor"``."""
+    text = (SRC.parent.parent / "pyproject.toml").read_text()
+    return (3, int(re.search(r'requires-python\s*=\s*">=\s*3\.(\d+)"', text).group(1)))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_source_parses_as_the_oldest_supported_python(path):
+    # no syntax newer than the declared floor: ast rejects, for one, except* under 3.10
+    ast.parse(path.read_text(), filename=str(path), feature_version=_python_floor())
