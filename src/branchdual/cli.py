@@ -1,9 +1,9 @@
 """Command-line surface: job parsing, dispatch, and JSON/text reports.
 
-``run`` is the one place that parses a job's generators, reads its
-ceiling, closes the branch and maps an exception to an exit code.  A job
-is a :class:`JobSpec`, the one mutable record; ``argparse`` is imported
-by ``build_parser``, so only ``main`` loads it.
+``run`` is the one place that checks a job's input types, parses its
+generators, reads its ceiling, closes the branch and maps an exception to
+an exit code.  A job is a :class:`JobSpec`, the one mutable record;
+``argparse`` is imported by ``build_parser``, so only ``main`` loads it.
 
 Exit codes: 0 success, 2 infinite codimension, 3 expression/job parse
 error (a ``trunc`` above ``MAX_TRUNC`` included), a usage error or an
@@ -101,11 +101,27 @@ def _parse_gens(job: JobSpec):
     return parse_generators(job.generators)
 
 
-def _parse_ops(job: JobSpec):
-    text = job.options.get("v")
+# option -> what it holds: each is text, checked by _check_inputs and read by _option
+_TEXT_OPTIONS = {"v": "operators", "h": "a reparametrization", "char": "a characteristic"}
+
+
+def _check_inputs(gens, options, where: str) -> None:
+    """Refuse generators that are not a list of strings, options that are
+    not an object, and a text option that is not a string."""
+    if not isinstance(gens, (list, tuple)) or not all(isinstance(g, str) for g in gens):
+        raise ExpressionError(f"{where} 'generators' must be a list of strings")
+    if not isinstance(options, dict):
+        raise ExpressionError(f"{where} 'options' must be an object")
+    for key in _TEXT_OPTIONS:
+        if key in options and not isinstance(options[key], str):
+            raise ExpressionError(f"{where} option {key!r} must be a string")
+
+
+def _option(job: JobSpec, key: str) -> str:
+    text = job.options.get(key)
     if not text:
-        raise ExpressionError("this command requires operators (--v)")
-    return parse_operators(text)
+        raise ExpressionError(f"this command requires {_TEXT_OPTIONS[key]} (--{key})")
+    return text
 
 
 def _int(text: str) -> int:
@@ -167,7 +183,7 @@ def _run_inverse_system(job, A, S):
 
 
 def _run_check_af(job, A, S):
-    cert = is_algebra_forming(_parse_ops(job), S)
+    cert = is_algebra_forming(parse_operators(_option(job, "v")), S)
     return {
         "verdict": cert.verdict,
         "witness": _witness(cert),
@@ -179,7 +195,7 @@ def _witness(cert):
 
 
 def _run_annihilate(job, A, S):
-    return _staircase_summary(annihilator(_parse_ops(job), S))
+    return _staircase_summary(annihilator(parse_operators(_option(job, "v")), S))
 
 
 def _run_filtration(job, A, S):
@@ -197,7 +213,7 @@ def _run_filtration(job, A, S):
 
 
 def _run_derivations(job, A, S):
-    ops = _parse_ops(job)
+    ops = parse_operators(_option(job, "v"))
     return {
         "results": [
             {"operator": format_diffop(g), "is_derivation": is_derivation(g, S)}
@@ -239,9 +255,7 @@ def _run_semigroup(job):
 
 
 def _parse_char(job) -> Characteristic:
-    text = job.options.get("char")
-    if not text:
-        raise ExpressionError("this command requires a characteristic (--char)")
+    text = _option(job, "char")
     try:
         head, _, tail = text.partition(";")
         e0 = _int(head.strip())
@@ -265,10 +279,7 @@ def _run_saturation(job):
 
 
 def _run_transport(job, A, S):
-    text = job.options.get("h")
-    if not text:
-        raise ExpressionError("this command requires a reparametrization (--h)")
-    h = parse_series(text)
+    h = parse_series(_option(job, "h"))
     V2 = inverse_system(S)
     M, V1 = transport_dual(h, S.conductor, V2)
     return {
@@ -367,6 +378,7 @@ def run(job: JobSpec):
     try:
         if job.command not in _DISPATCH:
             raise UnknownCommand(f"unknown command {job.command!r}")
+        _check_inputs(job.generators, job.options, f"{job.command} job")
         if job.command in _ON_JOB:
             result = _DISPATCH[job.command](job)
         else:
@@ -416,15 +428,8 @@ def _load_job_file(path: str) -> JobSpec:
         raise ExpressionError(f"cannot read job file {path!r}: {ex}")
     if not isinstance(data, dict) or "command" not in data:
         raise ExpressionError("job file must be a JSON object with a 'command' field")
-    gens = data.get("generators", [])
-    if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
-        raise ExpressionError("job file 'generators' must be a list of strings")
-    options = data.get("options", {})
-    if not isinstance(options, dict):
-        raise ExpressionError("job file 'options' must be an object")
-    for key in ("v", "h", "char"):
-        if key in options and not isinstance(options[key], str):
-            raise ExpressionError(f"job file option {key!r} must be a string")
+    gens, options = data.get("generators", []), data.get("options", {})
+    _check_inputs(gens, options, "job file")
     return JobSpec(str(data["command"]), list(gens), dict(options))
 
 

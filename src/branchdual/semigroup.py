@@ -38,25 +38,25 @@ class NumericalSemigroup(_Record):
 
 
 def from_generators(gens) -> NumericalSemigroup:
-    """Semigroup generated by positive integers; sieves the full gap set."""
+    """Semigroup generated by positive integers.
+
+    Sieves one bit set up to the Schur bound b, which is checked before the
+    set is built: each generator that is not yet a member adds its
+    multiples (``_add_multiples``), at most log2(b) shifts of a b-bit int,
+    and a member adds nothing.
+    """
     gens = sorted(set(int(g) for g in gens))
     if not gens or gens[0] <= 0:
         raise ValueError("generators must be positive integers")
-    g = 0
-    for a in gens:
-        g = math.gcd(g, a)
+    g = math.gcd(*gens)
     if g > 1:
         raise NonCoprime(f"generators have gcd {g}")
-    e0 = gens[0]
-    bound = _sieve_bound(e0, gens[-1])
-    member = [False] * (bound + 1)
-    member[0] = True
-    for n in range(1, bound + 1):
-        member[n] = any(n >= a and member[n - a] for a in gens)
-    gaps = tuple(n for n in range(1, bound + 1) if not member[n])
-    conductor = (gaps[-1] + 1) if gaps else 0
-    minimal = _minimal_generators(member, e0, conductor)
-    return NumericalSemigroup(minimal, conductor, gaps, e0, len(gaps))
+    mask = (1 << (_sieve_bound(gens[0], gens[-1]) + 1)) - 1
+    bits = 1  # bit n: n is a sum of the generators so far
+    for a in gens:
+        if not bits >> a & 1:
+            bits = _add_multiples(bits, a, mask)
+    return _semigroup(bits)
 
 
 def _sieve_bound(e0: int, top: int) -> int:
@@ -65,26 +65,6 @@ def _sieve_bound(e0: int, top: int) -> int:
     if bound > MAX_SIEVE:
         raise GeneratorError(f"sieve bound {bound} exceeds {MAX_SIEVE}")
     return bound
-
-
-def _minimal_generators(member, e0: int, conductor: int):
-    """Elements not expressible as a sum of two smaller nonzero elements.
-
-    ``member`` lists a semigroup up to c + e0.  One ascending pass: a
-    member n is such a sum exactly when it is a sum of the minimal
-    generators below n, which the bit set ``sums`` holds (each generator's
-    multiples added by doubling shifts), so n is a generator exactly when
-    its bit is not set.  Every n > c + e0 is e0 plus the member n - e0 > c.
-    """
-    top = conductor + e0
-    mask = (1 << (top + 1)) - 1
-    sums = 1  # bit n: n is a sum of the generators found so far
-    out = []
-    for n in range(1, top + 1):
-        if member[n] and not sums >> n & 1:
-            out.append(n)
-            sums = _add_multiples(sums, n, mask)
-    return tuple(out)
 
 
 def _add_multiples(bits: int, s: int, mask: int) -> int:
@@ -98,19 +78,45 @@ def _add_multiples(bits: int, s: int, mask: int) -> int:
 
 
 def from_staircase(values, conductor: int) -> NumericalSemigroup:
-    """Semigroup from a value window: members below c plus everything from c on."""
-    if conductor == 0:
-        return from_generators([1])
-    positive = [v for v in values if v > 0]
-    e0 = min(positive) if positive else conductor
-    member = [False] * (conductor + e0 + 2)
+    """Semigroup of a value window: 0, the values below c, and every k >= c.
+
+    ``values`` are the members below c = ``conductor`` of a semigroup
+    whose conductor is c, as ``closure`` and ``annihilator`` give them:
+    c - 1 is a gap, or c = 0.  Values at or past c are members anyway and
+    are ignored, 0 always is one, and the record's conductor is its last
+    gap + 1, which is c on such a window.
+    """
+    n = 2 * conductor + 2  # past c + e0, as e0 <= max(c, 1)
+    bits = (1 << n) - (1 << conductor) | 1
     for v in values:
-        member[v] = True
-    for n in range(conductor, conductor + e0 + 2):
-        member[n] = True
-    gaps = tuple(n for n in range(1, conductor) if not member[n])
-    minimal = _minimal_generators(member, e0, conductor)
-    return NumericalSemigroup(minimal, conductor, gaps, e0, len(gaps))
+        if v < conductor:
+            bits |= 1 << v
+    return _semigroup(bits)
+
+
+def _semigroup(bits: int) -> NumericalSemigroup:
+    """The semigroup whose members below n = ``bits.bit_length()`` are its set bits.
+
+    Needs n > c + e0.  The conductor is the last gap + 1 (0 when there is
+    none) and e0 the first positive member.  One ascending pass finds the
+    minimal generators: the first member that is not in ``sums``, the sums
+    of the generators found so far, is one, and adds its multiples.  Every
+    member past c + e0 is e0 plus a member past c, so none is a generator.
+    """
+    s = bin(bits)[:1:-1]  # s[k] == "1": k is a member
+    c = s.rfind("0") + 1
+    e0 = s.find("1", 1)
+    mask = (1 << (c + e0 + 1)) - 1
+    sums = 1
+    left = bits & mask & ~sums  # members up to c + e0 that are not in sums
+    generators = []
+    while left:
+        a = (left & -left).bit_length() - 1
+        generators.append(a)
+        sums = _add_multiples(sums, a, mask)
+        left &= ~sums
+    gaps = tuple([k for k, b in enumerate(s[:c]) if b == "0"])
+    return NumericalSemigroup(tuple(generators), c, gaps, e0, len(gaps))
 
 
 def is_symmetric(D: NumericalSemigroup) -> bool:

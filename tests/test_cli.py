@@ -396,6 +396,23 @@ def test_job_file_option_that_is_not_a_string_exit_3(command, key, value, capsys
     assert report["error"] == {"type": "ExpressionError", "message": f"job file option {key!r} must be a string"}
 
 
+@pytest.mark.parametrize("job, message", [
+    (JobSpec("check-af", ["t^3+t^4", "t^5"], {"v": 5}), "option 'v' must be a string"),
+    (JobSpec("transport", ["t^3+t^4", "t^5"], {"h": 2}), "option 'h' must be a string"),
+    (JobSpec("saturation", options={"char": 6}), "option 'char' must be a string"),
+    (JobSpec("derivations", ["t^3+t^4", "t^5"], {"v": ["u"]}), "option 'v' must be a string"),
+    (JobSpec("analyze", ["t^3+t^4", 5]), "'generators' must be a list of strings"),
+    (JobSpec("semigroup", [4, 6, 9]), "'generators' must be a list of strings"),
+    (JobSpec("analyze", ["t^3+t^4", "t^5"], None), "'options' must be an object"),
+], ids=["v-int", "h-int", "char-int", "v-list", "gens-int", "semigroup-ints", "options-none"])
+def test_job_built_in_code_with_no_text_input_exit_3(job, message):
+    # a job built in code skips _load_job_file: run makes the same checks
+    report, code = run_checked(job)
+    assert code == 3
+    assert report["command"] == job.command
+    assert report["error"] == {"type": "ExpressionError", "message": f"{job.command} job {message}"}
+
+
 def test_main_human_output(capsys):
     code = main(["semigroup", "--gens", "4,6,9"])
     out = capsys.readouterr().out

@@ -1,5 +1,9 @@
 """Numerical semigroups, Gorenstein predicates, saturations."""
 
+import math
+import random
+import time
+
 import pytest
 
 from branchdual.errors import GeneratorError, NonCoprime
@@ -48,11 +52,52 @@ def test_from_generators_redundant_input_minimalized():
     assert D.generators == (4, 6, 9)
 
 
+def random_coprime_generators(seed, count):
+    """count seeded lists of 1-5 integers in 1..30 with gcd 1."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        gens = [rng.randint(1, 30) for _ in range(rng.randint(1, 5))]
+        if math.gcd(*gens) == 1:
+            out.append(gens)
+    return out
+
+
+FIXED_GENERATORS = [[3, 5], [5, 7, 9], [4, 7, 9], [6, 8, 10, 11, 13, 15]]
+
+
 def test_from_generators_matches_sieve_oracle():
-    for gens in [(3, 5), (5, 7, 9), (4, 7, 9), (6, 8, 10, 11, 13, 15)]:
-        D = from_generators(list(gens))
-        gaps, conductor, genus = semigroup_data(list(gens))
-        assert D.gaps == gaps and D.conductor == conductor and D.genus == genus
+    for gens in FIXED_GENERATORS + random_coprime_generators(27, 60):
+        D = from_generators(gens)
+        gaps, conductor, genus = semigroup_data(gens)
+        assert D.gaps == gaps and D.conductor == conductor and D.genus == genus, gens
+        assert D.e0 == min(gens)
+        assert D.generators == (gaps_to_generators(set(gaps)) if gaps else (1,)), gens
+
+
+def window(D):
+    """The members of D below its conductor."""
+    return tuple(k for k in range(D.conductor) if D.contains(k))
+
+
+def test_from_staircase_of_each_window_is_from_generators():
+    for gens in FIXED_GENERATORS + random_coprime_generators(28, 300):
+        D = from_generators(gens)
+        assert from_staircase(window(D), D.conductor) == D
+    for gaps in enumerate_semigroups(8):
+        D = from_generators(list(gaps_to_generators(set(gaps))) if gaps else [1])
+        assert D.gaps == tuple(sorted(gaps))
+        assert from_staircase(window(D), D.conductor) == D
+
+
+def test_from_staircase_ignores_values_past_the_conductor():
+    # 100 is at or past c, so a member anyway: it is ignored
+    assert from_staircase((0, 3, 100), 5) == from_generators([3, 5, 7])
+    # c - 1 = 4 is a value, so this is no staircase window: the conductor is the true one
+    D = from_staircase((0, 3, 4), 5)
+    assert D == from_generators([3, 4, 5])
+    assert D.conductor == 3 and D.gaps == (1, 2)
+    assert from_staircase((0,), 1) == from_staircase((), 0) == from_generators([1])
 
 
 def test_contains_and_frobenius():
@@ -89,6 +134,15 @@ def test_sieve_bound_above_the_cap_is_refused_before_sieving():
         saturation_from_characteristic(Characteristic.make(2, [100001]))
     # e0 = 1: the middle families would list every integer up to beta_g
     assert saturation_from_characteristic(Characteristic.make(1, [])).generators == (1,)
+
+
+def test_saturation_with_a_bound_just_under_the_cap_is_fast():
+    # Schur bound 99,998 with 16,665 exponents: a member adds nothing to the sieve
+    started = time.perf_counter()
+    D = saturation_from_characteristic(Characteristic.make(4, [6, 33329]))
+    assert time.perf_counter() - started < 2
+    assert D.generators == (4, 6, 33329, 33331)
+    assert D.conductor == 33_328
 
 
 def test_is_symmetric_examples():
