@@ -373,10 +373,10 @@ def _fail(report, ex) -> int:
 def run(job: JobSpec):
     """Execute a job; returns (report dict, exit code)."""
     started = time.monotonic()
-    report = {"schema_version": SCHEMA_VERSION, "command": job.command}
+    report = {"schema_version": SCHEMA_VERSION, "command": job.command if isinstance(job.command, str) else "unknown"}
     diagnostics = {}
     try:
-        if job.command not in _DISPATCH:
+        if report["command"] not in _DISPATCH:  # "unknown", as main reports an unreadable job file, if no string
             raise UnknownCommand(f"unknown command {job.command!r}")
         _check_inputs(job.generators, job.options, f"{job.command} job")
         if job.command in _ON_JOB:
@@ -476,12 +476,9 @@ def main(argv=None) -> int:
         parser.error("a command or --job file is required")
     if args.gens:
         job.generators = args.gens.split(",")
-    if args.v:
-        job.options["v"] = args.v
-    if args.h_expr:
-        job.options["h"] = args.h_expr
-    if args.char:
-        job.options["char"] = args.char
+    for key, text in (("v", args.v), ("h", args.h_expr), ("char", args.char)):
+        if text:
+            job.options[key] = text
     if args.trunc is not None:
         job.options["trunc"] = args.trunc
     report, code = run(job)

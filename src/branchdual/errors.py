@@ -30,8 +30,7 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self):
-        d = self.__dict__
-        return f"{type(self).__qualname__}({', '.join([f'{f}={d[f]!r}' for f in self._fields])})"
+        return f"{type(self).__qualname__}({', '.join([f'{f}={getattr(self, f)!r}' for f in self._fields])})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -102,18 +102,19 @@ def _forms(ops, n: int):
             for g in ops]
 
 
-def _values(forms, row):
-    """Each form's value on the int row."""
-    return [sum([w * x for w, x in zip(form, row)]) for form in forms]
+def _values(forms, row: dict):
+    """Each form's value on the sparse int row."""
+    return [sum([form[k] * x for k, x in row.items()]) for form in forms]
 
 
 def _failing_pair(rows, forms, d: int):
     """The first pair of orders v1 <= v2 whose rows' product a form does not kill, or None.
 
-    Pairs ascend up to v1 + v2 <= d (``forms`` read nothing above t^d).  The
-    row a at v1 is tested through its polar forms b -> form(a*b) on b's orders.
+    ``rows`` are sparse int rows keyed by order.  Pairs ascend up to
+    v1 + v2 <= d (``forms`` read nothing above t^d).  The row a at v1 is
+    tested through its polar forms b -> form(a*b) on b's orders.
     """
-    terms = {v: [(j, x) for j, x in enumerate(r[: d + 1]) if x] for v, r in rows.items()}
+    terms = {v: [(j, x) for j, x in r.items() if j <= d] for v, r in rows.items()}
     orders = sorted(terms)
     for i, v1 in enumerate(orders):
         if 2 * v1 > d:
@@ -234,18 +235,18 @@ def _annihilate(V, S: Staircase):
     n = max(S.conductor, d + 1)
     forms = _forms(ops, n)
     ech = Echelon(k + n - 1)
-    for row in S.span(n).values():
-        ech.insert_coeffs(_sparse(_values(forms, row) + row))
+    for r in list(S.sparse_rows.values()) + [{j: 1} for j in range(max(S.conductor, 1), n)]:
+        ech.insert_coeffs(_sparse(_values(forms, r)) | {k + j: x for j, x in r.items()})  # [forms | r]
     rows = {p - k: r[k:] for p, r in ech.reduced(k).items()}
     out = (n, max(set(range(n)) - set(rows)) + 1, rows)
     pos = [v for v in rows if v]
-    pair = _failing_pair({v: rows[v] for v in pos if v + pos[0] <= d}, forms, d)
+    pair = _failing_pair({v: _sparse(rows[v]) for v in pos if v + pos[0] <= d}, forms, d)
     if pair is None:
         return (AFCertificate(True, None),) + out
     v1, v2 = pair
     a, b = [Series.make(_rational_row(rows[v], v)) for v in pair]
     r = _sparse(rows[v2])
-    b_fails = any(_values(forms, _dense(mul_coeffs(r, list(r.items()), d + 1), d + 1)))
+    b_fails = any(_values(forms, mul_coeffs(r, list(r.items()), d + 1)))
     return (AFCertificate(False, a if v1 == v2 else b if b_fails else a + b),) + out
 
 
@@ -256,7 +257,8 @@ def is_algebra_forming(V, S: Staircase) -> AFCertificate:
     N = max(c, d + 1).  V reads no coefficient above t^d and t^k lies in B
     for k >= c, so t^N k[[t]] lies in C.
 
-    Kernel.  B mod t^N is spanned by the staircase rows and t^c..t^(N-1)
+    Kernel.  B mod t^N is spanned by any elements of B of the orders of
+    its values below c, here ``S.sparse_rows``, and t^c..t^(N-1)
     (t..t^(N-1) for B = k[[t]]); C mod t^N is the kernel there of the forms
     f -> g(f) = sum_i i! g_i f_i.  In one int echelon of the rows
     [g(f) for g in V | f], form columns first, a row space vector with zero
@@ -264,7 +266,8 @@ def is_algebra_forming(V, S: Staircase) -> AFCertificate:
     Their pivots are C's values below N; C's conductor c_C is one past the
     last column with no pivot, and c_C > d as d is a gap (g(t^d + ...) =
     d! g_d for g of degree d).  Fully reduced, the row at v is the one
-    element of C mod t^N that is t^v plus terms on C's gaps.
+    element of C mod t^N that is t^v plus terms on C's gaps, whichever
+    basis of B went in: the reduced echelon form is unique.
 
     Product test.  1 lies in C (no g has a constant term) and t^N k[[t]]
     is an ideal of k[[t]], so C is a ring exactly when a*b lies in C for
@@ -386,10 +389,13 @@ def is_derivation(g: DiffOp, S: Staircase) -> bool:
     so g_j = 0 is needed for j >= W.  Then g kills t^W k[[t]], m^2 mod t^W is
     spanned by products of rows of m of order < W, and g reads nothing above
     D = min(deg g, W - 1): it remains to test those of orders o1 + o2 <= D.
+    A product with t^j, j >= max(c, 1), has order >= W > D, so the rows of m
+    of order < max(c, 1) suffice, and any basis of them: the products of a
+    basis span the same space.  They are ``S.sparse_rows`` at v > 0.
     """
     w = max(S.conductor, 1) + S.e0
     d = min(g.degree, w - 1)
-    rows = {v: r for v, r in S.span(d + 1).items() if v}
+    rows = {v: r for v, r in S.sparse_rows.items() if v}
     return not any(g.coeffs[w:]) and _failing_pair(rows, _forms([g], d + 1), d) is None
 
 
@@ -447,7 +453,8 @@ def verify_duality(A: AlgebraInput, S: Staircase) -> bool:
     With c = max(conductor, 1) and delta = c - #values below c: N =
     ``natural_set(A, c - 1)`` has c - 1 - delta elements, and V has delta, is
     its own ``_reduce_ops`` basis (so of degrees < c), and its forms kill N and
-    the staircase rows (so, as b_0 = 1, it has no constant term).  Proof.  N,
+    ``S.sparse_rows``, a basis of B mod t^c (so, as 1 lies in B, it has no
+    constant term; the reduced rows span the same space).  Proof.  N,
     products of A's generators each adding a pivot, is independent, so the
     operators in degrees 1..c-1 killing it, Ann(N), have dimension
     c - 1 - |N| = delta: V, with delta independent elements there, is its
@@ -455,11 +462,10 @@ def verify_duality(A: AlgebraInput, S: Staircase) -> bool:
     Ann(V) mod t^c has dimension c - delta = #values and is spanned by the
     staircase rows it holds (distinct orders).  Conversely, these give each clause.
     """
-    V = inverse_system(S)
     c = max(S.conductor, 1)
-    delta, ops, N = c - len(S.values), list(V.basis), _natural_rows(A, c - 1)
+    delta, ops, N = c - len(S.values), list(inverse_system(S).basis), _natural_rows(A, c - 1)
     forms = _forms(ops, c)
-    rows = [r for _, r, _ in N] + [_sparse(r) for r in S.span(c).values()]
+    rows = [r for _, r, _ in N] + list(S.sparse_rows.values())
     return (len(N) == c - 1 - delta and len(ops) == delta and _reduce_ops(ops, c) == ops
             and not any([sum([form[i] * x for i, x in r.items()]) for r in rows for form in forms]))
 

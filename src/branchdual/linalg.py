@@ -104,6 +104,42 @@ def _rational_row(row, o: int) -> list:
     return [Fraction(a, row[o]) if a else QZERO for a in row]
 
 
+def _back_substitute(table: dict, pivots, n: int) -> dict:
+    """Back-substitution: each pivot p of ``pivots``, in decreasing order,
+    -> the dense primitive int tuple, of n entries and positive at p, of
+    the reduced echelon form of the rows ``table[p]`` (sparse, zero before
+    p, nonzero at p) cut at t^n, by increasing p.  The table is only read.
+
+    One combination per row.  With O the rows done (at the pivots above p),
+    P_q = out_q[q] > 0, Q the pivots of O at which the cut row r is nonzero
+    and M = lcm over Q of P_q / gcd(P_q, r_q), each M r_q / P_q is an int,
+    and the row becomes M r - sum over Q of (M r_q / P_q) out_q, its content
+    divided out.  Proof.  out_q is zero before q > p and at O's other
+    pivots, so each term changes, among column p and O's pivots, only
+    column q, where it cancels M r_q: the clears do not interact.  The
+    result lies in the span U of the cut rows, is zero before p and at U's
+    other pivots, and is M r_p != 0 at p: a multiple of U's unique reduced
+    row at p.  ``_clear`` per column reaches the same primitive row, with a
+    rescale and a gcd per column instead of one per row.
+    """
+    out = {}
+    for p in pivots:
+        row = table[p]
+        qs = [q for q in row if q in out]
+        m = math.lcm(*[out[q][q] // math.gcd(out[q][q], row[q]) for q in qs]) if qs else 1
+        s = {k: m * x for k, x in row.items() if k < n}
+        for q in qs:
+            a = m * row[q] // out[q][q]
+            for k, y in out[q].items():
+                x = s.get(k, 0) - a * y
+                if x:
+                    s[k] = x
+                else:
+                    del s[k]  # x = 0 != a * y: s had an entry at k
+        out[p] = _primitive_sparse(s, p)
+    return {p: tuple(_dense(out[p], n)) for p in reversed(out)}
+
+
 class Echelon:
     """Row echelon accumulator for sparse int rows with columns 0..trunc.
 
@@ -160,27 +196,20 @@ class Echelon:
         """The reduced echelon form: each pivot p in [lo, stop), by increasing
         p, -> its dense primitive int row with every other pivot column
         eliminated, of trunc+1 entries (``stop`` entries with ``stop``).
+        The table is only read.
 
         With ``stop`` only columns 0..stop-1 are reduced and returned: the
         rows cut at t^stop, with none of the work on the columns past them
-        (clearing a pivot column changes no column before it).
-        Back-substitution: the rows go from the highest pivot down, each
-        reduced against the rows already done.  Those are zero at every
-        pivot column but their own, so clearing one column fills in no
-        other, and each row meets only pivots above its own, all at least lo.
-        The pivots from ``filled`` on are their monomials: no table row has
-        a column there.
+        (clearing a pivot column changes no column before it).  The pivots
+        from ``filled`` on are their monomials: no table row has a column
+        there.
+
+        The table rows go to ``_back_substitute``, from the highest pivot
+        down, so each meets only pivots above its own, all at least lo.
         """
         n = self.trunc + 1 if stop is None else min(stop, self.trunc + 1)
-        out = {}
-        for p in sorted([p for p in self.table if lo <= p < n], reverse=True):
-            row = {k: x for k, x in self.table[p].items() if k < n}
-            for q in [q for q in row if q in out]:
-                row = _clear(row, out[q], q)
-            out[p] = _primitive_sparse(row, p)
-        for p in range(max(lo, self.filled), n):
-            out[p] = {p: 1}
-        return {p: tuple(_dense(out[p], n)) for p in sorted(out)}
+        out = _back_substitute(self.table, sorted([p for p in self.table if lo <= p < n], reverse=True), n)
+        return out | {p: tuple([0] * p + [1] + [0] * (n - 1 - p)) for p in range(max(lo, self.filled), n)}
 
     def set_monomials(self, lo: int):
         """The fill: t^lo..t^trunc become the pivots lo..trunc, with no row
@@ -217,12 +246,10 @@ class QMatrix(_Record):
     @staticmethod
     def from_rows(rows) -> "QMatrix":
         rows = [list(r) for r in rows]
-        n = len(rows)
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
             raise ValueError("ragged rows")
-        entries = tuple([Fraction(x) for r in rows for x in r])
-        return QMatrix(n, m, entries)
+        return QMatrix(len(rows), m, tuple([Fraction(x) for r in rows for x in r]))
 
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]

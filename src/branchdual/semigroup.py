@@ -43,7 +43,9 @@ def from_generators(gens) -> NumericalSemigroup:
     Sieves one bit set up to the Schur bound b, which is checked before the
     set is built: each generator that is not yet a member adds its
     multiples (``_add_multiples``), at most log2(b) shifts of a b-bit int,
-    and a member adds nothing.
+    and a member adds nothing.  Membership is read off the set's binary
+    digits, written again after each addition (at most e0: each adds a
+    minimal generator), not by shifting the set once per generator.
     """
     gens = sorted(set(int(g) for g in gens))
     if not gens or gens[0] <= 0:
@@ -52,10 +54,11 @@ def from_generators(gens) -> NumericalSemigroup:
     if g > 1:
         raise NonCoprime(f"generators have gcd {g}")
     mask = (1 << (_sieve_bound(gens[0], gens[-1]) + 1)) - 1
-    bits = 1  # bit n: n is a sum of the generators so far
+    bits, digits = 1, "1"  # bit n, and digits[n] == "1": n is a sum of the generators so far
     for a in gens:
-        if not bits >> a & 1:
+        if digits[a : a + 1] != "1":
             bits = _add_multiples(bits, a, mask)
+            digits = bin(bits)[:1:-1]
     return _semigroup(bits)
 
 
@@ -177,8 +180,7 @@ class Characteristic(_Record):
             raise ValueError("invalid characteristic: exponents must increase strictly")
         if betas and betas[0] <= e0:
             raise ValueError("invalid characteristic: exponents must exceed the multiplicity")
-        ms, ns = [], []
-        e_prev = e0
+        ms, ns, e_prev = [], [], e0
         for b in betas:
             e_cur = math.gcd(e_prev, b)
             if e_cur == e_prev:
@@ -206,15 +208,8 @@ def saturation_from_characteristic(ch: Characteristic) -> NumericalSemigroup:
         return from_generators([1])
     _sieve_bound(ch.e0, ch.m[-1] + ch.e0 - 1)
     exps = {ch.e0}
-    for v in range(g - 1):
-        tail = 1
-        for n in ch.n[v + 2 :]:
-            tail *= n
-        n_next = ch.n[v + 1]
-        hi = ch.m[v + 1] // n_next
-        for s in range(ch.m[v], hi + 1):
-            exps.add(s * n_next * tail)
-    if g > 0:
-        for i in range(ch.e0):
-            exps.add(ch.m[g - 1] + i)
+    for v in range(g - 1):  # 0-based: s * step for m[v] <= s <= m[v+1] // n[v+1]
+        step = math.prod(ch.n[v + 1 :])
+        exps.update(range(ch.m[v] * step, ch.m[v + 1] // ch.n[v + 1] * step + 1, step))
+    exps.update(range(ch.m[-1], ch.m[-1] + ch.e0))  # the top window: g > 0, as e0 > 1
     return from_generators(sorted(exps))

@@ -14,7 +14,7 @@ import math
 from functools import cached_property
 
 from .errors import GeneratorError, InfiniteCodimension, PrecisionExhausted, _Record
-from .linalg import Echelon, _dense, _rational_row, _sparse
+from .linalg import Echelon, _back_substitute, _dense, _rational_row, _sparse
 from .semigroup import _add_multiples, from_staircase
 from .series import Series, _quotient_ints, mul_coeffs
 
@@ -38,21 +38,34 @@ class Staircase(_Record):
     ``rows`` maps each value v below max(c, 1), in increasing order, to the
     primitive int row of b_v = t^v + (gap tail) cut at max(c, 1), positive
     at v; together with the monomials t^j, j >= c, they span the algebra
-    mod any power of t.  ``basis``, ``values``, ``gaps``, ``delta`` and
-    ``e0`` are read off the rows.
+    mod any power of t.  ``basis`` is read off the rows.
 
     ``echelon`` holds, when ``closure`` built S, its echelon table's rows
-    at the same values: sparse primitive int rows ``{column: nonzero
-    int}``, each an element of the algebra mod t^(work_trunc+1) of that
-    order, not reduced, so with far smaller entries than ``rows``.  It is
-    None otherwise, and it takes no part in equality, hash, repr or any
-    report; ``sparse_rows`` reads it.
+    at the same values, by increasing value: sparse primitive int rows
+    ``{column: nonzero int}``, each an element of the algebra mod
+    t^max(c, 1) of that order, not reduced, so with far smaller entries
+    than ``rows``.  It is None otherwise, and it takes no part in equality,
+    hash, repr or any report; ``sparse_rows`` reads it.  ``closure``'s
+    staircase (``_from_echelon``) back-substitutes it into ``rows`` on
+    first read (``linalg._back_substitute``, with no copy); ``values``,
+    ``gaps``, ``delta``, ``e0`` and the hash read its keys, the same.
     """
 
     _fields = ("rows", "conductor", "work_trunc")  # what repr shows: not echelon; eq and hash are below
 
     def __init__(self, rows: dict, conductor: int, work_trunc: int, echelon: dict | None = None):
         self.__dict__.update(rows=rows, conductor=conductor, work_trunc=work_trunc, echelon=echelon)
+
+    @staticmethod
+    def _from_echelon(echelon: dict, conductor: int, work_trunc: int) -> "Staircase":
+        """The staircase whose ``rows`` are back-substituted from ``echelon`` on first read."""
+        S = Staircase.__new__(Staircase)
+        S.__dict__.update(conductor=conductor, work_trunc=work_trunc, echelon=echelon)
+        return S
+
+    @cached_property
+    def rows(self):
+        return _back_substitute(self.echelon, reversed(self.echelon), max(self.conductor, 1))
 
     def __eq__(self, other):
         if not isinstance(other, Staircase):
@@ -70,18 +83,17 @@ class Staircase(_Record):
     @cached_property
     def sparse_rows(self):
         """One element of the algebra of each order v below max(c, 1), as a
-        sparse int row keyed by v: ``echelon``, or ``rows`` made sparse."""
-        if self.echelon is not None:
-            return self.echelon
-        return {v: _sparse(r) for v, r in self.rows.items()}
+        sparse int row keyed by v: ``echelon``, or ``rows`` made sparse.
+        For readers that need any basis, not the reduced one."""
+        return self.echelon if self.echelon is not None else {v: _sparse(r) for v, r in self.rows.items()}
 
     @cached_property
     def values(self):
-        return tuple(self.rows)
+        return tuple(self.__dict__.get("rows", self.echelon))  # the echelon's keys until rows is read
 
     @cached_property
     def gaps(self):
-        return tuple([j for j in range(1, self.conductor) if j not in self.rows])
+        return tuple(sorted(set(range(1, self.conductor)).difference(self.values)))
 
     @property
     def delta(self):
@@ -89,7 +101,7 @@ class Staircase(_Record):
 
     @property
     def e0(self):
-        return self.values[1] if len(self.rows) > 1 else max(self.conductor, 1)
+        return self.values[1] if len(self.values) > 1 else max(self.conductor, 1)
 
     def span(self, n: int) -> dict:
         """Int rows spanning the algebra mod t^n, keyed by order: each b_v with
@@ -111,10 +123,9 @@ class Staircase(_Record):
         The first generator is b_(e0).
         """
         c = self.conductor
-        gens = from_staircase(self.values, c).generators
         return tuple([
             Series.make(_rational_row(self.rows[v], v)) if v < c else Series.monomial(v)
-            for v in gens
+            for v in from_staircase(self.values, c).generators
         ])
 
 
@@ -148,6 +159,9 @@ def closure(A: AlgebraInput, ceiling: int = DEFAULT_TRUNC_CEILING) -> Staircase:
     above the range the pivots' semigroup covers: once the sums of pivots
     hold all of [a, w], t^a..t^w go in as rows, and every other row and
     every later product is cut at t^a (proofs in ``_closure_at``).
+    The staircase's reduced ``rows`` are back-substituted from its echelon
+    rows on first read: a caller that reads only values, or any basis
+    (``Staircase.sparse_rows``), pays for none.
     The window and ``work_trunc`` are those of the plain closure, which
     multiplies every pair of rows.  Raises PrecisionExhausted when the
     ceiling (or a generator's own truncation) is insufficient; its
@@ -216,8 +230,7 @@ def _close(gens, ceiling: int) -> Staircase:
     # Starting too small is cheap (we double), starting huge is not, so the
     # initial window looks only at the extreme generator orders.  Inexact
     # generators cap the window at their own truncation.
-    cap = min([t for _, _, t, _ in gens if t is not None], default=ceiling)
-    cap = min(cap, ceiling)
+    cap = min([t for _, _, t, _ in gens if t is not None] + [ceiling])
     w = min(max(4 * (min(orders) + max(orders)), 16), cap)
     # A gcd > 1 among the values of a window is proof of infinite codimension
     # only from ``proved`` on (docstring).  ``gcd_window``, past the
@@ -284,9 +297,12 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
     The pivots are the table's, all below a, and every column of [a, w],
     read as such with no scan of the window: two consecutive ones give
     gcd 1.  The staircase is the reduced echelon form of V cut at
-    max(c, 1), by back-substitution (``Echelon.reduced``); c = a, so it
-    reads table rows only.  It is unique, so it does not depend on the
-    order in which the rows went in.  Values of gcd > 1
+    max(c, 1).  c = a, so the table rows, all below a and cut there, are a
+    basis of V mod t^max(c, 1) (for k[[t]], c = 0 and the fill dropped
+    b_0 = 1, so it is {0: {0: 1}}); they are handed over as ``echelon``,
+    sorted, and back-substituted when ``rows`` is first read.  The reduced
+    form is unique, so it does not depend on the order in which the rows
+    went in.  Values of gcd > 1
     raise InfiniteCodimension once w >= ``proved`` (proof in ``closure``),
     and ask for max(gcd_window, w + 1) below it.
     """
@@ -322,8 +338,8 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
             found(ech.insert_coeffs(mul_coeffs(a, g, ech.filled)))
 
     # The pivots: the table's, all below the fill, and every column of [filled, w].
-    fill, table = ech.filled, ech.table
-    positive = sorted([p for p in table if p]) + list(range(fill, min(fill + 2, w + 1)))
+    c, table = ech.filled, ech.table  # c: past the last gap (docstring)
+    positive = sorted([p for p in table if p]) + list(range(c, min(c + 2, w + 1)))
     if not positive:  # the window lies below every generator's order: nothing seen yet
         raise _Inconclusive(max(o for o, _, _, _ in gens))
     g = math.gcd(*positive)  # 1 once two consecutive columns are filled
@@ -332,11 +348,9 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
             raise InfiniteCodimension(g, positive)
         raise _Inconclusive(max(gcd_window, w + 1))
 
-    c = fill  # past the last gap (docstring)
     if c + positive[0] - 1 > w:
         raise _Inconclusive(2 * w)
-    top = max(c, 1)  # k[[t]] keeps its row b_0 = 1
-    return Staircase(ech.reduced(stop=top), c, w, {p: r for p, r in table.items() if p < top})
+    return Staircase._from_echelon({p: table[p] for p in sorted(table)} or {0: {0: 1}}, c, w)  # k[[t]]: b_0 = 1
 
 
 def membership(f: Series, S: Staircase) -> bool:
@@ -417,12 +431,11 @@ def hilbert(S: Staircase) -> HilbertData:
     (Eakin-Sathaye).  The sequences end at index n + 1, closing on e0, e0.
     """
     c, e0 = max(S.conductor, 1), S.e0
-    small = S.sparse_rows
     factors = [
-        (v, sorted([(k, x) for k, x in small[v].items() if k < c + e0])) if v < c else (v, [(v, 1)])
+        (v, sorted([(k, x) for k, x in S.sparse_rows[v].items() if k < c + e0])) if v < c else (v, [(v, 1)])
         for v in from_staircase(S.values, S.conductor).generators
     ]
-    rows = {v: {k: x for k, x in r.items() if k < c} for v, r in small.items() if v}
+    rows = {v: {k: x for k, x in r.items() if k < c} for v, r in S.sparse_rows.items() if v}
     below = sum([1 << v for v in S.values])  # the values of B below c
     L, power, hf1 = c, (rows, c), [1]  # m mod t^c: its rows, no fill
     while len(hf1) == 1 or hf1[-1] - hf1[-2] != e0:
@@ -471,7 +484,8 @@ def blowup(S: Staircase, prec: int | None = None) -> AlgebraInput:
     B' = B[m/x] is B[b_v/x].  Each b_v = x*(b_v/x), so B lies in
     k[[x, b_v/x]], and B' = k[[x, b_v/x : v != e0]].  As v > e0, b_v/x has
     order v - e0 > 0: no constant term to drop.  Generators of order
-    above prec are dropped.  The generators are ``_blowup_rows`` made monic.
+    above prec are dropped.  The generators are ``_blowup_rows`` of the
+    reduced rows, made monic.
     """
     if S.delta == 0:
         raise ValueError("nothing to blow up: the algebra is all of k[[t]]")
@@ -479,26 +493,30 @@ def blowup(S: Staircase, prec: int | None = None) -> AlgebraInput:
         prec = max(2 * S.conductor + 16, 32)
     return AlgebraInput(tuple([
         Series.make(_rational_row(_dense(dict(terms), prec + 1), o), prec)
-        for o, terms, _, _ in _blowup_rows(S, prec)
+        for o, terms, _, _ in _blowup_rows(S, prec, {v: _sparse(r) for v, r in S.rows.items()})
     ]))
 
 
-def _blowup_rows(S: Staircase, prec: int):
+def _blowup_rows(S: Staircase, prec: int, rows: dict):
     """``blowup``'s generators mod t^(prec+1) as ``_close`` takes them:
     (order, int terms, prec, prec), each an int multiple of the monic
-    generator, in ``blowup``'s order, those of order above prec (x
-    included) dropped.
+    generator of the blow-up of ``rows``, in ``blowup``'s order, those of
+    order above prec (x included) dropped.
 
-    x and b_v are the int rows ``S.rows`` at the minimal generators v of
-    the value semigroup (t^v for v >= c, e0 too).  With u = x/t^e0, whose
-    lead b0 exceeds 1 when x has rational tails, b_v/x = t^(v-e0) *
-    (b_v/t^v)/u, which ``_quotient_ints`` gives mod t^(prec+1) times
-    D = b0^(prec+1-v+e0), in ints.
+    x and b_v are ``rows`` (sparse int rows of elements of B mod t^c, by
+    order; the reduced rows for ``blowup``, ``S.sparse_rows`` for the
+    chain) at the minimal generators v of the value semigroup, t^v for
+    v >= c (e0 too).  Any elements of those orders generate B
+    (``Staircase.algebra_generators``), and B' = m^n/x^n for n at least
+    the reduction number, for any x of value e0, so it does not depend on
+    which x is used.  With u = x/t^e0, whose lead b0 exceeds 1 when x has
+    rational tails, b_v/x = t^(v-e0) * (b_v/t^v)/u, which
+    ``_quotient_ints`` gives mod t^(prec+1) times D = b0^(prec+1-v+e0).
     """
     c, e0 = S.conductor, S.e0
 
     def row(v):
-        return S.rows[v] if v < c else (0,) * v + (1,)
+        return _dense(rows[v], c) if v < c else (0,) * v + (1,)
 
     u = row(e0)[e0:]
     out = [(e0, tuple(_sparse(row(e0)[: prec + 1]).items()), prec, prec)] if e0 <= prec else []
@@ -525,14 +543,16 @@ def blowup_chain(S: Staircase) -> BlowupChain:
     e1 = sum_n (e0 - HF(n)) >= e0 - 1, so the run of e0' <= e0 values
     from c' that certifies the conductor lies in W.
 
-    Each step closes the int rows ``_blowup_rows(S, W)`` with ``_close``:
-    no ``Series`` lies between two staircases.
+    Each step closes the int rows ``_blowup_rows(S, W, S.sparse_rows)``
+    with ``_close``: no ``Series`` lies between two staircases, and none is
+    back-substituted.  A window closes the image of B' mod t^(W+1),
+    whichever generators of B' it gets, so each step is that of
+    ``blowup``'s generators.
     """
     steps = []
-    curS = S
-    while curS.delta:
-        w = 2 * (curS.delta - curS.e0 + 1) + curS.e0 + 2
-        nxtS = _close(_blowup_rows(curS, w), w)
-        steps.append((curS.e0, curS.delta - nxtS.delta))
-        curS = nxtS
+    while S.delta:
+        w = 2 * (S.delta - S.e0 + 1) + S.e0 + 2
+        nxt = _close(_blowup_rows(S, w, S.sparse_rows), w)
+        steps.append((S.e0, S.delta - nxt.delta))
+        S = nxt
     return BlowupChain(tuple(steps + [(1, 0)]) if steps else ())

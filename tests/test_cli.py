@@ -413,6 +413,15 @@ def test_job_built_in_code_with_no_text_input_exit_3(job, message):
     assert report["error"] == {"type": "ExpressionError", "message": f"{job.command} job {message}"}
 
 
+@pytest.mark.parametrize("command", [["analyze"], 5, None], ids=["list", "int", "none"])
+def test_job_built_in_code_with_a_command_that_is_no_string_exit_3(command):
+    # the report names the command "unknown", a string as the schema asks,
+    # as main does for a job file it cannot read
+    report, code = run_checked(JobSpec(command, ["t^2", "t^3"]))
+    assert code == 3 and report["command"] == "unknown"
+    assert report["error"] == {"type": "UnknownCommand", "message": f"unknown command {command!r}"}
+
+
 def test_main_human_output(capsys):
     code = main(["semigroup", "--gens", "4,6,9"])
     out = capsys.readouterr().out

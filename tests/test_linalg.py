@@ -20,7 +20,7 @@ from branchdual.linalg import (
 )
 from branchdual.series import mul_coeffs
 
-from oracles import _gauss_jordan, gauss_nullspace, span_rank
+from oracles import _gauss_jordan, gauss_nullspace, reduced_per_column, span_rank
 
 F = Fraction
 
@@ -290,6 +290,27 @@ def test_sparse_echelon_matches_gauss_jordan(case, lo):
             assert all(type(x) is int for x in row)
             assert row[p] > 0 and math.gcd(*row) == 1
             assert [F(x, row[p]) for x in row] == want[p]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_insertions(), st.integers(0, 40), st.integers(1, 41))
+def test_one_combination_per_row_equals_clearing_one_column_at_a_time(case, lo, stop):
+    # ``reduced`` clears all of a row's later pivot columns in one integer
+    # combination; the oracle clears them one at a time, with a gcd each.
+    # Both give the unique primitive reduced rows, with and without a fill,
+    # and the table is only read.  Products of the rows carry larger entries.
+    width, before, mono, after = case
+    ech = Echelon(width - 1)
+    for r in before + [mul_coeffs(a, list(b.items()), width) for a, b in zip(before, before[1:])]:
+        ech.insert_coeffs(r)
+    if mono is not None:
+        ech.set_monomials(mono)
+    for r in after:
+        ech.insert_coeffs(r)
+    table = {p: dict(r) for p, r in ech.table.items()}
+    for s in (None, stop):
+        assert ech.reduced(lo, s) == reduced_per_column(ech, lo, s)
+    assert ech.table == table
 
 
 @settings(max_examples=300, deadline=None)

@@ -28,6 +28,33 @@ def _values(rng, name):
     return vals
 
 
+# (rows, conductor, echelon) of a staircase built lazily from its echelon
+# rows, primitive int rows that may be nonzero at a later pivot: the rows are
+# their reduced form, of max(c, 1) entries
+LAZY = [
+    ({0: (1,)}, 0, {0: {0: 1}}),
+    ({0: (1, 0)}, 2, {0: {0: 1}}),
+    ({0: (1, 0, 0), 2: (0, 0, 1)}, 3, {0: {0: 1, 2: 3}, 2: {2: 1}}),
+    ({0: (1, 0, 0, 0), 2: (0, 0, 1, -2)}, 4, {0: {0: 1, 2: -3, 3: 6}, 2: {2: 1, 3: -2}}),
+    ({0: (4, 0, 0, 1), 2: (0, 0, 2, 1)}, 4, {0: {0: 2, 2: 1, 3: 1}, 2: {2: 2, 3: 1}}),
+]
+
+
+def check_lazy_staircase(case, work_trunc, twin):
+    """A lazily built staircase is, before and after its rows are read, equal
+    to, hashed, printed and pickled as the one built from its rows."""
+    rows, c, echelon = case
+    eager = CLASSES["Staircase"](rows, c, work_trunc)
+    for read in (False, True):
+        lazy = CLASSES["Staircase"]._from_echelon(echelon, c, work_trunc)
+        if read:
+            assert lazy.rows == rows
+        assert hash(lazy) == hash(eager) and ("rows" in lazy.__dict__) == read
+        copy = pickle.loads(pickle.dumps(lazy))
+        assert copy == eager and repr(copy) == repr(eager) and hash(copy) == hash(eager)
+        assert lazy == eager and not lazy != eager and repr(lazy) == repr(eager) == repr(twin(rows, c, work_trunc))
+
+
 @pytest.mark.parametrize("name", list(RECORD_FIELDS))
 def test_records_match_their_dataclass_twins(name):
     cls, twin = CLASSES[name], dataclass_twin(name)
@@ -53,6 +80,7 @@ def test_records_match_their_dataclass_twins(name):
         if name == "Staircase":  # its own rule: echelon and work_trunc take no part
             assert (x == y) == (a[0] == b[0] and a[1] == b[1]) != (x != y)
             assert x != y or hash(x) == hash(y)
+            check_lazy_staircase(rng.choice(LAZY), a[2], twin)
             continue
         assert (x == y) == (tx == ty) and (x != y) == (tx != ty)
         if name == "JobSpec":

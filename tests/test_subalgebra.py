@@ -1,9 +1,11 @@
 """Staircase closure, invariants, Hilbert data, blow-up chains."""
 
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,7 @@ from oracles import (
     perp_list,
     plane_branch_facts,
     random_branch,
+    reduced_per_column,
     semigroup_data,
     span_orders,
     span_rank,
@@ -220,9 +223,26 @@ def check_staircase_against_span(st, gen_coeff_lists):
 
 
 def check_staircase_rows(sc):
-    """Everything a staircase reports must read off its rows as defined."""
+    """Everything a staircase reports must read off its rows as defined.
+
+    A staircase built lazily (``closure``'s, whose rows are back-substituted
+    on first read) reports what reads no rows off its echelon keys: those
+    must be what the rows give, and reading them must not force the rows."""
     c = sc.conductor
     top = max(c, 1)
+    lazy = "rows" not in sc.__dict__
+    unread = (sc.values, sc.gaps, sc.delta, sc.e0, hash(sc), sc.sparse_rows)
+    assert ("rows" not in sc.__dict__) == lazy
+    if lazy:
+        eager = subalgebra.Staircase(sc.rows, c, sc.work_trunc)
+        assert unread[:5] == (eager.values, eager.gaps, eager.delta, eager.e0, hash(eager)) and eager == sc
+    if sc.echelon is not None:  # an element of the algebra of each value, in its span mod t^top
+        assert list(sc.echelon) == list(sc.values) == list(unread[5])
+        for v, e in sc.echelon.items():
+            assert min(e) == v and max(e) < top and e[v] > 0 and math.gcd(*e.values()) == 1
+            assert all(type(x) is int and x for x in e.values())
+            combo = [sum([F(e.get(w, 0), r[w]) * r[k] for w, r in sc.rows.items()]) for k in range(top)]
+            assert combo == [e.get(k, 0) for k in range(top)]
     assert sc.values == tuple(sorted(sc.rows)) and sc.values[0] == 0
     assert sc.gaps == tuple(sorted(set(range(1, c)) - set(sc.values)))
     assert sc.delta == len(sc.gaps) == top - len(sc.values)
@@ -246,7 +266,10 @@ def check_staircase_rows(sc):
 @settings(max_examples=60, deadline=None)
 def test_staircase_reads_everything_off_its_rows_on_random_branches(seed):
     dicts = random_branch(random.Random(seed), max_delta=9)
-    check_staircase_rows(closure(AlgebraInput.make([S(d) for d in dicts])))
+    sc = closure(AlgebraInput.make([S(d) for d in dicts]))
+    assert "rows" not in sc.__dict__  # closure's staircase is built lazily
+    check_staircase_rows(sc)
+    check_staircase_rows(subalgebra.Staircase(sc.rows, sc.conductor, sc.work_trunc))  # and eagerly
 
 
 @pytest.mark.parametrize("gens", ["t", "t^2, t+t^3", "t^3, t^2, t+t^5"])
@@ -713,14 +736,15 @@ def close_outcome(close):
 
 
 def check_chain_rows_match_the_blown_up_series(sc):
-    # every step of the chain's int-row path closes to what the public
-    # blowup's series close to, in the chain's window W and around it
+    # every step of the chain's int-row path, on closure's echelon rows
+    # (``sparse_rows``), closes to what the public blowup's series, on the
+    # reduced rows, close to, in the chain's window W and around it
     while sc.delta:
         W = 2 * (sc.delta - sc.e0 + 1) + sc.e0 + 2
         for w in (W, W // 2, W + 7):
-            rows = close_outcome(lambda: subalgebra._close(subalgebra._blowup_rows(sc, w), w))
+            rows = close_outcome(lambda: subalgebra._close(subalgebra._blowup_rows(sc, w, sc.sparse_rows), w))
             assert rows == close_outcome(lambda: closure(blowup(sc, w), w)), w
-        sc = subalgebra._close(subalgebra._blowup_rows(sc, W), W)
+        sc = subalgebra._close(subalgebra._blowup_rows(sc, W, sc.sparse_rows), W)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -756,7 +780,7 @@ def test_blowup_drops_the_generators_of_order_above_prec(gens, prec, orders):
     full = [g for g in blowup(sc, 40).gens if order(g) <= prec]
     assert list(B) == [truncate(g, prec) for g in full]
     assert all(g.coeff(order(g)) == 1 for g in B)
-    rows = close_outcome(lambda: subalgebra._close(subalgebra._blowup_rows(sc, prec), prec))
+    rows = close_outcome(lambda: subalgebra._close(subalgebra._blowup_rows(sc, prec, sc.sparse_rows), prec))
     assert rows == close_outcome(lambda: closure(blowup(sc, prec), prec))
 
 
@@ -905,3 +929,100 @@ def test_plane_branches_match_their_characteristic(seed):
     assert ch.multiplicities() == facts["multiplicities"]
     assert ch.e1_sequence() == tuple([m * (m - 1) // 2 for m in facts["multiplicities"]])
     assert sum(ch.e1_sequence()) == sc.delta
+
+
+class _Recorded(subalgebra.Echelon):
+    """An ``Echelon`` that keeps every instance made, in order."""
+
+    made = []
+
+    def __init__(self, trunc):
+        super().__init__(trunc)
+        self.made.append(self)
+
+
+def check_rows_read_lazily(gens, ceiling):
+    # closure hands its staircase the echelon rows; rows read later must be
+    # the eager back-substitution of the table of the window that concluded,
+    # cut at max(c, 1), as closure computed them before, and the oracle's
+    # one pivot column at a time
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subalgebra, "Echelon", _Recorded)
+        mp.setattr(_Recorded, "made", [])
+        sc = closure(AlgebraInput.make(gens), ceiling)
+        ech = _Recorded.made[-1]
+    top = max(sc.conductor, 1)
+    assert "rows" not in sc.__dict__
+    assert (ech.trunc, ech.filled) == (sc.work_trunc, sc.conductor)
+    eager = ech.reduced(stop=top)
+    assert eager == reduced_per_column(ech, 0, top)
+    assert sc.rows == eager and list(sc.values) == list(eager)
+
+
+LAZY_RUNGS = {
+    "k[[t]]": ("t", DEFAULT_CEILING),
+    "k[[t]]-2": ("t^2, t+t^3", DEFAULT_CEILING),
+    "d4": (LADDER["d4"], DEFAULT_CEILING),
+    "d27": (LADDER["d27"], DEFAULT_CEILING),
+    "d190": ("t^16, t^24+t^28+t^30+t^31", 1024),
+}
+
+
+def lazy_rung(name):
+    gens, ceiling = LAZY_RUNGS[name]
+    return [parse_series(g) for g in gens.split(",")], ceiling
+
+
+@pytest.mark.parametrize("name", list(LAZY_RUNGS))
+def test_rows_read_lazily_are_the_eager_back_substitution(name):
+    check_rows_read_lazily(*lazy_rung(name))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_rows_read_lazily_are_the_eager_back_substitution_on_random_branches(seed):
+    check_rows_read_lazily([S(d) for d in random_branch(random.Random(seed), max_delta=9)], DEFAULT_CEILING)
+
+
+@pytest.mark.parametrize("name", list(LAZY_RUNGS))
+def test_a_lazy_staircase_compares_hashes_prints_and_pickles_as_its_rows(name):
+    # ==, hash, repr and a pickled copy are the same before and after rows is
+    # read, and the same as the staircase built from the rows by the public
+    # constructor
+    gens, ceiling = lazy_rung(name)
+    read = closure(AlgebraInput.make(gens), ceiling)
+    eager = subalgebra.Staircase(read.rows, read.conductor, read.work_trunc)
+    assert hash(closure(AlgebraInput.make(gens), ceiling)) == hash(read) == hash(eager)
+    copy = pickle.loads(pickle.dumps(closure(AlgebraInput.make(gens), ceiling)))
+    assert "rows" not in copy.__dict__ and copy == read and repr(copy) == repr(eager)
+    unread = closure(AlgebraInput.make(gens), ceiling)
+    assert unread == read == eager and "rows" in unread.__dict__
+    for sc in (closure(AlgebraInput.make(gens), ceiling), read):
+        assert repr(sc) == repr(eager) and hash(sc) == hash(eager)
+        copy = pickle.loads(pickle.dumps(sc))
+        assert copy == eager and repr(copy) == repr(eager) and hash(copy) == hash(eager)
+
+
+@pytest.mark.parametrize("name", ["d4", "d11", "d27", "d30", "embdim4", "plane-d8"])
+def test_only_a_report_that_prints_the_staircase_back_substitutes_it(name, monkeypatch):
+    # blowup-chain, gorenstein, check-af and derivations read values, the
+    # conductor, e0 or any basis of B (``sparse_rows``): no back-substitution
+    # of any staircase, the chain's included; analyze prints the staircase's
+    # basis, one back-substitution
+    calls = []
+    rows = subalgebra.Staircase.__dict__["rows"]
+
+    def counted(sc):
+        calls.append(sc.conductor)
+        return rows.func(sc)
+
+    prop = cached_property(counted)
+    prop.__set_name__(subalgebra.Staircase, "rows")
+    monkeypatch.setattr(subalgebra.Staircase, "rows", prop)
+    gens = [g.strip() for g in LADDER[name].split(",")]
+    ops = "u^2; u^3 + 1/2 u^5"
+    for command, options, want in [("blowup-chain", {}, 0), ("gorenstein", {}, 0), ("check-af", {"v": ops}, 0),
+                                   ("derivations", {"v": ops}, 0), ("analyze", {}, 1)]:
+        calls.clear()
+        report, code = run(JobSpec(command, gens, options))
+        assert (code, len(calls)) == (0, want), (command, report)
