@@ -17,7 +17,9 @@ import math
 from fractions import Fraction
 
 from .errors import InternalError, NotAlgebraForming, PrecisionExhausted, _Record
-from .linalg import QONE, QZERO, Echelon, QMatrix, _dense, _integer_row, _primitive, _rational_row, _sparse
+from .linalg import (
+    QONE, QZERO, Echelon, QMatrix, _back_substitute, _dense, _integer_row, _primitive, _rational_row, _sparse,
+)
 from .series import DiffOp, Series, mul_coeffs, order
 from .subalgebra import (
     AlgebraInput,
@@ -237,7 +239,7 @@ def _annihilate(V, S: Staircase):
     ech = Echelon(k + n - 1)
     for r in list(S.sparse_rows.values()) + [{j: 1} for j in range(max(S.conductor, 1), n)]:
         ech.insert_coeffs(_sparse(_values(forms, r)) | {k + j: x for j, x in r.items()})  # [forms | r]
-    rows = {p - k: r[k:] for p, r in ech.reduced(k).items()}
+    rows = {p - k: r[k:] for p, r in _back_substitute(ech.table, [p for p in ech.table if p >= k], k + n).items()}
     out = (n, max(set(range(n)) - set(rows)) + 1, rows)
     pos = [v for v in rows if v]
     pair = _failing_pair({v: _sparse(rows[v]) for v in pos if v + pos[0] <= d}, forms, d)
@@ -299,8 +301,8 @@ def annihilator(V, S: Staircase) -> Staircase:
     cert, n, c, rows = found
     if not cert.verdict:
         raise NotAlgebraForming(cert)
-    # clearing pivot columns >= c changes no entry below c
-    return Staircase({v: _primitive(r[:c], v) for v, r in rows.items() if v < c}, c, n - 1)
+    # every column of [c, N) is a pivot, where the reduced rows below c are zero
+    return Staircase._from_echelon({v: _sparse(r) for v, r in rows.items() if v < c}, c, n - 1)
 
 
 def standard_filtration(S: Staircase) -> Filtration:
@@ -467,7 +469,7 @@ def verify_duality(A: AlgebraInput, S: Staircase) -> bool:
     forms = _forms(ops, c)
     rows = [r for _, r, _ in N] + list(S.sparse_rows.values())
     return (len(N) == c - 1 - delta and len(ops) == delta and _reduce_ops(ops, c) == ops
-            and not any([sum([form[i] * x for i, x in r.items()]) for r in rows for form in forms]))
+            and not any([x for r in rows for x in _values(forms, r)]))
 
 
 def rosenlicht(g: DiffOp, c: int):

@@ -105,10 +105,13 @@ def _rational_row(row, o: int) -> list:
 
 
 def _back_substitute(table: dict, pivots, n: int) -> dict:
-    """Back-substitution: each pivot p of ``pivots``, in decreasing order,
-    -> the dense primitive int tuple, of n entries and positive at p, of
-    the reduced echelon form of the rows ``table[p]`` (sparse, zero before
-    p, nonzero at p) cut at t^n, by increasing p.  The table is only read.
+    """Back-substitution: each pivot p of ``pivots``, all below n, -> the
+    dense primitive int tuple, of n entries and positive at p, of the
+    reduced echelon form of the rows ``table[p]`` (sparse, zero before p,
+    nonzero at p) cut at t^n, by increasing p.  The rows go from the
+    highest pivot down, and the table is only read.  A row at p meets only
+    pivots above p, so the table's pivots >= lo give the rows there of the
+    whole table's reduced form cut at t^n.
 
     One combination per row.  With O the rows done (at the pivots above p),
     P_q = out_q[q] > 0, Q the pivots of O at which the cut row r is nonzero
@@ -123,7 +126,7 @@ def _back_substitute(table: dict, pivots, n: int) -> dict:
     rescale and a gcd per column instead of one per row.
     """
     out = {}
-    for p in pivots:
+    for p in sorted(pivots, reverse=True):
         row = table[p]
         qs = [q for q in row if q in out]
         m = math.lcm(*[out[q][q] // math.gcd(out[q][q], row[q]) for q in qs]) if qs else 1
@@ -192,24 +195,16 @@ class Echelon:
         self.table[o] = _primitive_sparse(row, o)
         return o
 
-    def reduced(self, lo: int = 0, stop: int | None = None) -> dict:
-        """The reduced echelon form: each pivot p in [lo, stop), by increasing
-        p, -> its dense primitive int row with every other pivot column
-        eliminated, of trunc+1 entries (``stop`` entries with ``stop``).
-        The table is only read.
-
-        With ``stop`` only columns 0..stop-1 are reduced and returned: the
-        rows cut at t^stop, with none of the work on the columns past them
-        (clearing a pivot column changes no column before it).  The pivots
-        from ``filled`` on are their monomials: no table row has a column
-        there.
-
-        The table rows go to ``_back_substitute``, from the highest pivot
-        down, so each meets only pivots above its own, all at least lo.
+    def reduced(self) -> dict:
+        """The reduced echelon form: each pivot p, by increasing p, -> its
+        dense primitive int row of trunc+1 entries with every other pivot
+        column eliminated, by ``_back_substitute`` over the table.  The
+        pivots from ``filled`` on are their monomials: no table row has a
+        column there.  The table is only read.
         """
-        n = self.trunc + 1 if stop is None else min(stop, self.trunc + 1)
-        out = _back_substitute(self.table, sorted([p for p in self.table if lo <= p < n], reverse=True), n)
-        return out | {p: tuple([0] * p + [1] + [0] * (n - 1 - p)) for p in range(max(lo, self.filled), n)}
+        n = self.trunc + 1
+        return _back_substitute(self.table, self.table, n) | {
+            p: tuple([0] * p + [1] + [0] * (n - 1 - p)) for p in range(self.filled, n)}
 
     def set_monomials(self, lo: int):
         """The fill: t^lo..t^trunc become the pivots lo..trunc, with no row

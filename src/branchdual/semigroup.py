@@ -199,10 +199,11 @@ def saturation_from_characteristic(ch: Characteristic) -> NumericalSemigroup:
     Emits the multiplicity, the middle families s * n_(v+1) ... n_g for
     m_v <= s <= floor(m_(v+1) / n_(v+1)), and the top window m_g + i for
     0 <= i < e0, then minimalizes.  Every exponent is at most m_g + e0 - 1
-    (m_g = beta_g): the sieve bound is checked before any is listed.
+    (m_g = beta_g): the sieve bound is checked before any is listed.  The
+    pairs m, n are derived again from e0 and the exponents, which are
+    validated (``Characteristic.make``): a record's stored pairs are not read.
     """
-    if not ch.m and ch.betas:
-        ch = Characteristic.make(ch.e0, ch.betas)
+    ch = Characteristic.make(ch.e0, ch.betas)
     g = len(ch.betas)
     if ch.e0 == 1:  # 1 generates all of N
         return from_generators([1])

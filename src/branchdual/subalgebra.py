@@ -40,32 +40,36 @@ class Staircase(_Record):
     at v; together with the monomials t^j, j >= c, they span the algebra
     mod any power of t.  ``basis`` is read off the rows.
 
-    ``echelon`` holds, when ``closure`` built S, its echelon table's rows
-    at the same values, by increasing value: sparse primitive int rows
-    ``{column: nonzero int}``, each an element of the algebra mod
-    t^max(c, 1) of that order, not reduced, so with far smaller entries
-    than ``rows``.  It is None otherwise, and it takes no part in equality,
-    hash, repr or any report; ``sparse_rows`` reads it.  ``closure``'s
-    staircase (``_from_echelon``) back-substitutes it into ``rows`` on
-    first read (``linalg._back_substitute``, with no copy); ``values``,
-    ``gaps``, ``delta``, ``e0`` and the hash read its keys, the same.
+    ``sparse_rows`` maps the same values, in the same order, to sparse
+    primitive int rows ``{column: nonzero int}``, each an element of the
+    algebra mod t^max(c, 1) of that order: any basis, for readers that need
+    no reduced form.  A staircase stores one of the two views, and the
+    other is derived from it on first read.  The constructor stores
+    ``rows``, and ``sparse_rows`` is them made sparse.  ``_from_echelon``
+    stores ``sparse_rows`` (closure's echelon rows, not reduced, so with far
+    smaller entries, or annihilator's reduced rows), and ``rows`` is their
+    back-substitution (``linalg._back_substitute``, with no copy).  ``values``, ``gaps``,
+    ``delta``, ``e0`` and the hash read the keys of ``sparse_rows``, and
+    equality and repr read ``rows``.
     """
 
-    _fields = ("rows", "conductor", "work_trunc")  # what repr shows: not echelon; eq and hash are below
-
-    def __init__(self, rows: dict, conductor: int, work_trunc: int, echelon: dict | None = None):
-        self.__dict__.update(rows=rows, conductor=conductor, work_trunc=work_trunc, echelon=echelon)
+    def __init__(self, rows: dict, conductor: int, work_trunc: int):
+        self.__dict__.update(rows=rows, conductor=conductor, work_trunc=work_trunc)
 
     @staticmethod
-    def _from_echelon(echelon: dict, conductor: int, work_trunc: int) -> "Staircase":
-        """The staircase whose ``rows`` are back-substituted from ``echelon`` on first read."""
+    def _from_echelon(sparse_rows: dict, conductor: int, work_trunc: int) -> "Staircase":
+        """The staircase that stores ``sparse_rows`` and back-substitutes ``rows`` on first read."""
         S = Staircase.__new__(Staircase)
-        S.__dict__.update(conductor=conductor, work_trunc=work_trunc, echelon=echelon)
+        S.__dict__.update(sparse_rows=sparse_rows, conductor=conductor, work_trunc=work_trunc)
         return S
 
     @cached_property
     def rows(self):
-        return _back_substitute(self.echelon, reversed(self.echelon), max(self.conductor, 1))
+        return _back_substitute(self.sparse_rows, self.sparse_rows, max(self.conductor, 1))
+
+    @cached_property
+    def sparse_rows(self):
+        return {v: _sparse(r) for v, r in self.rows.items()}
 
     def __eq__(self, other):
         if not isinstance(other, Staircase):
@@ -81,15 +85,8 @@ class Staircase(_Record):
         return tuple([Series.make(_rational_row(r, v)) for v, r in self.rows.items()])
 
     @cached_property
-    def sparse_rows(self):
-        """One element of the algebra of each order v below max(c, 1), as a
-        sparse int row keyed by v: ``echelon``, or ``rows`` made sparse.
-        For readers that need any basis, not the reduced one."""
-        return self.echelon if self.echelon is not None else {v: _sparse(r) for v, r in self.rows.items()}
-
-    @cached_property
     def values(self):
-        return tuple(self.__dict__.get("rows", self.echelon))  # the echelon's keys until rows is read
+        return tuple(self.sparse_rows)
 
     @cached_property
     def gaps(self):
@@ -102,15 +99,6 @@ class Staircase(_Record):
     @property
     def e0(self):
         return self.values[1] if len(self.values) > 1 else max(self.conductor, 1)
-
-    def span(self, n: int) -> dict:
-        """Int rows spanning the algebra mod t^n, keyed by order: each b_v with
-        v < n cut or zero-padded to n entries, then t^j for max(c, 1) <= j < n.
-        """
-        out = {v: list(r[:n]) + [0] * (n - len(r)) for v, r in self.rows.items() if v < n}
-        for j in range(max(self.conductor, 1), n):
-            out[j] = [0] * j + [1] + [0] * (n - 1 - j)
-        return out
 
     def algebra_generators(self):
         """b_v for each minimal generator v of the value semigroup, t^v for v >= c.
@@ -299,10 +287,10 @@ def _closure_at(gens, w: int, gcd_window: int, proved: int) -> Staircase:
     gcd 1.  The staircase is the reduced echelon form of V cut at
     max(c, 1).  c = a, so the table rows, all below a and cut there, are a
     basis of V mod t^max(c, 1) (for k[[t]], c = 0 and the fill dropped
-    b_0 = 1, so it is {0: {0: 1}}); they are handed over as ``echelon``,
-    sorted, and back-substituted when ``rows`` is first read.  The reduced
-    form is unique, so it does not depend on the order in which the rows
-    went in.  Values of gcd > 1
+    b_0 = 1, so it is {0: {0: 1}}); they are stored as the staircase's
+    ``sparse_rows``, sorted, and back-substituted when ``rows`` is first
+    read.  The reduced form is unique, so it does not depend on the order
+    in which the rows went in.  Values of gcd > 1
     raise InfiniteCodimension once w >= ``proved`` (proof in ``closure``),
     and ask for max(gcd_window, w + 1) below it.
     """

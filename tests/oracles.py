@@ -201,23 +201,21 @@ def canonical_operator_basis(vectors, ncols):
     return sorted(out, key=max)
 
 
-def reduced_per_column(ech, lo=0, stop=None):
-    """``Echelon.reduced`` of ``ech``'s table as it was computed before it
-    took one integer combination per row: back-substitution one pivot
+def reduced_per_column(table, pivots, n):
+    """``linalg._back_substitute(table, pivots, n)`` as it was computed before
+    it took one integer combination per row: back-substitution one pivot
     column at a time.
 
-    Each table row at a pivot p in [lo, n), cut at t^n, from the highest
-    pivot down, clears every pivot column q of the rows already done at
-    which it is nonzero, in turn: with P that row's entry at q, r its own
-    and g = gcd(P, r), it becomes (P/g) row - (r/g) done_q, with its content
-    divided out.  The result is made primitive, positive at p.  Every
-    column from ``ech.filled`` to n - 1 is the pivot of its monomial.
+    Each row ``table[p]``, p in ``pivots`` (all below n), cut at t^n, from
+    the highest pivot down, clears every pivot column q of the rows already
+    done at which it is nonzero, in turn: with P that row's entry at q, r
+    its own and g = gcd(P, r), it becomes (P/g) row - (r/g) done_q, with its
+    content divided out.  The result is made primitive, positive at p.
     Returns {p: dense int tuple of n entries} by increasing p.
     """
-    n = ech.trunc + 1 if stop is None else min(stop, ech.trunc + 1)
     out = {}
-    for p in sorted([p for p in ech.table if lo <= p < n], reverse=True):
-        row = {k: x for k, x in ech.table[p].items() if k < n}
+    for p in sorted(pivots, reverse=True):
+        row = {k: x for k, x in table[p].items() if k < n}
         for q in [q for q in row if q in out]:
             g = math.gcd(out[q][q], row[q])
             big, small = out[q][q] // g, row[q] // g
@@ -227,8 +225,6 @@ def reduced_per_column(ech, lo=0, stop=None):
             row = {k: x // content for k, x in row.items()}
         content = math.gcd(*row.values()) * (1 if row[p] > 0 else -1)
         out[p] = {k: x // content for k, x in row.items()}
-    for p in range(max(lo, ech.filled), n):
-        out[p] = {p: 1}
     return {p: tuple([out[p].get(k, 0) for k in range(n)]) for p in sorted(out)}
 
 
@@ -687,8 +683,8 @@ def format_rational_naive(x):
 # records
 
 
-def _default(value, **kw):
-    return dataclasses.field(default=value, **kw)
+def _default(value):
+    return dataclasses.field(default=value)
 
 
 # The public record types as ``dataclasses`` declares them: name -> (fields,
@@ -696,8 +692,7 @@ def _default(value, **kw):
 RECORD_FIELDS = {
     "Series": (["coeffs", ("trunc", object, _default(None))], True, True),
     "DiffOp": (["coeffs"], True, True),
-    "Staircase": (["rows", "conductor", "work_trunc",
-                   ("echelon", object, _default(None, repr=False, compare=False))], True, False),
+    "Staircase": (["rows", "conductor", "work_trunc"], True, False),
     "AlgebraInput": (["gens"], True, True),
     "HilbertData": (["hf", "hf1", "e1"], True, True),
     "BlowupChain": (["steps"], True, True),

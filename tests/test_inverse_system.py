@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchdual.errors import NotAlgebraForming
+from branchdual.errors import NotAlgebraForming, PrecisionExhausted
 from branchdual import cli, linalg
 from branchdual.expressions import parse_operators, parse_series
 from branchdual.inverse_system import (
@@ -817,6 +817,17 @@ def test_transport_identity():
         for i in range(M.rows)
         for j in range(M.cols)
     )
+
+
+@pytest.mark.parametrize("trunc, required", [(2, 3), (1, 2)])
+def test_transport_of_an_inexact_reparametrization_asks_for_precision(trunc, required):
+    # h = t + t^2 mod t^(trunc+1): the columns of M read h^j mod t^c, c = 8,
+    # so h's unknown coefficients past trunc may not be taken as zero
+    Sx = closure(AlgebraInput.make([parse_series("t^3+t^4"), parse_series("t^5")]))
+    assert Sx.conductor == 8
+    with pytest.raises(PrecisionExhausted) as err:
+        transport_dual(Series.make([0, 1, 1], trunc=trunc), Sx.conductor, inverse_system(Sx))
+    assert err.value.required == required
 
 
 def test_transport_matrix_columns_are_powers():

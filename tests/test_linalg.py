@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from branchdual.linalg import (
     Echelon,
     QMatrix,
+    _back_substitute,
     _clear,
     _dense,
     _integer_row,
@@ -165,16 +166,17 @@ def test_echelon_rows_are_primitive_integer_rows(rows):
         assert all(type(x) is int for x in full)
         assert full[p] > 0 and math.gcd(*full) == 1
         assert all(full[q] == 0 for q in ech.table if q != p)
-        for stop in range(p + 1, 8):
+        for stop in range(p + 1, 8):  # the reduced rows cut at t^stop
             prefix = full[:stop]
             content = math.gcd(*prefix)
-            assert ech.reduced(stop=stop)[p] == tuple([x // content for x in prefix])
+            assert _back_substitute(ech.table, [q for q in ech.table if q < stop], stop)[p] == tuple(
+                [x // content for x in prefix])
 
 
-def _fully_reduced_on_its_own(table, p, stop):
-    """The row at pivot p cut at stop, every later pivot column cleared in
+def _fully_reduced_on_its_own(table, p, n):
+    """The row at pivot p cut at n, every later pivot column cleared in
     Fraction arithmetic against the rows as inserted; primitive, positive at p."""
-    row = [F(x) for x in table[p][:stop]]
+    row = [F(x) for x in table[p][:n]]
     for j in range(p + 1, len(row)):
         if row[j] and j in table:
             f = row[j] / table[j][j]
@@ -191,19 +193,20 @@ def _fully_reduced_on_its_own(table, p, stop):
     st.integers(0, 12),
 )
 def test_back_substitution_equals_per_row_full_reduction(rows, lo):
-    # ``reduced`` reduces each row against rows already fully reduced; a
-    # row reduced on its own clears every later pivot column against the
-    # rows as inserted.  The reduced echelon form is unique, so they agree,
-    # and both are the naive Gauss-Jordan form of the rows, made primitive.
+    # ``_back_substitute`` reduces each row against rows already fully
+    # reduced; a row reduced on its own clears every later pivot column
+    # against the rows as inserted.  The reduced echelon form is unique, so
+    # they agree on the pivots >= lo, cut at every n, and both are the naive
+    # Gauss-Jordan form of the rows, made primitive.
     ech = Echelon(11)
     for r in rows:
         ech.insert_coeffs(_sparse(r))
     table = {p: _dense(r, 12) for p, r in ech.table.items()}
-    for stop in [None] + list(range(1, 13)):
-        got = ech.reduced(lo, stop)
-        assert list(got) == [p for p in sorted(ech.table) if p >= lo and (stop is None or p < stop)]
-        assert all(got[p] == _fully_reduced_on_its_own(table, p, stop) for p in got)
-        width = 12 if stop is None else stop
+    assert ech.reduced() == _back_substitute(ech.table, ech.table, 12)  # no fill: no monomials
+    for width in range(1, 13):
+        got = _back_substitute(ech.table, {p for p in ech.table if lo <= p < width}, width)
+        assert list(got) == [p for p in sorted(ech.table) if lo <= p < width]
+        assert all(got[p] == _fully_reduced_on_its_own(table, p, width) for p in got)
         gj, pivots = _gauss_jordan([r[:width] for r in rows], width)
         monic = {p: [F(x, got[p][p]) for x in got[p]] for p in got}
         assert monic == {p: r for p, r in zip(pivots, gj) if p in got}
@@ -246,8 +249,9 @@ def sparse_insertions(draw):
 @given(sparse_insertions(), st.integers(0, 40))
 def test_sparse_echelon_matches_gauss_jordan(case, lo):
     # mostly-zero rows, some of them inserted after the fill: the reduced form
-    # at every stop is the naive Gauss-Jordan form of the rows and monomials
-    # cut there, as dense primitive int tuples.  The fill at mono cuts every
+    # is the naive Gauss-Jordan form of the rows and monomials, and the
+    # back-substitution of the table's rows at pivots >= lo cut at every n is
+    # its rows there, as dense primitive int tuples.  The fill at mono cuts every
     # row below it at mono, and a fill above it changes nothing.  The
     # monomials are pivots with no stored row: no table pivot or column is at
     # or past mono, before and after rows with columns there go in
@@ -281,9 +285,12 @@ def test_sparse_echelon_matches_gauss_jordan(case, lo):
         assert min(row) == p and row[p] > 0 and all(x != 0 for x in row.values())
     for stop in [None] + list(range(width + 1)):
         n = width if stop is None else stop
-        got = ech.reduced(lo, stop)
         gj, pivots = _gauss_jordan([r[:n] for r in dense], n)
-        want = {p: r for p, r in zip(pivots, gj) if p >= lo}
+        if stop is None:  # the whole form, the fill's monomials included
+            got, want = ech.reduced(), dict(zip(pivots, gj))
+        else:
+            got = _back_substitute(ech.table, [p for p in ech.table if lo <= p < n], n)
+            want = {p: r for p, r in zip(pivots, gj) if p >= lo and p in ech.table}
         assert list(got) == list(want)
         for p, row in got.items():
             assert isinstance(row, tuple) and len(row) == n
@@ -295,10 +302,11 @@ def test_sparse_echelon_matches_gauss_jordan(case, lo):
 @settings(max_examples=200, deadline=None)
 @given(sparse_insertions(), st.integers(0, 40), st.integers(1, 41))
 def test_one_combination_per_row_equals_clearing_one_column_at_a_time(case, lo, stop):
-    # ``reduced`` clears all of a row's later pivot columns in one integer
-    # combination; the oracle clears them one at a time, with a gcd each.
-    # Both give the unique primitive reduced rows, with and without a fill,
-    # and the table is only read.  Products of the rows carry larger entries.
+    # ``_back_substitute`` clears all of a row's later pivot columns in one
+    # integer combination; the oracle clears them one at a time, with a gcd
+    # each.  Both give the unique primitive reduced rows, with and without a
+    # fill, of every pivot and of the pivots >= lo cut at t^stop, and the
+    # table is only read.  Products of the rows carry larger entries.
     width, before, mono, after = case
     ech = Echelon(width - 1)
     for r in before + [mul_coeffs(a, list(b.items()), width) for a, b in zip(before, before[1:])]:
@@ -308,8 +316,9 @@ def test_one_combination_per_row_equals_clearing_one_column_at_a_time(case, lo, 
     for r in after:
         ech.insert_coeffs(r)
     table = {p: dict(r) for p, r in ech.table.items()}
-    for s in (None, stop):
-        assert ech.reduced(lo, s) == reduced_per_column(ech, lo, s)
+    n = min(stop, width)
+    for pivots, m in [(ech.table, width), ([p for p in ech.table if lo <= p < n], n)]:
+        assert _back_substitute(ech.table, pivots, m) == reduced_per_column(ech.table, pivots, m)
     assert ech.table == table
 
 

@@ -28,7 +28,7 @@ def _values(rng, name):
     return vals
 
 
-# (rows, conductor, echelon) of a staircase built lazily from its echelon
+# (rows, conductor, sparse rows) of a staircase built lazily from sparse
 # rows, primitive int rows that may be nonzero at a later pivot: the rows are
 # their reduced form, of max(c, 1) entries
 LAZY = [
@@ -42,11 +42,15 @@ LAZY = [
 
 def check_lazy_staircase(case, work_trunc, twin):
     """A lazily built staircase is, before and after its rows are read, equal
-    to, hashed, printed and pickled as the one built from its rows."""
-    rows, c, echelon = case
+    to, hashed, printed and pickled as the one built from its rows.  Each
+    stores one view and derives the other: the sparse rows it was built from,
+    or the rows made sparse."""
+    rows, c, sparse = case
     eager = CLASSES["Staircase"](rows, c, work_trunc)
+    assert eager.sparse_rows == {v: {k: x for k, x in enumerate(r) if x} for v, r in rows.items()}
     for read in (False, True):
-        lazy = CLASSES["Staircase"]._from_echelon(echelon, c, work_trunc)
+        lazy = CLASSES["Staircase"]._from_echelon(sparse, c, work_trunc)
+        assert lazy.sparse_rows is sparse
         if read:
             assert lazy.rows == rows
         assert hash(lazy) == hash(eager) and ("rows" in lazy.__dict__) == read
@@ -77,7 +81,7 @@ def test_records_match_their_dataclass_twins(name):
         for other in (tx, 1) if name == "Staircase" else (tx, sub(*a), 1):
             assert x != other and not x == other and x.__eq__(other) is NotImplemented
         assert repr(pickle.loads(pickle.dumps(x))) == repr(x)
-        if name == "Staircase":  # its own rule: echelon and work_trunc take no part
+        if name == "Staircase":  # its own rule: work_trunc takes no part
             assert (x == y) == (a[0] == b[0] and a[1] == b[1]) != (x != y)
             assert x != y or hash(x) == hash(y)
             check_lazy_staircase(rng.choice(LAZY), a[2], twin)

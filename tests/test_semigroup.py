@@ -250,6 +250,19 @@ def test_saturation_examples():
     assert smooth.generators == (1,) and smooth.conductor == 0
 
 
+@pytest.mark.parametrize("m, n", [((5,), (3,)), ((4, 13), (3, 2))])
+def test_saturation_derives_the_pairs_and_reads_none_stored(m, n):
+    # a record built with wrong pairs m, n saturates as Characteristic.make's
+    D = saturation_from_characteristic(Characteristic(6, (8, 11), m, n))
+    assert (D.generators, D.conductor) == ((6, 8, 10, 11, 13, 15), 10)
+
+
+def test_saturation_refuses_an_invalid_characteristic_with_stored_pairs():
+    # 10 does not lower gcd(6, 8) = 2, whatever pairs the record carries
+    with pytest.raises(ValueError, match="10 does not lower the gcd 2"):
+        saturation_from_characteristic(Characteristic(6, (8, 10), (4, 5), (3, 2)))
+
+
 def test_saturation_contains_multiplicity_and_is_coprime():
     for e0, betas in [(4, [6, 7]), (6, [8, 11]), (4, [10, 13]), (9, [12, 22])]:
         ch = Characteristic.make(e0, betas)

@@ -10,6 +10,7 @@ a missing name would stop the traced benchmark run with a ``KeyError``.
 import ast
 import importlib
 import importlib.util
+import math
 import pathlib
 import re
 
@@ -91,3 +92,50 @@ def _python_floor():
 def test_source_parses_as_the_oldest_supported_python(path):
     # no syntax newer than the declared floor: ast rejects, for one, except* under 3.10
     ast.parse(path.read_text(), filename=str(path), feature_version=_python_floor())
+
+
+def _defaulted_parameters(tree, exported):
+    """(owner, callee name, parameter, positional index or None) for each
+    parameter with a default of the functions and methods in a module whose
+    module-level owner is not exported.  The callee name of ``__init__`` is
+    its class's; the index counts the arguments a call passes, so a method's
+    ``self`` or ``cls`` is not counted, and it is None for a keyword-only one."""
+    out = []
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name in exported:
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            method = node in top.body if isinstance(top, ast.ClassDef) else False
+            bound = method and "staticmethod" not in [getattr(d, "id", None) for d in node.decorator_list]
+            callee = top.name if node.name == "__init__" and method else node.name
+            label = f"{top.name}.{node.name}" if method else node.name
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            out += [(label, callee, a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+            out += [(label, callee, a.arg, None)
+                    for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a parameter with a default that no call in the package passes is a knob
+    # nothing turns: every path runs its default.  Exported names are public
+    # surface and exempt, and so is the console entry point cli.main
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    passed = {}  # callee name -> (most positional arguments of a call, keywords any call passes)
+    for tree in trees.values():
+        for call in [n for n in ast.walk(tree) if isinstance(n, ast.Call)]:
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            most, keywords = passed.get(name, (0, set()))
+            n = math.inf if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
+            keys = {k.arg for k in call.keywords}
+            passed[name] = (max(most, n), keywords | (keys if None not in keys else {"**"}))
+    unturned = []
+    for mod, tree in trees.items():
+        for owner, callee, param, index in _defaulted_parameters(tree, set(branchdual.__all__)):
+            most, keywords = passed.get(callee, (0, set()))
+            if f"{mod}.{owner}" != "cli.main" and not (index is not None and most > index or {param, "**"} & keywords):
+                unturned.append(f"{mod}.{owner}({param}=…)")
+    assert unturned == []
