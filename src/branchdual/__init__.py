@@ -26,7 +26,6 @@ from .expressions import (
     format_rational,
     format_series,
     parse_diffop,
-    parse_expression,
     parse_generators,
     parse_operators,
     parse_series,
@@ -49,7 +48,7 @@ from .inverse_system import (
     transport_dual,
     verify_duality,
 )
-from .linalg import QMatrix, nullspace, rref, solve
+from .linalg import QMatrix, nullspace, solve
 from .semigroup import (
     Characteristic,
     GorensteinCheck,
@@ -68,7 +67,6 @@ from .series import (
     mul,
     order,
     perp,
-    truncate,
 )
 from .subalgebra import (
     AlgebraInput,
@@ -132,18 +130,15 @@ __all__ = [
     "nullspace",
     "order",
     "parse_diffop",
-    "parse_expression",
     "parse_generators",
     "parse_operators",
     "parse_series",
     "perp",
     "residue",
     "rosenlicht",
-    "rref",
     "saturation_from_characteristic",
     "solve",
     "standard_filtration",
     "transport_dual",
-    "truncate",
     "verify_duality",
 ]

@@ -5,17 +5,16 @@ class _Record:
     """Base of the package's records: equality, hash and repr by field.
 
     The fields are the parameters of the subclass's own ``__init__``, in
-    order, unless the class sets ``_fields`` itself; that ``__init__``
-    stores them into ``self.__dict__``, so ``functools.cached_property``
-    still works.  Two records are equal when they are of the same class
-    with equal field tuples; the hash is the field tuple's.  Assigning or
-    deleting an attribute raises ``AttributeError``.
+    order; that ``__init__`` stores them into ``self.__dict__``, so
+    ``functools.cached_property`` still works.  Two records are equal when
+    they are of the same class with equal field tuples; the hash is the
+    field tuple's.  Assigning or deleting an attribute raises
+    ``AttributeError``.
     """
 
     def __init_subclass__(cls):
-        if "_fields" not in cls.__dict__:
-            code = cls.__init__.__code__
-            cls._fields = code.co_varnames[1 : code.co_argcount]
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
 
     def _values(self):
         d = self.__dict__

@@ -4,11 +4,12 @@ Grammar: an optionally signed term, then terms each after ``+`` or ``-``.
 A term matches ``_TERM``, ``[num [/ den] [*]] [t|u [^ exp]]`` with
 whitespace allowed between tokens and ``num``, ``den``, ``exp`` ASCII
 digit runs: ``c``, ``c t^k``, ``t^k``, ``t`` (likewise with ``u``), where
-``c`` is an integer or fraction ``p/q``.  The variable decides the result
-type: ``t`` yields an exact :class:`Series`, ``u`` a :class:`DiffOp`;
-mixing both in one expression is an error.  Errors carry the position of
-the offending token; in a list of generators it counts from the start of
-the whole text, or of a list's texts joined by commas.
+``c`` is an integer or fraction ``p/q``.  A series (an exact
+:class:`Series`) is in ``t``, an operator (a :class:`DiffOp`) in ``u``, and
+a constant is either; mixing both in one expression is an error, and so
+is an operator where a series is asked for, or the converse.  Errors carry
+the position of the offending token; in a list of generators it counts
+from the start of the whole text, or of a list's texts joined by commas.
 
 Parsing sums each exponent's terms in ints (a ``Fraction`` only for a term
 with a denominator) and builds the dense ``Fraction`` tuple once, with no
@@ -18,7 +19,9 @@ MAX_LIST_COEFFS before any tuple is built.
 Printing has one formatter, ``_format_terms``, of (exponent, numerator,
 denominator) triples, and one coefficient string, ``_rational``: every
 expression, coefficient map, matrix cell and Laurent map of a report goes
-through them, and no ``Fraction`` is compared or negated on the way.
+through them, and no ``Fraction`` is compared or negated on the way.  An
+int too long for ``str()`` (``sys.get_int_max_str_digits()``) is converted
+in parts (``_decimal``), so a report of any size is written.
 """
 
 from __future__ import annotations
@@ -54,16 +57,6 @@ _TERM = re.compile(
     r"(?:(?P<num>[0-9]+)\s*(?:(?P<slash>/)\s*(?P<den>[0-9]*)\s*)?(?:\*\s*)?)?"
     r"(?:(?P<var>[tu])\s*(?:\^\s*(?P<exp>[0-9]*))?)?"
 )
-
-
-def parse_expression(text: str):
-    """Parse one expression; returns a Series (variable t) or DiffOp (u).
-
-    A constant expression parses as a Series.  Errors carry the offending
-    position.
-    """
-    terms, var = _parse(text, 0, len(text))
-    return (DiffOp if var == "u" else Series)(_coeffs(terms))
 
 
 def _parse(text: str, pos: int, end: int):
@@ -191,7 +184,24 @@ def parse_operators(text: str):
 
 def _rational(num: int, den: int) -> str:
     """The coefficient string of num/den, in lowest terms with den > 0: "p" or "p/q"."""
-    return str(num) if den == 1 else f"{num}/{den}"
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # an int of more digits than str() converts (sys.get_int_max_str_digits())
+        return _decimal(num) if den == 1 else f"{_decimal(num)}/{_decimal(den)}"
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size, with no process-wide setting changed.
+
+    An int of at most 2,000 bits has at most 603 digits, below 640, the
+    least limit ``sys.set_int_max_str_digits`` accepts, so ``str()``
+    converts it.  A longer one is split at 10^k, k at most half its digits
+    (log10(2) > 3/10), and each part converted so.
+    """
+    if n.bit_length() <= 2000:
+        return str(n)
+    hi, lo = divmod(abs(n), 10 ** (k := n.bit_length() * 3 // 20))
+    return "-" * (n < 0) + _decimal(hi) + _decimal(lo).zfill(k)
 
 
 def _format_terms(terms, var: str) -> str:

@@ -14,9 +14,9 @@ pivots with no stored row, every row is cut at t^lo, and ``filled``
 records where callers cut later products (its docstring proves no span
 changes).
 The reduced rows leave as dense primitive int tuples; ``_rational_row``
-makes one exact rationals (``fractions.Fraction``).  ``rref``, ``nullspace``
-and ``solve`` reduce ``Fraction`` matrices (:class:`QMatrix`) through the
-same kernel, but no engine path calls them: :class:`QMatrix`, a read-only
+makes one exact rationals (``fractions.Fraction``).  ``nullspace`` and
+``solve`` reduce ``Fraction`` matrices (:class:`QMatrix`) through the same
+kernel, but no engine path calls them: :class:`QMatrix`, a read-only
 record (``errors._Record``) that checks its entry count, only carries
 the matrix M of ``transport_dual``'s report; transport composes int rows
 and solves nothing.  No floating point is used anywhere.
@@ -196,15 +196,12 @@ class Echelon:
         return o
 
     def reduced(self) -> dict:
-        """The reduced echelon form: each pivot p, by increasing p, -> its
-        dense primitive int row of trunc+1 entries with every other pivot
-        column eliminated, by ``_back_substitute`` over the table.  The
-        pivots from ``filled`` on are their monomials: no table row has a
-        column there.  The table is only read.
+        """The reduced echelon form of a table with no fill: each pivot p, by
+        increasing p, -> its dense primitive int row of trunc+1 entries with
+        every other pivot column eliminated, by ``_back_substitute`` over the
+        table, which is only read.  A fill's monomials are not in it.
         """
-        n = self.trunc + 1
-        return _back_substitute(self.table, self.table, n) | {
-            p: tuple([0] * p + [1] + [0] * (n - 1 - p)) for p in range(self.filled, n)}
+        return _back_substitute(self.table, self.table, self.trunc + 1)
 
     def set_monomials(self, lo: int):
         """The fill: t^lo..t^trunc become the pivots lo..trunc, with no row
@@ -238,17 +235,6 @@ class QMatrix(_Record):
             raise ValueError("entry count does not match rows*cols")
         self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
-    @staticmethod
-    def from_rows(rows) -> "QMatrix":
-        rows = [list(r) for r in rows]
-        m = len(rows[0]) if rows else 0
-        if any(len(r) != m for r in rows):
-            raise ValueError("ragged rows")
-        return QMatrix(len(rows), m, tuple([Fraction(x) for r in rows for x in r]))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> list:
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
@@ -276,13 +262,6 @@ def _kernel(reduced, n: int):
             v[pc] = -row[fc]
         basis.append(v)
     return basis
-
-
-def rref(M: QMatrix):
-    """Reduced row echelon form.  Returns (R, pivot column indices)."""
-    reduced = _reduced_rows(M.to_rows(), M.cols)
-    rows = list(reduced.values()) + [[QZERO] * M.cols] * (M.rows - len(reduced))
-    return QMatrix(M.rows, M.cols, tuple([x for r in rows for x in r])), list(reduced)
 
 
 def nullspace(M: QMatrix):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import cached_property
 
 from .errors import GeneratorError, InternalError, NonCoprime, _Record
 from .series import DiffOp
@@ -31,10 +32,6 @@ class NumericalSemigroup(_Record):
     def contains(self, n: int) -> bool:
         i = bisect_left(self.gaps, n)  # gaps ascend
         return n >= 0 and (i == len(self.gaps) or self.gaps[i] != n)
-
-    @property
-    def frobenius(self) -> int:
-        return self.conductor - 1
 
 
 def from_generators(gens) -> NumericalSemigroup:
@@ -162,13 +159,24 @@ def gorenstein_check(D: NumericalSemigroup) -> GorensteinCheck:
 class Characteristic(_Record):
     """Multiplicity with characteristic exponents and their normalization.
 
-    The derived pairs satisfy beta_v / e0 = m_v / (n_1 ... n_v) with
-    gcd(m_v, n_v) = 1.  Each exponent must lower gcd(e0, beta_1, ...,
-    beta_v) (n_v > 1), and the last must bring it to 1.
+    The pairs m, n are derived from (e0, betas) on first read, so two
+    records with the same exponents are equal: beta_v / e0 =
+    m_v / (n_1 ... n_v) with gcd(m_v, n_v) = 1.  ``make`` checks that each
+    exponent lowers gcd(e0, beta_1, ..., beta_v) (n_v > 1), and that the
+    last brings it to 1.
     """
 
-    def __init__(self, e0: int, betas: tuple, m: tuple = (), n: tuple = ()):
-        self.__dict__.update(e0=e0, betas=betas, m=m, n=n)
+    def __init__(self, e0: int, betas: tuple):
+        self.__dict__.update(e0=e0, betas=betas)
+
+    @property
+    def _gcds(self) -> list:
+        """e_0 = e0 and e_v = gcd(e0, beta_1, ..., beta_v): m_v = beta_v / e_v
+        and n_v = e_(v-1) / e_v."""
+        return [math.gcd(self.e0, *self.betas[:v]) for v in range(len(self.betas) + 1)]
+
+    m = cached_property(lambda self: tuple([b // e for b, e in zip(self.betas, self._gcds[1:])]))
+    n = cached_property(lambda self: tuple([a // b for a, b in zip(self._gcds, self._gcds[1:])]))
 
     @staticmethod
     def make(e0: int, betas) -> "Characteristic":
@@ -180,17 +188,13 @@ class Characteristic(_Record):
             raise ValueError("invalid characteristic: exponents must increase strictly")
         if betas and betas[0] <= e0:
             raise ValueError("invalid characteristic: exponents must exceed the multiplicity")
-        ms, ns, e_prev = [], [], e0
-        for b in betas:
-            e_cur = math.gcd(e_prev, b)
-            if e_cur == e_prev:
-                raise ValueError(f"invalid characteristic: {b} does not lower the gcd {e_prev}")
-            ns.append(e_prev // e_cur)
-            ms.append(b // e_cur)
-            e_prev = e_cur
-        if e_prev != 1:
+        ch = Characteristic(e0, betas)
+        for b, n_v, e in zip(betas, ch.n, ch._gcds):
+            if n_v == 1:
+                raise ValueError(f"invalid characteristic: {b} does not lower the gcd {e}")
+        if math.prod(ch.n) != e0:
             raise ValueError("invalid characteristic: exponents do not reach gcd 1")
-        return Characteristic(e0, betas, tuple(ms), tuple(ns))
+        return ch
 
 
 def saturation_from_characteristic(ch: Characteristic) -> NumericalSemigroup:
@@ -199,17 +203,15 @@ def saturation_from_characteristic(ch: Characteristic) -> NumericalSemigroup:
     Emits the multiplicity, the middle families s * n_(v+1) ... n_g for
     m_v <= s <= floor(m_(v+1) / n_(v+1)), and the top window m_g + i for
     0 <= i < e0, then minimalizes.  Every exponent is at most m_g + e0 - 1
-    (m_g = beta_g): the sieve bound is checked before any is listed.  The
-    pairs m, n are derived again from e0 and the exponents, which are
-    validated (``Characteristic.make``): a record's stored pairs are not read.
+    (m_g = beta_g): the sieve bound is checked before any is listed.  A
+    record built with the constructor is validated (``Characteristic.make``).
     """
     ch = Characteristic.make(ch.e0, ch.betas)
-    g = len(ch.betas)
     if ch.e0 == 1:  # 1 generates all of N
         return from_generators([1])
     _sieve_bound(ch.e0, ch.m[-1] + ch.e0 - 1)
     exps = {ch.e0}
-    for v in range(g - 1):  # 0-based: s * step for m[v] <= s <= m[v+1] // n[v+1]
+    for v in range(len(ch.betas) - 1):  # 0-based: s * step for m[v] <= s <= m[v+1] // n[v+1]
         step = math.prod(ch.n[v + 1 :])
         exps.update(range(ch.m[v] * step, ch.m[v + 1] // ch.n[v + 1] * step + 1, step))
     exps.update(range(ch.m[-1], ch.m[-1] + ch.e0))  # the top window: g > 0, as e0 > 1

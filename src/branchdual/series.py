@@ -178,13 +178,6 @@ def divide_by_unit(f: Series, v: Series, prec: int | None = None) -> Series:
     return Series.make([Fraction(r, D) if r else _ZERO for r in _quotient_ints(a, b, t + 1)], t)
 
 
-def truncate(f: Series, s: int) -> Series:
-    """The truncated polynomial: coefficients above s dropped, trunc = s."""
-    if not f.known_to(s):
-        raise PrecisionExhausted(s)
-    return Series.make(list(f.coeffs[: s + 1]), s)
-
-
 class DiffOp(_Record):
     """Polynomial sum(coeffs[i] u^i) acting on series by differentiation."""
 
@@ -212,9 +205,6 @@ class DiffOp(_Record):
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def support(self):
-        return tuple([i for i, c in enumerate(self.coeffs) if c != 0])
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
         n = max(len(self.coeffs), len(other.coeffs))

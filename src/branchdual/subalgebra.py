@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .errors import GeneratorError, InfiniteCodimension, PrecisionExhausted, _Record
+from .errors import GeneratorError, InfiniteCodimension, InternalError, PrecisionExhausted, _Record
 from .linalg import Echelon, _back_substitute, _dense, _rational_row, _sparse
 from .semigroup import _add_multiples, from_staircase
 from .series import Series, _quotient_ints, mul_coeffs
@@ -417,6 +417,7 @@ def hilbert(S: Staircase) -> HilbertData:
     most max(1, r) for the reduction number r <= e0 - 1: m^e0 has
     HF(e0) <= e0 < e0 + 1 generators, so m^e0 = y*m^(e0-1) with v(y) = e0
     (Eakin-Sathaye).  The sequences end at index n + 1, closing on e0, e0.
+    A loop past e0 + 1 powers raises InternalError.
     """
     c, e0 = max(S.conductor, 1), S.e0
     factors = [
@@ -427,6 +428,8 @@ def hilbert(S: Staircase) -> HilbertData:
     below = sum([1 << v for v in S.values])  # the values of B below c
     L, power, hf1 = c, (rows, c), [1]  # m mod t^c: its rows, no fill
     while len(hf1) == 1 or hf1[-1] - hf1[-2] != e0:
+        if len(hf1) > e0 + 1:  # the stop rule holds by power max(1, e0 - 1)
+            raise InternalError(f"Hilbert function not stable after {e0 + 1} powers")
         L += e0
         values = below | ((1 << L) - (1 << c))  # the values of B below L
         power = _products(power, factors, L, values)
@@ -529,7 +532,9 @@ def blowup_chain(S: Staircase) -> BlowupChain:
     B' is closed in the window W = 2*(delta - e0 + 1) + e0 + 2: c' <= 2*delta'
     for every semigroup and delta' = delta - e1 <= delta - e0 + 1, since
     e1 = sum_n (e0 - HF(n)) >= e0 - 1, so the run of e0' <= e0 values
-    from c' that certifies the conductor lies in W.
+    from c' that certifies the conductor lies in W.  As e0 >= 2 while
+    delta > 0, each step lowers delta, so there are at most delta steps;
+    a chain past them raises InternalError.
 
     Each step closes the int rows ``_blowup_rows(S, W, S.sparse_rows)``
     with ``_close``: no ``Series`` lies between two staircases, and none is
@@ -537,8 +542,10 @@ def blowup_chain(S: Staircase) -> BlowupChain:
     whichever generators of B' it gets, so each step is that of
     ``blowup``'s generators.
     """
-    steps = []
+    steps, delta = [], S.delta
     while S.delta:
+        if len(steps) == delta:
+            raise InternalError(f"blow-up chain past {delta} steps")
         w = 2 * (S.delta - S.e0 + 1) + S.e0 + 2
         nxt = _close(_blowup_rows(S, w, S.sparse_rows), w)
         steps.append((S.e0, S.delta - nxt.delta))

@@ -183,6 +183,11 @@ def span_rank(rows, ncols):
     return len(_gauss_jordan(rows, ncols)[1])
 
 
+def support(coeffs):
+    """The exponents of the nonzero coefficients, increasing."""
+    return tuple([i for i, c in enumerate(coeffs) if c])
+
+
 def canonical_operator_basis(vectors, ncols):
     """Canonical basis of the span of operator coefficient lists (index = degree).
 
@@ -651,6 +656,19 @@ def derivation_naive(g_coeffs, B):
 # report formatting, on Fractions
 
 
+def decimal_naive(n):
+    """The decimal digits of an int of any size, by repeated division by
+    10^9, with no ``str()`` of a long int (which refuses more than
+    ``sys.get_int_max_str_digits()`` digits)."""
+    sign, n, parts = "-" if n < 0 else "", abs(n), []
+    while True:
+        n, r = divmod(n, 10**9)
+        parts.append(r)
+        if not n:
+            break
+    return sign + str(parts[-1]) + "".join([f"{r:09d}" for r in reversed(parts[:-1])])
+
+
 def format_terms_naive(terms, var):
     """The (exponent, nonzero Fraction) pairs, by increasing exponent, as an
     expression: signs, magnitudes and unit coefficients read off the
@@ -660,11 +678,11 @@ def format_terms_naive(terms, var):
     parts = []
     for k, (i, c) in enumerate(terms):
         neg = c < 0
-        mag = -c if neg else c
+        mag = format_rational_naive(-c if neg else c)
         if i == 0:
-            body = str(mag)
+            body = mag
         else:
-            head = "" if mag == 1 else f"{mag} "
+            head = "" if mag == "1" else f"{mag} "
             body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
         if k == 0:
             parts.append(("-" if neg else "") + body)
@@ -674,9 +692,10 @@ def format_terms_naive(terms, var):
 
 
 def format_rational_naive(x):
-    """A rational as "p" or "p/q"."""
+    """A rational as "p" or "p/q", of any number of digits."""
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    num = decimal_naive(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{decimal_naive(x.denominator)}"
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +722,7 @@ RECORD_FIELDS = {
     "CuttingDerivation": (["l", "operator"], True, True),
     "NumericalSemigroup": (["generators", "conductor", "gaps", "e0", "genus"], True, True),
     "GorensteinCheck": (["symmetric", "c_equals_2delta", "palindromic_inverse"], True, True),
-    "Characteristic": (["e0", "betas", ("m", object, _default(())), ("n", object, _default(()))], True, True),
+    "Characteristic": (["e0", "betas"], True, True),
     "QMatrix": (["rows", "cols", "entries"], True, True),
     "JobSpec": (["command", ("generators", object, dataclasses.field(default_factory=list)),
                  ("options", object, dataclasses.field(default_factory=dict))], False, True),

@@ -3,6 +3,7 @@
 import importlib
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,10 @@ import jsonschema
 import pytest
 
 from branchdual.cli import COMMANDS, MAX_TRUNC, JobSpec, build_parser, main, run
-from branchdual.subalgebra import closure
+from branchdual.expressions import parse_generators, parse_operators, parse_series
+from branchdual.inverse_system import inverse_system, is_algebra_forming, transport_dual
+from branchdual.subalgebra import AlgebraInput, closure
+from oracles import format_rational_naive, format_terms_naive
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "schema" / "report.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
@@ -313,6 +317,31 @@ def test_transport_report():
     matrix = report["result"]["matrix"]
     assert matrix[0] == ["1", "0", "0", "0", "0", "0"]
     assert matrix[3][2] == "2"
+
+
+@pytest.mark.parametrize(
+    "command, gens, options, exit_code",
+    [
+        ("annihilate", ["t^2", "t^3"], {"v": "u^2+u^1999"}, 4),
+        ("check-af", ["t^2", "t^3"], {"v": "u^2+u^4+u^1999"}, 0),
+        ("transport", ["t^2", "t^7"], {"h": f"1/1{'0' * 999} t"}, 0),
+    ],
+)
+def test_report_with_numbers_past_the_str_digit_limit(command, gens, options, exit_code):
+    # the witness, of the failure report (exit 4) or the verdict, and the
+    # matrix hold numbers of more than 4,300 digits, more than str() converts
+    report, code = run_checked(JobSpec(command, gens, options))
+    assert code == exit_code
+    assert max(len(x) for x in re.findall(r"[0-9]+", json.dumps(report))) > 4300
+    S = closure(AlgebraInput.make(parse_generators(gens)))
+    if command == "transport":
+        M, _ = transport_dual(parse_series(options["h"]), S.conductor, inverse_system(S))
+        assert report["result"]["matrix"] == [[format_rational_naive(x) for x in M.row(i)] for i in range(M.rows)]
+        assert report["result"]["matrix"][5][5] == "1/1" + "0" * 4995
+    else:
+        witness = is_algebra_forming(parse_operators(options["v"]), S).witness
+        want = format_terms_naive([(i, c) for i, c in enumerate(witness.coeffs) if c], "t")
+        assert (report["error"] if code else report["result"])["witness"] == want
 
 
 def test_blowup_chain_report():

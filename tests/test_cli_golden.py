@@ -42,7 +42,7 @@ def test_cli_report_unchanged(entry, capsys, tmp_path):
 
 
 def test_corpus_runs_no_fraction_elimination(capsys, tmp_path, monkeypatch):
-    # rref, nullspace and solve all eliminate through _reduced_rows
+    # nullspace and solve both eliminate through _reduced_rows
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction elimination on a CLI path")
 

@@ -2,12 +2,13 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import format_rational_naive, format_terms_naive, random_branch
+from oracles import decimal_naive, format_rational_naive, format_terms_naive, random_branch
 
 from branchdual import cli
 from branchdual.errors import ExpressionError
@@ -16,12 +17,12 @@ from branchdual.expressions import (
     MAX_LIST_COEFFS,
     _format_row,
     _format_terms,
+    _rational,
     MAX_EXPONENT,
     format_diffop,
     format_rational,
     format_series,
     parse_diffop,
-    parse_expression,
     parse_generators,
     parse_operators,
     parse_series,
@@ -34,30 +35,42 @@ from branchdual.subalgebra import AlgebraInput, closure
 F = Fraction
 
 
+def parse_expression(text):
+    """Read a malformed expression with both ``parse_series`` and
+    ``parse_diffop``: each must raise the same error, which is raised."""
+    errors = []
+    for parse in (parse_series, parse_diffop):
+        with pytest.raises(ExpressionError) as ex:
+            parse(text)
+        errors.append((ex.value.reason, ex.value.position))
+    assert errors[0] == errors[1], text
+    raise ex.value
+
+
 def test_parse_series_basic():
-    f = parse_expression("t^3 + t^4")
+    f = parse_series("t^3 + t^4")
     assert isinstance(f, Series) and f.exact
     assert f.coeffs == (F(0), F(0), F(0), F(1), F(1))
 
 
 def test_parse_diffop_with_fraction():
-    g = parse_expression("u^3 - 1/4 u^4")
+    g = parse_diffop("u^3 - 1/4 u^4")
     assert isinstance(g, DiffOp)
     assert g.coeffs == (F(0), F(0), F(0), F(1), F(-1, 4))
 
 
 def test_parse_whitespace_and_star():
-    assert parse_expression("2*t^2").coeffs == parse_expression("  2 t ^ 2 ").coeffs
+    assert parse_series("2*t^2").coeffs == parse_series("  2 t ^ 2 ").coeffs
 
 
 def test_parse_bare_variable_and_constant():
-    assert parse_expression("t").coeffs == (F(0), F(1))
-    assert parse_expression("7").coeffs == (F(7),)
-    assert parse_expression("3/2").coeffs == (F(3, 2),)
+    assert parse_series("t").coeffs == (F(0), F(1))
+    assert parse_series("7").coeffs == parse_diffop("7").coeffs == (F(7),)
+    assert parse_series("3/2").coeffs == (F(3, 2),)
 
 
 def test_parse_leading_sign_and_merging():
-    f = parse_expression("-t + 2 t + t^2 - t^2")
+    f = parse_series("-t + 2 t + t^2 - t^2")
     assert f.coeffs == (F(0), F(1))
 
 
@@ -167,7 +180,7 @@ def well_formed(f) -> bool:
 def test_rendered_sums_parse_to_their_coefficients(series_case, op_case):
     # the parser builds its Series and DiffOps without ``make``, as ``make`` would
     text, want = series_case
-    for f in [parse_series(text), parse_expression(text)] + parse_generators([text, text]):
+    for f in [parse_series(text)] + parse_generators([text, text]):
         assert well_formed(f) and f == Series.make(want)
     text, want = op_case
     for g in [parse_diffop(text)] + parse_operators(f"{text};{text}"):
@@ -181,8 +194,8 @@ def test_parse_errors():
 
 
 def test_exponent_limit():
-    assert parse_expression(f"t^{MAX_EXPONENT}").coeffs[-1] == 1
-    assert parse_expression("t^0003").coeffs == parse_expression("t^3").coeffs
+    assert parse_series(f"t^{MAX_EXPONENT}").coeffs[-1] == 1
+    assert parse_series("t^0003").coeffs == parse_series("t^3").coeffs
     for text, position in [(f"t^{MAX_EXPONENT + 1}", 2), (f"1 - 2 u^{10 * MAX_EXPONENT}", 8)]:
         with pytest.raises(ExpressionError) as ex:
             parse_expression(text)
@@ -191,7 +204,7 @@ def test_exponent_limit():
 
 def test_coefficient_digit_limit():
     big = "9" * MAX_COEFF_DIGITS
-    assert parse_expression(f"{big}/{big} t").coeffs[-1] == 1
+    assert parse_series(f"{big}/{big} t").coeffs[-1] == 1
     for text, position in [(f"1{big} t", 0), (f"t + 1/1{big}", 6)]:
         with pytest.raises(ExpressionError) as ex:
             parse_expression(text)
@@ -222,11 +235,11 @@ def test_parse_generator_and_operator_lists():
 
 
 def test_format_examples():
-    assert format_series(parse_expression("t^3+t^4")) == "t^3 + t^4"
-    assert format_diffop(parse_expression("u^3-1/4u^4")) == "u^3 - 1/4 u^4"
+    assert format_series(parse_series("t^3+t^4")) == "t^3 + t^4"
+    assert format_diffop(parse_diffop("u^3-1/4u^4")) == "u^3 - 1/4 u^4"
     assert format_series(Series.make([])) == "0"
-    assert format_series(parse_expression("-t")) == "-t"
-    assert format_series(parse_expression("2 - 3 t")) == "2 - 3 t"
+    assert format_series(parse_series("-t")) == "-t"
+    assert format_series(parse_series("2 - 3 t")) == "2 - 3 t"
 
 
 def test_format_rational():
@@ -386,3 +399,20 @@ def test_list_size_is_bounded_before_allocation():
         with pytest.raises(ExpressionError) as ex:
             parse(text)
         assert ex.value.reason == reason
+
+
+def test_numbers_past_the_str_digit_limit_are_written_in_full():
+    # str() refuses an int of more than sys.get_int_max_str_digits() digits
+    # (4,300 by default); a report's numbers are written in full, as the naive
+    # conversion writes them, and the limit is left as it is
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    rng = random.Random(2024)
+    ints = [0, -1, 2**2000, 2**2001, 10**603, 10**4300 - 1, 10**4300, -(10**4301), 7**20_000]
+    ints += [rng.getrandbits(rng.randint(1, 60_000)) * rng.choice([1, -1]) for _ in range(60)]
+    for n in ints:
+        assert _rational(n, 1) == format_rational(n) == decimal_naive(n)
+    for num, den in zip(ints[1::2], ints[2::2]):
+        den = abs(den) or 1
+        g = math.gcd(num, den)
+        assert _rational(num // g, den // g) == format_rational(F(num, den)) == format_rational_naive(F(num, den))
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit

@@ -1,4 +1,5 @@
-"""Differential test: rref, nullspace and solve agree exactly with sympy.
+"""Differential test: the reduced row echelon form behind nullspace and solve
+(``linalg._reduced_rows``), nullspace and solve agree exactly with sympy.
 
 sympy's exact Matrix routines are an elimination written independently of
 the package's Echelon kernel, with the same conventions: reduced row
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from branchdual.linalg import QMatrix, nullspace, rref, solve
+from branchdual.linalg import QMatrix, _reduced_rows, nullspace, solve
+
+from test_linalg import qmatrix
 
 sympy = pytest.importorskip("sympy")
 
@@ -70,24 +73,20 @@ def _fractions(vector):
     return [Fraction(int(x.p), int(x.q)) for x in vector]
 
 
-def _matrix(rows):
-    return QMatrix(len(rows), len(rows[0]), tuple(Fraction(x) for r in rows for x in r))
-
-
 @given(systems())
 @example((QMatrix(0, 3, ()), []))  # no rows: the nullspace is the identity basis
-@example((_matrix([[0, 0, 0], [0, 0, 0]]), [0, 0]))  # rank 0, consistent
-@example((_matrix([[0, 0, 0], [0, 0, 0]]), [0, 1]))  # rank 0, inconsistent
-@example((_matrix([[2, 1], [1, 3]]), [1, 1]))  # full rank
-@example((_matrix([[1, 1], [2, 2]]), [1, 3]))  # inconsistent
-@example((_matrix([[1, 1, 1], [0, 0, 1]]), [1, 1]))  # free column before a pivot
+@example((qmatrix([[0, 0, 0], [0, 0, 0]]), [0, 0]))  # rank 0, consistent
+@example((qmatrix([[0, 0, 0], [0, 0, 0]]), [0, 1]))  # rank 0, inconsistent
+@example((qmatrix([[2, 1], [1, 3]]), [1, 1]))  # full rank
+@example((qmatrix([[1, 1], [2, 2]]), [1, 3]))  # inconsistent
+@example((qmatrix([[1, 1, 1], [0, 0, 1]]), [1, 1]))  # free column before a pivot
 @settings(max_examples=150, deadline=None)
 def test_rref_nullspace_solve_match_sympy(system):
     _check_against_sympy(*system)
 
 
 @given(systems(coprime))
-@example((_matrix([[Fraction(3, 10007), Fraction(-5, 65537), Fraction(7, 999983)],
+@example((qmatrix([[Fraction(3, 10007), Fraction(-5, 65537), Fraction(7, 999983)],
                    [Fraction(1, 2147483647), Fraction(2, 10007), Fraction(-1, 65537)]]),
           [Fraction(1, 2305843009213693951), Fraction(4, 999983)]))
 @settings(max_examples=100, deadline=None)
@@ -98,9 +97,10 @@ def test_coprime_denominators_match_sympy(system):
 def _check_against_sympy(M, rhs):
     S = _sympy(M.entries, M.rows, M.cols)
     SR, spivots = S.rref()
-    R, pivots = rref(M)
-    assert pivots == list(spivots)
-    assert list(R.entries) == _fractions(SR)
+    reduced = _reduced_rows(M.to_rows(), M.cols)
+    assert list(reduced) == list(spivots)
+    rows = list(reduced.values()) + [[0] * M.cols] * (M.rows - len(reduced))  # sympy keeps the zero rows
+    assert [x for r in rows for x in r] == _fractions(SR)
     kernel = [_fractions(v) for v in S.nullspace()]
     assert nullspace(M) == kernel
 

@@ -22,7 +22,7 @@ from branchdual.semigroup import (
 from branchdual.series import Series
 from branchdual.subalgebra import AlgebraInput, closure
 
-from oracles import enumerate_semigroups, gaps_to_generators, semigroup_data, sieve
+from oracles import enumerate_semigroups, gaps_to_generators, semigroup_data, sieve, support
 
 
 def test_from_generators_examples():
@@ -104,7 +104,7 @@ def test_contains_and_frobenius():
     D = from_generators([4, 6, 9])
     assert D.contains(0) and D.contains(4) and D.contains(100)
     assert not D.contains(11) and not D.contains(-1)
-    assert D.frobenius == 11
+    assert D.conductor - 1 == 11  # the Frobenius number, the last gap
 
 
 def test_contains_agrees_with_the_sieve_on_enumerated_semigroups():
@@ -163,10 +163,10 @@ def test_from_staircase():
 def test_monomial_inverse_system_examples():
     D = from_generators([4, 7, 9])
     V = monomial_inverse_system(D)
-    assert [g.support() for g in V.basis] == [(1,), (2,), (3,), (5,), (6,), (10,)]
-    assert monomial_inverse_system(from_generators([2, 3])).basis[0].support() == (1,)
+    assert [support(g.coeffs) for g in V.basis] == [(1,), (2,), (3,), (5,), (6,), (10,)]
+    assert support(monomial_inverse_system(from_generators([2, 3])).basis[0].coeffs) == (1,)
     V469 = monomial_inverse_system(from_generators([4, 6, 9]))
-    assert [g.support() for g in V469.basis] == [(1,), (2,), (3,), (5,), (7,), (11,)]
+    assert [support(g.coeffs) for g in V469.basis] == [(1,), (2,), (3,), (5,), (7,), (11,)]
 
 
 def test_gorenstein_check_examples():
@@ -205,7 +205,7 @@ def test_monomial_inverse_system_agrees_with_solver_small_genus():
             [Series.make([0] * a + [1]) for a in gens]
         )
         V = inverse_system(closure(A))
-        assert [g.support() for g in V.basis] == [
+        assert [support(g.coeffs) for g in V.basis] == [
             (i,) for i in D.gaps
         ]
 
@@ -215,6 +215,18 @@ def test_characteristic_normalization():
     assert ch.m == (4, 11) and ch.n == (3, 2)
     ch2 = Characteristic.make(2, [3])
     assert ch2.m == (3,) and ch2.n == (2,)
+
+
+def test_a_characteristic_built_by_its_constructor_derives_the_pairs():
+    # the pairs are derived from (e0, betas): a record compares, hashes and
+    # prints by those two alone, as Characteristic.make's does
+    ch = Characteristic(6, (8, 11))
+    assert ch == Characteristic.make(6, [8, 11]) and hash(ch) == hash(Characteristic.make(6, [8, 11]))
+    assert ch.m == (4, 11) and ch.n == (3, 2)
+    assert repr(ch) == "Characteristic(e0=6, betas=(8, 11))"
+    assert Characteristic(1, ()).m == Characteristic(1, ()).n == ()
+    invalid = Characteristic(9, (12, 22, 25))  # 25 does not lower the gcd 1, which make refuses
+    assert (invalid.m, invalid.n) == ((4, 22, 25), (3, 3, 1))
 
 
 def test_characteristic_validation():
@@ -252,15 +264,23 @@ def test_saturation_examples():
 
 @pytest.mark.parametrize("m, n", [((5,), (3,)), ((4, 13), (3, 2))])
 def test_saturation_derives_the_pairs_and_reads_none_stored(m, n):
-    # a record built with wrong pairs m, n saturates as Characteristic.make's
-    D = saturation_from_characteristic(Characteristic(6, (8, 11), m, n))
+    # no record holds pairs other than its own: the constructor takes none, and
+    # the record built from (e0, betas) saturates as Characteristic.make's
+    with pytest.raises(TypeError):
+        Characteristic(6, (8, 11), m, n)
+    ch = Characteristic(6, (8, 11))
+    assert (ch.m, ch.n) == ((4, 11), (3, 2)) != (m, n)
+    D = saturation_from_characteristic(ch)
     assert (D.generators, D.conductor) == ((6, 8, 10, 11, 13, 15), 10)
 
 
 def test_saturation_refuses_an_invalid_characteristic_with_stored_pairs():
-    # 10 does not lower gcd(6, 8) = 2, whatever pairs the record carries
+    # 10 does not lower gcd(6, 8) = 2: the record's derived n_2 is 1, and
+    # saturating it validates it as Characteristic.make does
+    ch = Characteristic(6, (8, 10))
+    assert (ch.m, ch.n) == ((4, 5), (3, 1))
     with pytest.raises(ValueError, match="10 does not lower the gcd 2"):
-        saturation_from_characteristic(Characteristic(6, (8, 10), (4, 5), (3, 2)))
+        saturation_from_characteristic(ch)
 
 
 def test_saturation_contains_multiplicity_and_is_coprime():

@@ -16,7 +16,6 @@ from branchdual.series import (
     mul,
     order,
     perp,
-    truncate,
 )
 from oracles import divide_by_unit_naive, poly_mul
 
@@ -133,11 +132,11 @@ def test_divide_by_unit_value_errors(f, v, prec):
 
 
 def test_truncate():
+    # f cut at t^s, once f.known_to(s) holds: what the removed truncate(f, s) gave
     f = S({1: 1, 5: 1})
-    g = truncate(f, 3)
+    g = Series.make(f.coeffs[:4], 3)
     assert g.trunc == 3 and g.coeffs == (F(0), F(1), F(0), F(0))
-    with pytest.raises(PrecisionExhausted):
-        truncate(Series.make([1], trunc=2), 5)
+    assert f.known_to(3) and not Series.make([1], trunc=2).known_to(5)
 
 
 def test_diffop_normalization():
@@ -146,7 +145,7 @@ def test_diffop_normalization():
     assert g.degree == 1
     assert DiffOp.make([]).degree == -1
     assert DiffOp.make([0, 0]).is_zero()
-    assert DiffOp.make([0, 2, 0, 3]).support() == (1, 3)
+    assert DiffOp.make([0, 2, 0, 3, 0]).coeffs == (F(0), F(2), F(0), F(3))
 
 
 def test_perp_basic():

@@ -1,8 +1,10 @@
 """Staircase closure, invariants, Hilbert data, blow-up chains."""
 
+import contextlib
 import math
 import pickle
 import random
+import signal
 import time
 from fractions import Fraction
 from functools import cached_property
@@ -13,12 +15,12 @@ from hypothesis import strategies as st
 
 from branchdual import subalgebra
 from branchdual.cli import JobSpec, run
-from branchdual.errors import GeneratorError, InfiniteCodimension, PrecisionExhausted
+from branchdual.errors import GeneratorError, InfiniteCodimension, InternalError, PrecisionExhausted
 from branchdual.expressions import parse_series
 from branchdual.linalg import _dense
 from branchdual.inverse_system import inverse_system
 from branchdual.semigroup import from_staircase, gorenstein_check
-from branchdual.series import Series, mul, mul_coeffs, order, truncate
+from branchdual.series import Series, mul, mul_coeffs, order
 from branchdual.subalgebra import (
     AlgebraInput,
     blowup,
@@ -283,7 +285,8 @@ def test_precision_exhausted_requires_more_than_the_ceiling(seed, ceiling, cut):
     rng = random.Random(seed)
     gens = [S(d) for d in random_branch(rng, max_delta=9)]
     if cut:
-        gens[0] = truncate(gens[0], rng.randint(order(gens[0]), 40))
+        s = rng.randint(order(gens[0]), 40)
+        gens[0] = Series.make(gens[0].coeffs[: s + 1], s)
     cap = min([ceiling] + [g.trunc for g in gens if not g.exact])
     try:
         closure(AlgebraInput.make(gens), ceiling)
@@ -336,7 +339,7 @@ def test_closure_matches_naive_oracle_on_blowup_generators(seed):
     # which lies in the blow-up: many inexact generators, most of them dependent
     st_ = closure(AlgebraInput.make([S(d) for d in random_branch(random.Random(seed), max_delta=6)]))
     for w in (8, 16, 24):
-        basis = [truncate(b, w) for v, b in zip(st_.values, st_.basis) if 0 < v <= w]
+        basis = [Series.make(b.coeffs[: w + 1], w) for v, b in zip(st_.values, st_.basis) if 0 < v <= w]
         gens = list(blowup(st_, w).gens) + basis
         for ceiling in (w // 2, DEFAULT_CEILING):
             check_closure_against_naive_oracle(gens, ceiling)
@@ -773,7 +776,7 @@ def test_blowup_drops_the_generators_of_order_above_prec(gens, prec, orders):
     assert [order(g) for g in B] == orders
     # the kept ones are monic, and the generators of a finer blow-up cut at prec
     full = [g for g in blowup(sc, 40).gens if order(g) <= prec]
-    assert list(B) == [truncate(g, prec) for g in full]
+    assert list(B) == [Series.make(g.coeffs[: prec + 1], prec) for g in full]
     assert all(g.coeff(order(g)) == 1 for g in B)
     rows = close_outcome(lambda: subalgebra._close(subalgebra._blowup_rows(sc, prec, sc.sparse_rows), prec))
     assert rows == close_outcome(lambda: closure(blowup(sc, prec), prec))
@@ -949,7 +952,8 @@ def check_rows_read_lazily(gens, ceiling):
     top = max(sc.conductor, 1)
     assert "rows" not in sc.__dict__
     assert (ech.trunc, ech.filled) == (sc.work_trunc, sc.conductor)
-    eager = {p: r[:top] for p, r in ech.reduced().items() if p < top}
+    # the fill's monomials are pivots with no row; the one below top is t^0, of k[[t]] (c = 0)
+    eager = {p: r[:top] for p, r in ech.reduced().items() if p < top} or {0: (1,)}
     assert {p: eager[p] for p in ech.table} == reduced_per_column(ech.table, ech.table, top)
     assert sc.rows == eager and list(sc.values) == list(eager)
 
@@ -1021,3 +1025,39 @@ def test_only_a_report_that_prints_the_staircase_back_substitutes_it(name, monke
         calls.clear()
         report, code = run(JobSpec(command, gens, options))
         assert (code, len(calls)) == (0, want), (command, report)
+
+
+@contextlib.contextmanager
+def within_a_second():
+    """Raise TimeoutError in the block once a second has passed, so that a
+    loop with no cap fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after a second")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(1)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_hilbert_power_loop_stops_past_e0_plus_1_powers(monkeypatch):
+    # the stop rule fires by power max(1, e0 - 1); with each power left as
+    # it is (_products returns it unchanged), HF never reaches e0, and the
+    # loop raises once e0 + 1 = 4 powers are taken
+    sc = closure(TOY)
+    monkeypatch.setattr(subalgebra, "_products", lambda power, factors, L, values: power)
+    with within_a_second(), pytest.raises(InternalError, match="after 4 powers"):
+        hilbert(sc)
+
+
+def test_blowup_chain_stops_past_delta_steps(monkeypatch):
+    # each blow-up lowers delta by e1 >= e0 - 1 >= 1; with every step closing
+    # to the same algebra (_close returns it), delta never falls, and the
+    # chain raises once delta = 4 steps are taken
+    sc = closure(TOY)
+    monkeypatch.setattr(subalgebra, "_close", lambda gens, ceiling: sc)
+    with within_a_second(), pytest.raises(InternalError, match="past 4 steps"):
+        blowup_chain(sc)
